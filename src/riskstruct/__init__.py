@@ -71,11 +71,14 @@ from .construct import (
 )
 from .analysis import (
     DELTA_M,
+    AnalysisTable,
     BandThresholds,
     Region,
+    analysis_table,
     assign_regions,
     mishap_reach_probability,
     reach,
+    risk_priorities,
     risk_priority,
 )
 from .plan import (

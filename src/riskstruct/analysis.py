@@ -2,8 +2,27 @@
 
 Probability semantics are pessimistic single-attempt: the chance of reaching
 a mishap is the maximum over paths of the product of transition
-probabilities, which (all probabilities being at most one) is attained on a
-simple path and computed by a best-first search.
+probabilities.  Every probability is at most one, so extending a path never
+raises its product and the maximum is attained on a simple path.
+
+All states are analyzed at once, in one :class:`AnalysisTable` per target
+set, computed on first use by :func:`analysis_table` and cached on the model:
+
+- the probability comes from one max-product Dijkstra search on the reversed
+  graph, seeded at the target mishaps (the max-times semiring case of
+  shortest-distance search, exact because no probability exceeds one).
+  Each state keeps the first transition of a path attaining its maximum, and
+  its reported probability is the product along that witness path multiplied
+  in forward order, from the state towards the mishap;
+- the least severe reachable target comes from one backward breadth-first
+  search per severity level, least severe first;
+- the risk priority is derived from both for any band thresholds on request.
+
+A table costs O((V + E) log V) once per model and target set, instead of once
+per queried state.  The adjacency it walks is built once per model and shared
+(:meth:`RiskStructure.outgoing`, :meth:`RiskStructure.incoming`), so it is
+read-only.  :func:`mishap_reach_probability` and :func:`risk_priority` are
+lookups in the table.
 """
 
 from __future__ import annotations
@@ -11,7 +30,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .core import (
     ActionClass,
@@ -20,13 +40,13 @@ from .core import (
     RiskState,
     RiskStructure,
     Severity,
+    Transition,
     is_mishap,
 )
 from .order import (
     Band,
     feature_profile,
     in_loop_features,
-    sv_min,
     sv_scale,
 )
 
@@ -152,6 +172,111 @@ def assign_regions(model: RiskStructure, policy: PolicyLike = None) -> RegionAss
     return regions
 
 
+@dataclass(frozen=True)
+class AnalysisTable:
+    """Mishap-reach analysis of every state for one target set.
+
+    ``pr`` maps every state to its maximum path-product probability of
+    reaching a target: 1.0 on a target, 0.0 when no path of positive
+    probability reaches one.  ``witness`` maps each other state with a
+    positive probability to the first transition of a path attaining it.
+    ``least_sv`` maps every state that reaches a target (over any
+    transitions) to the least severity among the targets it reaches.
+    """
+
+    pr: Mapping[RiskState, float]
+    witness: Mapping[RiskState, Transition]
+    least_sv: Mapping[RiskState, Severity]
+    sv: Mapping[RiskState, Severity]
+
+    def risk_priority(self, state: RiskState, thresholds: BandThresholds) -> Severity:
+        """See :func:`risk_priority`."""
+        if is_mishap(state):
+            return self.sv[state]
+        least = self.least_sv.get(state)
+        if least is None:
+            return Severity.MARGINAL
+        return sv_scale(thresholds.band(self.pr[state]), least)
+
+
+def analysis_table(
+    model: RiskStructure, targets: Optional[Iterable[RiskState]] = None
+) -> AnalysisTable:
+    """The analysis of ``model`` against ``targets`` (default: every mishap
+    state), computed once per model and target set."""
+    key = None if targets is None else frozenset(targets)
+    return model._memo(("analysis", key), lambda: _analyze(model, key))
+
+
+def _analyze(model: RiskStructure, targets: Optional[frozenset[RiskState]]) -> AnalysisTable:
+    mishaps = model.mishap_states()
+    if targets is None:
+        targets = mishaps
+    elif not targets <= mishaps:
+        stray = sorted(s.name for s in targets - mishaps)
+        raise RiskModelError(f"targets must be mishap states, got {stray}")
+    incoming = model.incoming()
+
+    # backward max-product Dijkstra; ties pop in state-name order
+    best: dict[RiskState, float] = dict.fromkeys(targets, 1.0)
+    witness: dict[RiskState, Transition] = {}
+    heap = [(-1.0, s.name, s) for s in targets]
+    heapq.heapify(heap)
+    done: set[RiskState] = set()
+    while heap:
+        neg, _, s = heapq.heappop(heap)
+        if s in done:
+            continue
+        done.add(s)
+        for t in incoming[s]:
+            q = -neg * (t.pr if t.pr is not None else 1.0)
+            if q > best.get(t.source, 0.0):
+                best[t.source] = q
+                witness[t.source] = t
+                heapq.heappush(heap, (-q, t.source.name, t.source))
+
+    # ``best`` holds exactly the states of positive probability; report the
+    # product along the witness path in forward order, as a search from the
+    # state itself would multiply it
+    pr: dict[RiskState, float] = {}
+    for s in model.states:
+        p = 1.0 if s in best else 0.0
+        step = s
+        while step in witness:
+            t = witness[step]
+            p *= t.pr if t.pr is not None else 1.0
+            step = t.target
+        pr[s] = p
+
+    # a state reached from a less severe target already has its least
+    # severity, and so have all of its predecessors
+    least_sv: dict[RiskState, Severity] = {}
+    for severity in Severity:  # declared least severe first
+        frontier = [s for s in targets if model.sv[s] is severity]
+        least_sv.update(dict.fromkeys(frontier, severity))
+        while frontier:
+            for t in incoming[frontier.pop()]:
+                if t.source not in least_sv:
+                    least_sv[t.source] = severity
+                    frontier.append(t.source)
+    return AnalysisTable(
+        pr=MappingProxyType(pr),
+        witness=MappingProxyType(witness),
+        least_sv=MappingProxyType(least_sv),
+        sv=MappingProxyType(model.sv),
+    )
+
+
+def risk_priorities(
+    model: RiskStructure, thresholds: Optional[BandThresholds] = None
+) -> dict[RiskState, Severity]:
+    """:func:`risk_priority` of every state against all mishaps."""
+    if thresholds is None:
+        thresholds = BandThresholds.from_model(model)
+    table = analysis_table(model)
+    return {s: table.risk_priority(s, thresholds) for s in model.states}
+
+
 def mishap_reach_probability(
     model: RiskStructure,
     state: RiskState,
@@ -163,35 +288,7 @@ def mishap_reach_probability(
     target is reachable and 1.0 when the state itself is a target.
     """
     model.require_state(state)
-    if targets is None:
-        target_set = model.mishap_states()
-    else:
-        target_set = frozenset(targets)
-        stray = target_set - model.mishap_states()
-        if stray:
-            raise RiskModelError(
-                f"targets must be mishap states, got {sorted(s.name for s in stray)}"
-            )
-    if state in target_set:
-        return 1.0
-    adjacency = model.outgoing()
-    best: dict[RiskState, float] = {state: 1.0}
-    heap: list[tuple[float, str, RiskState]] = [(-1.0, state.name, state)]
-    done: set[RiskState] = set()
-    while heap:
-        neg, _, s = heapq.heappop(heap)
-        if s in done:
-            continue
-        done.add(s)
-        p = -neg
-        if s in target_set:
-            return p
-        for t in adjacency[s]:
-            q = p * (t.pr if t.pr is not None else 1.0)
-            if q > best.get(t.target, 0.0):
-                best[t.target] = q
-                heapq.heappush(heap, (-q, t.target.name, t.target))
-    return 0.0
+    return analysis_table(model, targets).pr[state]
 
 
 def risk_priority(
@@ -206,16 +303,6 @@ def risk_priority(
     On a mishap state this is its own severity.
     """
     model.require_state(state)
-    if is_mishap(state):
-        return model.sv[state]
     if thresholds is None:
         thresholds = BandThresholds.from_model(model)
-    target_set = (
-        model.mishap_states() if targets is None else frozenset(targets)
-    )
-    reachable = reach(model, state) & target_set
-    if not reachable:
-        return Severity.MARGINAL
-    probability = mishap_reach_probability(model, state, target_set)
-    band = thresholds.band(probability)
-    return sv_scale(band, sv_min([model.sv[s] for s in reachable]))
+    return analysis_table(model, targets).risk_priority(state, thresholds)

@@ -1,12 +1,11 @@
 """Command-line front end.
 
 Commands: build, analyze, regions, plan, reduce, diff, export-dot, validate.
-All output is deterministic for a given input; the environment variable
-RISKSTRUCT_SEED is reserved but unused since every algorithm is
-deterministic.
+All output is deterministic for a given input.
 
 Exit codes: 0 success (diff: identical), 1 I/O failure, 2 invalid input or
-usage, 3 (diff only) differences found.
+usage, 3 (diff only) differences found.  Failures print one
+``riskstruct: ...`` line to stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .core import RiskModelError, RiskStructure, embed_state, parse_state
-from .analysis import (
-    BandThresholds,
-    assign_regions,
-    mishap_reach_probability,
-    risk_priority,
-)
+from .analysis import BandThresholds, analysis_table, assign_regions
 from .construct import CatalogInvalid, construct_rs
 from .plan import is_mitigation_monotonous, plan_mitigations
 from .reduce import collapse_safe_chains, drop_irrelevant, quotient, EQUIVALENCES
@@ -42,7 +36,14 @@ EXIT_INVALID = 2
 EXIT_DIFFERENT = 3
 
 
-def _parse_bands(text: str) -> tuple[float, float]:
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one ``riskstruct: ...`` line, exit code 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"riskstruct: {message}\n")
+
+
+def _parse_bands(text: str) -> BandThresholds:
     values = {}
     for part in text.split(","):
         key, sep, val = part.partition("=")
@@ -50,16 +51,33 @@ def _parse_bands(text: str) -> tuple[float, float]:
             raise argparse.ArgumentTypeError(
                 f"bands must look like l=0.01,h=0.1, got {text!r}"
             )
-        values[key] = float(val)
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a probability: {val!r}") from None
     if set(values) != {"l", "h"}:
         raise argparse.ArgumentTypeError("bands need both l= and h=")
-    return values["l"], values["h"]
+    try:
+        return BandThresholds(l_below=values["l"], h_at_least=values["h"])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _thresholds(model: RiskStructure, bands: Optional[tuple[float, float]]) -> BandThresholds:
-    if bands is None:
-        return BandThresholds.from_model(model)
-    return BandThresholds(l_below=bands[0], h_at_least=bands[1])
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _thresholds(model: RiskStructure, bands: Optional[BandThresholds]) -> BandThresholds:
+    return BandThresholds.from_model(model) if bands is None else bands
 
 
 class _CliError(Exception):
@@ -113,8 +131,8 @@ def cmd_build(args) -> int:
             catalog,
             options=replace(
                 catalog.options,
-                band_l_below=args.bands[0],
-                band_h_at_least=args.bands[1],
+                band_l_below=args.bands.l_below,
+                band_h_at_least=args.bands.h_at_least,
             ),
         )
     model, log = construct_rs(catalog)
@@ -138,9 +156,10 @@ def cmd_analyze(args) -> int:
     model, _ = _load_model(args.model)
     thresholds = _thresholds(model, args.bands)
     regions = assign_regions(model)
+    table = analysis_table(model)
     for state in model.sorted_states():
-        pr = mishap_reach_probability(model, state)
-        rp = risk_priority(model, state, thresholds=thresholds)
+        pr = table.pr[state]
+        rp = table.risk_priority(state, thresholds)
         print(
             f"{model.label(state)}\t{regions[state].value}\t{fmt_prob(pr):.6g}\t{rp.value}"
         )
@@ -288,7 +307,7 @@ def cmd_export_dot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riskstruct",
         description="Build, analyze, reduce, and plan over risk structures.",
     )
@@ -301,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a model from a catalog")
     p.add_argument("catalog")
     p.add_argument("-o", "--output", help="model file to write (default model.json)")
-    p.add_argument("--max-subset", type=int, help="cap on simultaneous hazard subsets")
+    p.add_argument(
+        "--max-subset", type=_int_at_least(1), help="cap on simultaneous hazard subsets"
+    )
     p.add_argument("--bands", type=_parse_bands, help="band thresholds l=<p>,h=<p>")
     p.set_defaults(func=cmd_build)
 
@@ -319,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_state", required=True, metavar="STATE")
     p.add_argument("--bands", type=_parse_bands, help="band thresholds l=<p>,h=<p>")
     p.add_argument("--allow-ordinary", action="store_true")
-    p.add_argument("--slack", type=int, default=0, help="tolerated rp increases")
+    p.add_argument(
+        "--slack", type=_int_at_least(0), default=0, help="tolerated rp increases"
+    )
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("reduce", help="quotient, drop rules, chain collapse")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 DOMAINS = ("drv", "veh", "renv")
@@ -514,14 +515,45 @@ class RiskStructure:
         if state not in self.states:
             raise UnknownState(f"state {state.name!r} is not in the model")
 
-    def outgoing(self) -> dict[RiskState, tuple[Transition, ...]]:
-        adj: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
-        for t in self.transitions:
-            adj[t.source].append(t)
-        return {
-            s: tuple(sorted(ts, key=lambda t: t.key()))
-            for s, ts in adj.items()
-        }
+    def outgoing(self) -> Mapping[RiskState, tuple[Transition, ...]]:
+        """Transitions leaving each state, sorted by key.
+
+        Built once per instance and shared by every caller, so read-only.
+        """
+        return self._memo("adjacency", self._adjacency)[0]
+
+    def incoming(self) -> Mapping[RiskState, tuple[Transition, ...]]:
+        """Transitions entering each state, sorted by key; built and shared
+        with :meth:`outgoing`."""
+        return self._memo("adjacency", self._adjacency)[1]
+
+    def _adjacency(self) -> tuple[Mapping, Mapping]:
+        out: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
+        inc: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
+        for t in sorted(self.transitions, key=Transition.key):
+            out[t.source].append(t)
+            inc[t.target].append(t)
+        return (
+            MappingProxyType({s: tuple(ts) for s, ts in out.items()}),
+            MappingProxyType({s: tuple(ts) for s, ts in inc.items()}),
+        )
+
+    def _memo(self, key, compute):
+        """Derived data of this instance, computed by ``compute()`` once per
+        ``key``.
+
+        The memo is a plain attribute, not a field, so ``==``, ``repr``,
+        :func:`dataclasses.replace` and serialization never see it.  It is
+        dropped when ``states``, ``transitions`` or ``sv`` is reassigned.
+        """
+        basis = (self.states, self.transitions, self.sv)
+        memo = self.__dict__.get("_memo_table")
+        if memo is None or any(a is not b for a, b in zip(memo[0], basis)):
+            memo = self.__dict__["_memo_table"] = (basis, {})
+        values = memo[1]
+        if key not in values:
+            values[key] = compute()
+        return values[key]
 
     def action_named(self, name: str) -> Action:
         for a in self.actions:

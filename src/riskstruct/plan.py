@@ -9,7 +9,7 @@ the ranking is a total, reproducible order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     ActionClass,
@@ -18,7 +18,13 @@ from .core import (
     Severity,
     Transition,
 )
-from .analysis import DELTA_M, BandThresholds, reach, risk_priority
+from .analysis import (
+    DELTA_M,
+    BandThresholds,
+    analysis_table,
+    reach,
+    risk_priorities,
+)
 from .order import mitigation_lt, sv_max
 
 
@@ -57,22 +63,21 @@ def make_plan(
     model: RiskStructure,
     path: Sequence[Transition],
     thresholds: Optional[BandThresholds] = None,
-    _rp_cache: Optional[dict[RiskState, Severity]] = None,
+    _rps: Optional[Mapping[RiskState, Severity]] = None,
 ) -> Plan:
-    """Compute a plan's metrics from its transition sequence."""
+    """Compute a plan's metrics from its transition sequence.
+
+    ``_rps``, the risk priority of every state, spares a caller that makes
+    many plans from recomputing it.
+    """
     path = tuple(path)
-    cache = _rp_cache if _rp_cache is not None else {}
-
-    def rp(state: RiskState) -> Severity:
-        if state not in cache:
-            cache[state] = risk_priority(model, state, thresholds=thresholds)
-        return cache[state]
-
+    if _rps is None:
+        _rps = risk_priorities(model, thresholds)
     states = (path[0].source, *(t.target for t in path))
     return Plan(
         path=path,
         total_cost=sum(t.cs or 0 for t in path),
-        max_rp=sv_max([rp(s) for s in states]),
+        max_rp=sv_max([_rps[s] for s in states]),
         attainment=_product(t.pr if t.pr is not None else 1.0 for t in path),
     )
 
@@ -117,10 +122,10 @@ def plan_mitigations(
         safest_possible_states(model, state) - {state}, key=model.label
     )
     adjacency = model.outgoing()
-    rp_cache: dict[RiskState, Severity] = {}
+    rps = risk_priorities(model, thresholds)
     plans = []
     for target in targets:
-        best = _best_plan(model, adjacency, state, target, classes, thresholds, rp_cache)
+        best = _best_plan(model, adjacency, state, target, classes, rps)
         if best is not None:
             plans.append(best)
     return plans
@@ -136,8 +141,7 @@ def _best_plan(
     start: RiskState,
     target: RiskState,
     classes: frozenset[ActionClass],
-    thresholds: Optional[BandThresholds],
-    rp_cache: dict[RiskState, Severity],
+    rps: Mapping[RiskState, Severity],
 ) -> Optional[Plan]:
     """Exhaustive simple-path search with monotone pruning.
 
@@ -152,7 +156,7 @@ def _best_plan(
             if t.action.kind not in classes or t.target in visited:
                 continue
             path.append(t)
-            candidate = make_plan(model, path, thresholds, rp_cache)
+            candidate = make_plan(model, path, _rps=rps)
             if best is None or _plan_key(candidate) < _plan_key(best):
                 if t.target == target:
                     best = candidate
@@ -176,6 +180,9 @@ def is_mitigation_monotonous(
 
     ``slack`` tolerates that many increases, as a practical relaxation.
     """
-    rps = [risk_priority(model, s, thresholds=thresholds) for s in plan.states()]
+    if thresholds is None:
+        thresholds = BandThresholds.from_model(model)
+    table = analysis_table(model)
+    rps = [table.risk_priority(s, thresholds) for s in plan.states()]
     violations = sum(1 for a, b in zip(rps, rps[1:]) if b.rank > a.rank)
     return violations <= slack

@@ -25,7 +25,7 @@ from .analysis import (
     Region,
     RegionAssignment,
     assign_regions,
-    risk_priority,
+    risk_priorities,
 )
 from .order import (
     PhaseKind,
@@ -101,14 +101,13 @@ def quotient(
     key_fn = _equivalence_key(model, equivalence)
     if regions is None:
         regions = assign_regions(model)
-    if thresholds is None:
-        thresholds = BandThresholds.from_model(model)
+    rps = risk_priorities(model, thresholds) if require_equal_rp else None
 
     def class_key(state: RiskState) -> tuple:
         # mishap patterns are always preserved, whatever the equivalence
         parts: tuple = (key_fn(state), _mishap_pattern(state), regions[state].value)
-        if require_equal_rp:
-            parts += (risk_priority(model, state, thresholds=thresholds).value,)
+        if rps is not None:
+            parts += (rps[state].value,)
         return parts
 
     classes: dict[tuple, list[RiskState]] = {}

@@ -468,9 +468,17 @@ def save_model(
 def load_drop_rules(path: str) -> tuple[DropRule, ...]:
     """Read a drop-rule file: {"drop": [{"action", "source_region"?, "self_loop"?}]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise RiskModelError(f"drop-rule file {path!r} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise RiskModelError(f"drop-rule file {path!r} must hold a JSON object")
+    entries = data.get("drop", [])
+    if not isinstance(entries, list):
+        raise RiskModelError(f"drop-rule file {path!r}: 'drop' must be a list")
     rules = []
-    for i, r in enumerate(data.get("drop", ())):
+    for i, r in enumerate(entries):
         try:
             rules.append(
                 DropRule(

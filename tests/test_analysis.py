@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
     DELTA_M,
@@ -13,12 +15,16 @@ from riskstruct import (
     Severity,
     Transition,
     UnknownState,
+    analysis_table,
     assign_regions,
     is_mishap,
     mishap_reach_probability,
+    model_to_json,
     reach,
+    risk_priorities,
     risk_priority,
 )
+from riskstruct.order import sv_min, sv_scale
 
 from helpers import (
     brute_force_max_path_product,
@@ -180,3 +186,104 @@ class TestRiskPriority:
         a = r2_model.state_named("A:e,L:0")
         tight = BandThresholds(l_below=1e-6, h_at_least=1e-3)
         assert risk_priority(r2_model, a, thresholds=tight) is Severity.FATAL
+
+
+def _oracle_priorities(model, state, targets, thresholds) -> set:
+    """Risk priorities the brute-force oracle admits for ``state``: a
+    probability within a relative 1e-9 of a band threshold may fall in
+    either band."""
+    if is_mishap(state):
+        return {model.sv[state]}
+    reachable = brute_force_reach(model, state) & targets
+    if not reachable:
+        return {Severity.MARGINAL}
+    p = brute_force_max_path_product(model, state, targets)
+    edges = [e for e in (thresholds.l_below, thresholds.h_at_least) if abs(p - e) <= 1e-9 * e]
+    probabilities = [p, *edges, *(math.nextafter(e, 0.0) for e in edges)]
+    least = sv_min([model.sv[s] for s in reachable])
+    return {sv_scale(thresholds.band(q), least) for q in probabilities}
+
+
+class TestAnalysisTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bands=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(sorted),
+        subset=st.booleans(),
+    )
+    def test_matches_brute_force(self, seed, bands, subset):
+        rng = Random(seed)
+        model = random_structure(rng)
+        thresholds = BandThresholds(*bands)
+        mishaps = model.mishap_states()
+        targets = (
+            frozenset(s for s in sorted(mishaps, key=lambda s: s.name) if rng.random() < 0.5)
+            if subset
+            else mishaps
+        )
+        table = analysis_table(model, None if targets is mishaps else targets)
+        for s in model.sorted_states():
+            expected = brute_force_max_path_product(model, s, targets)
+            assert abs(table.pr[s] - expected) <= 1e-12
+            reachable = brute_force_reach(model, s) & targets
+            assert table.least_sv.get(s) == (
+                sv_min([model.sv[t] for t in reachable]) if reachable else None
+            )
+            assert mishap_reach_probability(model, s, targets) == table.pr[s]
+            admitted = _oracle_priorities(model, s, targets, thresholds)
+            assert table.risk_priority(s, thresholds) in admitted
+            assert risk_priority(model, s, targets, thresholds) in admitted
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_witness_paths_attain_the_probability(self, seed):
+        model = random_structure(Random(seed))
+        table = analysis_table(model)
+        targets = model.mishap_states()
+        for s in model.states:
+            product, step, seen = 1.0, s, {s}
+            while step in table.witness:
+                t = table.witness[step]
+                assert t.source == step
+                product *= t.pr if t.pr is not None else 1.0
+                step = t.target
+                assert step not in seen
+                seen.add(step)
+            if table.pr[s] > 0.0:
+                assert step in targets
+                assert product == table.pr[s]
+            else:
+                assert s not in table.witness
+
+    def test_risk_priorities_cover_every_state(self, r2_model):
+        rps = risk_priorities(r2_model)
+        assert set(rps) == r2_model.states
+        assert all(rps[s] is risk_priority(r2_model, s) for s in r2_model.states)
+
+    def test_cache_is_per_instance(self, r2_model):
+        model = replace(r2_model)
+        before = (repr(model), model_to_json(model))
+        table = analysis_table(model)
+        assert analysis_table(model) is table
+        assert model.outgoing() is model.outgoing()
+        assert (repr(model), model_to_json(model)) == before
+        assert model == r2_model
+
+        # wire a dead-end state into the hazardous core
+        a1l = model.state_named("A:m1,L:e")
+        extra = Transition(a1l, model.action_named("f_A"), model.state_named("A:e,L:e"), pr=0.3)
+        bigger = replace(model, transitions=model.transitions + (extra,))
+        assert analysis_table(bigger) is not table
+        assert extra in bigger.outgoing()[a1l]
+        assert extra not in model.outgoing()[a1l]
+        assert mishap_reach_probability(bigger, a1l) > 0.0
+        assert mishap_reach_probability(model, a1l) == 0.0
+        assert bigger != model
+
+    def test_reassigned_transitions_drop_the_cache(self, r2_model):
+        model = replace(r2_model)
+        s0 = model.state_named("A:0,L:0")
+        assert mishap_reach_probability(model, s0) > 0.0
+        model.transitions = ()
+        assert model.outgoing()[s0] == ()
+        assert mishap_reach_probability(model, s0) == 0.0

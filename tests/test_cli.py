@@ -194,6 +194,47 @@ class TestFlags:
             main(["analyze", built_r2, "--bands", "low=1"])
 
 
+def _assert_usage_error(argv, capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("riskstruct: ")
+    assert err.count("\n") == 1
+
+
+class TestFlagRanges:
+    def test_max_subset_zero(self, tmp_path, r2_path, capsys):
+        out = str(tmp_path / "m.json")
+        _assert_usage_error(["build", r2_path, "-o", out, "--max-subset", "0"], capsys)
+
+    @pytest.mark.parametrize("command", ["build", "analyze", "plan"])
+    def test_inverted_bands(self, command, built_r2, r2_path, capsys):
+        argv = {
+            "build": ["build", r2_path],
+            "analyze": ["analyze", built_r2],
+            "plan": ["plan", built_r2, "--from", "A:e,L:0"],
+        }[command]
+        _assert_usage_error(argv + ["--bands", "l=0.5,h=0.1"], capsys)
+
+    def test_negative_slack(self, built_r2, capsys):
+        _assert_usage_error(
+            ["plan", built_r2, "--from", "A:e,L:0", "--slack", "-1"], capsys
+        )
+
+
+class TestMalformedDropRules:
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"drop": 5}'])
+    def test_exits_2_with_one_line(self, built_r2, tmp_path, capsys, text):
+        rulefile = tmp_path / "drops.json"
+        rulefile.write_text(text)
+        assert main(["reduce", built_r2, "--drop", str(rulefile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("riskstruct: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestDiff:
     def test_model_against_itself_is_empty(self, built_r2, capsys):
         assert main(["diff", built_r2, built_r2]) == 0
