@@ -60,7 +60,6 @@ from .construct import (
     CatalogInvalid,
     ConstructionError,
     ConstructionLog,
-    CoverageMaps,
     EndangermentRule,
     MishapRule,
     MitigationRule,

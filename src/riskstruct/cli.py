@@ -91,7 +91,7 @@ def _load_model(path: str):
         return load_model(path)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read model {path!r}: {exc}") from None
-    except (RiskModelError, KeyError, ValueError) as exc:
+    except (RiskModelError, ValueError) as exc:  # ValueError: not JSON
         raise _CliError(EXIT_INVALID, f"invalid model {path!r}: {exc}") from None
 
 

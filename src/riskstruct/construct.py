@@ -1,21 +1,25 @@
 """Catalog-driven incremental construction of risk structures.
 
 The engine alternates endangerment and mitigation sweeps.  Each sweep walks
-the non-mishap states in canonical order, enumerates uncovered hazard subsets
-up to the configured size cap, and tries every declared rule for that subset;
-a rule fires when its guard holds and every move is legal in the phase model.
-Coverage maps ensure each (state, subset) pair is processed once, which makes
-termination a counting argument.  After each sweep pair, states unreachable
-from the initial region are pruned.
+the non-mishap states it has not processed yet, in canonical order, and
+tries on each of them every enabled rule whose hazard subset is within the
+configured size cap: subsets in order of size and then of declaration, and
+the rules of one subset in declaration order.  A rule fires when its guard
+holds and every move is legal in the phase model; when two rules yield the
+same (source, action, target) transition, the first one wins.  A state is
+processed once by each kind of sweep, which makes termination a counting
+argument.  After each sweep pair, states unreachable from the initial
+region are pruned.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
+    DOMAINS,
     Action,
     ActionClass,
     HazardPhaseModel,
@@ -161,6 +165,13 @@ class Catalog:
             if hid not in declared:
                 errors.append(f"{anchor}: undeclared hazard {hid!r}")
 
+        def check_domains(anchor: str, domains: tuple[str, ...]) -> None:
+            for d in domains:
+                if d not in DOMAINS:
+                    errors.append(
+                        f"{anchor}: unknown domain {d!r}; pick from {', '.join(DOMAINS)}"
+                    )
+
         def check_guard(anchor: str, guard: PhaseGuard) -> None:
             for hid, phases in guard.constraints:
                 check_ref(f"{anchor}.guard", hid)
@@ -180,6 +191,7 @@ class Catalog:
             for hid in rule.activates:
                 check_ref(anchor, hid)
             check_guard(anchor, rule.guard)
+            check_domains(anchor, rule.domains)
             if not 0.0 <= rule.pr <= 1.0:
                 errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
         for i, rule in enumerate(self.mishaps):
@@ -189,6 +201,7 @@ class Catalog:
             for hid in (*rule.requires, *rule.sets):
                 check_ref(anchor, hid)
             check_guard(anchor, rule.guard)
+            check_domains(anchor, rule.domains)
             if not 0.0 <= rule.pr <= 1.0:
                 errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
         for i, rule in enumerate(self.mitigations):
@@ -203,6 +216,7 @@ class Catalog:
                         f"n_mitigations of hazard {hid!r}"
                     )
             check_guard(anchor, rule.guard)
+            check_domains(anchor, rule.domains)
             if not 0.0 <= rule.pr <= 1.0:
                 errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
             if rule.cs < 0:
@@ -263,22 +277,6 @@ class Catalog:
         return frozenset({all_inactive(self.hazards)})
 
 
-@dataclass
-class CoverageMaps:
-    """Per-state sets of hazard subsets already processed by each sweep."""
-
-    rv_e: dict[RiskState, set[frozenset[str]]] = field(default_factory=dict)
-    rv_m: dict[RiskState, set[frozenset[str]]] = field(default_factory=dict)
-
-    def register(self, state: RiskState) -> None:
-        self.rv_e.setdefault(state, set())
-        self.rv_m.setdefault(state, set())
-
-    def drop(self, state: RiskState) -> None:
-        self.rv_e.pop(state, None)
-        self.rv_m.pop(state, None)
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """What one sweep added (or one pruning step removed)."""
@@ -304,23 +302,42 @@ def _subsets(ids: Sequence[str], cap: int) -> list[frozenset[str]]:
     return out
 
 
-class _Builder:
-    """Mutable construction state, frozen into a RiskStructure at the end."""
+SWEEPS = ("endangerment", "mitigation")
 
-    def __init__(self, catalog: Catalog):
+
+class _Builder:
+    """Mutable construction state, frozen into a RiskStructure at the end.
+
+    ``states`` defaults to the catalog's initial states.
+    """
+
+    def __init__(
+        self, catalog: Catalog, states: Optional[Iterable[RiskState]] = None
+    ):
         catalog.validate()
         self.catalog = catalog
-        self.states: set[RiskState] = set(catalog.initial_states())
-        self.initial = frozenset(self.states)
+        self.initial = catalog.initial_states()
+        self.states: set[RiskState] = set(self.initial if states is None else states)
         self.transitions: dict[tuple[str, str, str], Transition] = {}
         self.sv: dict[RiskState, Severity] = {}
-        self.coverage = CoverageMaps()
-        for s in self.states:
-            self.coverage.register(s)
         self.records: list[SweepRecord] = []
-        self.subsets = _subsets(catalog.hazard_ids(), catalog.options.max_subset_size)
-        self.e_rules = self._index_endangerment_like()
-        self.m_rules = self._index_mitigations()
+        # Each sweep applies every rule to every state it processes, so a
+        # state is either processed by a kind of sweep or not at all.
+        self.processed: dict[str, set[RiskState]] = {kind: set() for kind in SWEEPS}
+        # Per kind of sweep, the rules to try on a state, with their actions,
+        # in subset order and then declaration order: the first declaring
+        # rule of a transition wins, so this order is part of the output.
+        subsets = _subsets(catalog.hazard_ids(), catalog.options.max_subset_size)
+        e_rules = self._index_endangerment_like()
+        m_rules = self._index_mitigations()
+        self.rules: dict[str, list[tuple[object, Action]]] = {
+            kind: [
+                (rule, catalog.action_for(rule))
+                for subset in subsets
+                for rule in index.get(subset, ())
+            ]
+            for kind, index in zip(SWEEPS, (e_rules, m_rules))
+        }
 
     def _index_endangerment_like(self):
         index: dict[frozenset[str], list] = {}
@@ -354,39 +371,40 @@ class _Builder:
                 raise ConstructionError(
                     f"construction exceeded the state-space bound of {bound} sweeps"
                 )
-            self._sweep(increment, "endangerment")
-            self._sweep(increment, "mitigation")
+            for kind in SWEEPS:
+                self._sweep(increment, kind)
             self._prune(increment)
         return self._freeze(), ConstructionLog(tuple(self.records))
 
     def _has_uncovered(self) -> bool:
-        for s in self.states:
-            if is_mishap(s):
-                continue
-            if any(sub not in self.coverage.rv_e[s] for sub in self.subsets):
-                return True
-            if any(sub not in self.coverage.rv_m[s] for sub in self.subsets):
-                return True
-        return False
+        if not self.catalog.hazards:
+            return False  # no hazard subsets, so nothing to process
+        done_e, done_m = (self.processed[kind] for kind in SWEEPS)
+        return any(
+            not is_mishap(s) and (s not in done_e or s not in done_m)
+            for s in self.states
+        )
 
     def _sweep(self, increment: int, kind: str) -> None:
+        done = self.processed[kind]
         snapshot = sorted(
-            (s for s in self.states if not is_mishap(s)), key=lambda s: s.name
+            (s for s in self.states if s not in done and not is_mishap(s)),
+            key=lambda s: s.name,
         )
-        rules = self.e_rules if kind == "endangerment" else self.m_rules
-        covered = self.coverage.rv_e if kind == "endangerment" else self.coverage.rv_m
         states_before = len(self.states)
         transitions_before = len(self.transitions)
-        for state in snapshot:
-            for subset in self.subsets:
-                if subset in covered[state]:
-                    continue
-                for rule in rules.get(subset, ()):
-                    self._try_rule(state, rule)
-                covered[state].add(subset)
+        self._apply(kind, snapshot)
+        done.update(snapshot)
         self.records.append(self._record(increment, kind, states_before, transitions_before))
 
-    def _try_rule(self, state: RiskState, rule) -> None:
+    def _apply(self, kind: str, states: Sequence[RiskState]) -> None:
+        """Try every rule of one kind of sweep on each state, in order."""
+        rules = self.rules[kind]
+        for state in states:
+            for rule, action in rules:
+                self._try_rule(state, rule, action)
+
+    def _try_rule(self, state: RiskState, rule, action: Action) -> None:
         if isinstance(rule, EndangermentRule):
             if not all(state.phase(h) in rule.from_phases for h in rule.activates):
                 return
@@ -400,7 +418,7 @@ class _Builder:
                 )
                 if target == state and Phase.active() not in rule.from_phases:
                     return
-            self._add(state, self.catalog.action_for(rule), target, pr=rule.pr)
+            self._add(state, action, target, pr=rule.pr)
         elif isinstance(rule, MishapRule):
             active = Phase.active()
             if not all(state.phase(h) == active for h in (*rule.requires, *rule.sets)):
@@ -408,7 +426,7 @@ class _Builder:
             if not rule.guard.satisfied(state):
                 return
             target = state.with_phases({h: Phase.mishap() for h in rule.sets})
-            self._add(state, self.catalog.action_for(rule), target, pr=rule.pr, sv=rule.sv)
+            self._add(state, action, target, pr=rule.pr, sv=rule.sv)
         elif isinstance(rule, MitigationRule):
             if not rule.guard.satisfied(state):
                 return
@@ -429,9 +447,7 @@ class _Builder:
                     if state.phase(h) != p
                 }
             )
-            self._add(
-                state, self.catalog.action_for(rule), target, pr=rule.pr, cs=rule.cs
-            )
+            self._add(state, action, target, pr=rule.pr, cs=rule.cs)
 
     def _add(
         self,
@@ -442,9 +458,7 @@ class _Builder:
         cs: Optional[int] = None,
         sv: Optional[Severity] = None,
     ) -> None:
-        if target not in self.states:
-            self.states.add(target)
-            self.coverage.register(target)
+        self.states.add(target)
         key = (source.name, action.name, target.name)
         if key not in self.transitions:  # first declaring rule wins
             self.transitions[key] = Transition(source, action, target, pr=pr, cs=cs)
@@ -469,8 +483,9 @@ class _Builder:
         states_before = len(self.states)
         transitions_before = len(self.transitions)
         self.states -= dropped
+        for done in self.processed.values():
+            done -= dropped
         for s in dropped:
-            self.coverage.drop(s)
             self.sv.pop(s, None)
         self.transitions = {
             k: t
@@ -527,23 +542,12 @@ def construct_rs(catalog: Catalog) -> tuple[RiskStructure, ConstructionLog]:
 def verify_complete(model: RiskStructure, catalog: Catalog) -> bool:
     """Check that the model is a fixed point of the construction rules.
 
-    Re-derives every rule application over all (state, subset) pairs and
+    Re-derives every rule application on every non-mishap state and
     confirms each resulting transition is already present.
     """
-    builder = _Builder(catalog)
-    builder.states = set(model.states)
-    builder.sv = dict(model.sv)
-    builder.transitions = {}
-    for s in builder.states:
-        builder.coverage.register(s)
-    for state in sorted(builder.states, key=lambda s: s.name):
-        if is_mishap(state):
-            continue
-        for subset in builder.subsets:
-            for rule in builder.e_rules.get(subset, ()):
-                builder._try_rule(state, rule)
-            for rule in builder.m_rules.get(subset, ()):
-                builder._try_rule(state, rule)
+    builder = _Builder(catalog, model.states)
+    states = sorted((s for s in model.states if not is_mishap(s)), key=lambda s: s.name)
+    for kind in SWEEPS:
+        builder._apply(kind, states)
     existing = {t.key() for t in model.transitions}
-    derived = set(builder.transitions.keys())
-    return derived <= existing and builder.states == set(model.states)
+    return set(builder.transitions) <= existing and builder.states == set(model.states)

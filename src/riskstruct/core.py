@@ -62,15 +62,15 @@ class Phase:
 
     @classmethod
     def inactive(cls) -> "Phase":
-        return cls(PhaseKind.INACTIVE)
+        return _INACTIVE
 
     @classmethod
     def active(cls) -> "Phase":
-        return cls(PhaseKind.ACTIVE)
+        return _ACTIVE
 
     @classmethod
     def mishap(cls) -> "Phase":
-        return cls(PhaseKind.MISHAP)
+        return _MISHAP
 
     @classmethod
     def mitigated(cls, index: int) -> "Phase":
@@ -87,12 +87,9 @@ class Phase:
 
     @classmethod
     def parse(cls, text: str) -> "Phase":
-        if text == "0":
-            return cls.inactive()
-        if text == "e":
-            return cls.active()
-        if text == "em":
-            return cls.mishap()
+        fixed = _FIXED_PHASES.get(text)
+        if fixed is not None:
+            return fixed
         m = re.fullmatch(r"m([1-9][0-9]*)", text)
         if m:
             return cls.mitigated(int(m.group(1)))
@@ -109,6 +106,14 @@ class Phase:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
+
+
+# The three index-free phases are shared values: the constructors above and
+# Phase.parse hand out these objects instead of building new ones.
+_INACTIVE = Phase(PhaseKind.INACTIVE)
+_ACTIVE = Phase(PhaseKind.ACTIVE)
+_MISHAP = Phase(PhaseKind.MISHAP)
+_FIXED_PHASES = {p.render(): p for p in (_INACTIVE, _ACTIVE, _MISHAP)}
 
 
 class ActionClass(Enum):
@@ -211,18 +216,32 @@ class RiskState:
 
     The canonical textual form is ``id:phase`` pairs joined by commas in
     declaration order, e.g. ``A:m1,L:e,R:0``; it round-trips through
-    :func:`parse_state`.
+    :func:`parse_state`.  The name is computed once and is the state's
+    identity: two states are equal, and hash alike, exactly when their names
+    are equal.  That is the same as equal entries, because hazard ids contain
+    none of ``:,|`` and each phase renders to its own text.
     """
 
     entries: tuple[tuple[str, Phase], ...]
+    name: str = field(init=False, repr=False)
+    hazard_ids: tuple[str, ...] = field(init=False, repr=False)
 
-    @property
-    def name(self) -> str:
-        return ",".join(f"{h}:{p.render()}" for h, p in self.entries)
+    def __post_init__(self) -> None:
+        entries = self.entries
+        object.__setattr__(
+            self, "name", ",".join(f"{h}:{p.render()}" for h, p in entries)
+        )
+        object.__setattr__(self, "hazard_ids", tuple(h for h, _ in entries))
 
-    @property
-    def hazard_ids(self) -> tuple[str, ...]:
-        return tuple(h for h, _ in self.entries)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RiskState:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        # str caches its own hash; an integer stored here would not survive
+        # a pickle into a process with another PYTHONHASHSEED
+        return hash(self.name)
 
     def phase(self, hazard_id: str) -> Phase:
         for h, p in self.entries:
@@ -234,7 +253,7 @@ class RiskState:
         return dict(self.entries)
 
     def with_phases(self, updates: Mapping[str, Phase]) -> "RiskState":
-        unknown = set(updates) - set(self.hazard_ids)
+        unknown = set(updates).difference(self.hazard_ids)
         if unknown:
             raise KeyError(f"unknown hazards: {sorted(unknown)}")
         return RiskState(
@@ -401,8 +420,7 @@ class Transition:
         if self.source.hazard_ids != self.target.hazard_ids:
             raise ValueError("transition endpoints disagree on the hazard set")
         if self.checked:
-            for hid in self.source.hazard_ids:
-                sp, tp = self.source.phase(hid), self.target.phase(hid)
+            for (hid, sp), (_, tp) in zip(self.source.entries, self.target.entries):
                 if sp == tp:
                     continue
                 if not legal_phase_step(sp, self.action.kind, tp):

@@ -59,6 +59,19 @@ def _phase(text: Any, anchor: str, errors: list[str]) -> Optional[Phase]:
         return None
 
 
+def _list(raw: Any, anchor: str, errors: list[str]) -> list:
+    """``raw`` if it is a JSON list; anything else (a string would otherwise
+    be read as its characters) is reported at ``anchor``."""
+    if isinstance(raw, list):
+        return raw
+    errors.append(f"{anchor}: must be a list, got {type(raw).__name__}")
+    return []
+
+
+def _str_list(raw: Any, anchor: str, errors: list[str]) -> tuple[str, ...]:
+    return tuple(str(x) for x in _list(raw, anchor, errors))
+
+
 def _guard(raw: Any, anchor: str, errors: list[str]) -> PhaseGuard:
     if raw is None:
         return PhaseGuard()
@@ -67,6 +80,7 @@ def _guard(raw: Any, anchor: str, errors: list[str]) -> PhaseGuard:
         return PhaseGuard()
     constraints = {}
     for hid, phases in raw.items():
+        phases = _list(phases, f"{anchor}.guard.{hid}", errors)
         parsed = [_phase(p, f"{anchor}.{hid}", errors) for p in phases]
         constraints[hid] = tuple(p for p in parsed if p is not None)
     return PhaseGuard.of(constraints)
@@ -77,7 +91,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
     messages on any defect."""
     errors: list[str] = []
     hazards = []
-    for i, h in enumerate(data.get("hazards", ())):
+    for i, h in enumerate(_list(data.get("hazards", []), "hazards", errors)):
         try:
             hazards.append(
                 HazardPhaseModel(
@@ -85,15 +99,15 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     int(h["n_mitigations"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"hazards[{i}]: {exc}")
     features = _features_from_dict(data.get("features"), errors)
 
     endangerments = []
-    for i, r in enumerate(data.get("endangerments", ())):
+    for i, r in enumerate(_list(data.get("endangerments", []), "endangerments", errors)):
         anchor = f"endangerments[{i}]"
         try:
-            from_raw = r.get("from_phases", ["0"])
+            from_raw = _list(r.get("from_phases", ["0"]), f"{anchor}.from_phases", errors)
             from_phases = tuple(
                 p
                 for p in (_phase(t, f"{anchor}.from_phases", errors) for t in from_raw)
@@ -102,39 +116,39 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
             endangerments.append(
                 EndangermentRule(
                     name=str(r["name"]),
-                    activates=tuple(str(x) for x in r["activates"]),
+                    activates=_str_list(r["activates"], f"{anchor}.activates", errors),
                     pr=float(r["pr"]),
                     guard=_guard(r.get("guard"), anchor, errors),
                     from_phases=from_phases,
-                    domains=tuple(r.get("domains", ())),
+                    domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
                     enabled=bool(r.get("enabled", True)),
                     absorbed=bool(r.get("absorbed", False)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"{anchor}: {exc}")
     mishaps = []
-    for i, r in enumerate(data.get("mishaps", ())):
+    for i, r in enumerate(_list(data.get("mishaps", []), "mishaps", errors)):
         anchor = f"mishaps[{i}]"
         try:
             mishaps.append(
                 MishapRule(
                     name=str(r["name"]),
-                    requires=tuple(str(x) for x in r["requires"]),
-                    sets=tuple(str(x) for x in r["sets"]),
+                    requires=_str_list(r["requires"], f"{anchor}.requires", errors),
+                    sets=_str_list(r["sets"], f"{anchor}.sets", errors),
                     pr=float(r["pr"]),
                     sv=Severity(str(r["sv"])),
                     guard=_guard(r.get("guard"), anchor, errors),
-                    domains=tuple(r.get("domains", ())),
+                    domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
                     enabled=bool(r.get("enabled", True)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"{anchor}: {exc}")
     mitigations = []
-    for i, r in enumerate(data.get("mitigations", ())):
+    for i, r in enumerate(_list(data.get("mitigations", []), "mitigations", errors)):
         anchor = f"mitigations[{i}]"
         try:
             mitigates = []
@@ -149,12 +163,12 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     pr=float(r["pr"]),
                     cs=int(r["cs"]),
                     guard=_guard(r.get("guard"), anchor, errors),
-                    domains=tuple(r.get("domains", ())),
+                    domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
                     enabled=bool(r.get("enabled", True)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"{anchor}: {exc}")
 
     situation = _situation_from_dict(data.get("situation"), errors)
@@ -208,7 +222,7 @@ def _features_from_dict(raw: Any, errors: list[str]) -> Optional[FeatureModel]:
             effects=tuple(effects),
             priority=tuple(str(h) for h in raw.get("priority", ())),
         )
-    except (KeyError, TypeError, ValueError, RiskModelError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RiskModelError) as exc:
         errors.append(f"features: {exc}")
         return None
 
@@ -218,15 +232,17 @@ def _situation_from_dict(raw: Any, errors: list[str]) -> OperationalSituation:
         return OperationalSituation()
     try:
         initial = raw.get("initial")
+        if initial is not None:
+            initial = _str_list(initial, "situation.initial", errors)
         return OperationalSituation(
             name=str(raw.get("name", "")),
-            initial=tuple(str(s) for s in initial) if initial else None,
+            initial=initial or None,
             invariant_predicates=tuple(
                 str(p) for p in raw.get("invariant_predicates", ())
             ),
             notes=str(raw.get("notes", "")),
         )
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         errors.append(f"situation: {exc}")
         return OperationalSituation()
 
@@ -242,7 +258,7 @@ def _options_from_dict(raw: Any, errors: list[str]) -> ModelOptions:
             band_h_at_least=float(bands.get("h_at_least", 0.1)),
             region_policy=str(raw.get("region_policy", "no_active")),
         )
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         errors.append(f"options: {exc}")
         return ModelOptions()
 
@@ -368,6 +384,19 @@ def model_to_json(model: RiskStructure, log: ConstructionLog = ConstructionLog()
 
 
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
+    """Rebuild a model and its log; raises :class:`RiskModelError` with one
+    line on any malformed or missing entry."""
+    if not isinstance(data, Mapping):
+        raise RiskModelError(f"a model must be a JSON object, got {type(data).__name__}")
+    try:
+        return _model_from_dict(data)
+    except KeyError as exc:
+        raise RiskModelError(f"missing or unknown entry {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise RiskModelError(f"malformed model: {exc}") from None
+
+
+def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
     errors: list[str] = []
     hazards = tuple(
         HazardPhaseModel(

@@ -48,6 +48,32 @@ class TestValidate:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "section, index, key, value, message",
+        [
+            ("endangerments", 0, "domains", ["bogus"], "unknown domain 'bogus'"),
+            # a string where a list belongs would be read as its characters
+            ("endangerments", 0, "activates", "AL", "activates: must be a list"),
+            ("endangerments", 0, "domains", "veh", "domains: must be a list"),
+            ("mishaps", 0, "requires", "AL", "requires: must be a list"),
+            ("mishaps", 0, "sets", "AL", "sets: must be a list"),
+            ("situation", None, "initial", "A:0,L:0", "initial: must be a list"),
+        ],
+    )
+    def test_rejected_field_exits_2_on_validate_and_build(
+        self, tmp_path, capsys, section, index, key, value, message
+    ):
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        entry = data[section] if index is None else data[section][index]
+        entry[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestBuild:
     def test_summary_reports_eleven_states_after_increment_two(
@@ -284,3 +310,26 @@ class TestExportDot:
 
     def test_missing_model_exits_1(self, tmp_path):
         assert main(["export-dot", str(tmp_path / "none.json")]) == 1
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: {**d, "states": 5},
+            lambda d: [d],
+            lambda d: {k: v for k, v in d.items() if k != "states"},
+            lambda d: {**d, "transitions": [{**d["transitions"][0], "source": "X:e"}]},
+            lambda d: {**d, "log": [5]},
+        ],
+        ids=["states-int", "top-level-list", "no-states", "bad-label", "log-entry"],
+    )
+    def test_exits_2_with_one_line(self, built_r2, tmp_path, capsys, mutate):
+        data = mutate(json.loads(open(built_r2).read()))
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        assert main(["regions", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"riskstruct: invalid model {str(bad)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""

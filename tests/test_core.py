@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
     Action,
@@ -10,6 +12,7 @@ from riskstruct import (
     HazardPhaseModel,
     IllegalPhaseTransition,
     Phase,
+    PhaseKind,
     RiskState,
     Transition,
     apply_action,
@@ -22,7 +25,7 @@ from riskstruct import (
 )
 from riskstruct.core import StateSyntaxError
 
-from helpers import enumerate_tuple_space
+from helpers import enumerate_tuple_space, random_states, random_structure
 
 AB = (
     HazardPhaseModel(HazardId("A"), 3),
@@ -41,10 +44,12 @@ def st_phase(max_index: int = 4):
 
 class TestPhase:
     def test_render_parse_fixed_points(self):
-        assert Phase.parse("0") == Phase.inactive()
-        assert Phase.parse("e") == Phase.active()
-        assert Phase.parse("em") == Phase.mishap()
+        assert Phase.parse("0") is Phase.inactive()
+        assert Phase.parse("e") is Phase.active()
+        assert Phase.parse("em") is Phase.mishap()
         assert Phase.parse("m7") == Phase.mitigated(7)
+        # shared objects, but phases still compare by value
+        assert Phase(PhaseKind.ACTIVE) == Phase.active()
 
     @given(st_phase(max_index=9))
     def test_round_trip(self, phase):
@@ -56,8 +61,6 @@ class TestPhase:
             Phase.parse(bad)
 
     def test_mitigated_needs_positive_index(self):
-        from riskstruct import PhaseKind
-
         with pytest.raises(ValueError):
             Phase(PhaseKind.MITIGATED, 0)
 
@@ -136,6 +139,31 @@ class TestRiskState:
     def test_name_round_trip(self, phases):
         state = state_from_phases(AB, {"A": phases[0], "L": phases[1]})
         assert parse_state(state.name, AB) == state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_identity_is_the_canonical_name(self, seed):
+        rng = Random(seed)
+        model = random_structure(rng)
+        states = sorted(model.states, key=lambda s: s.name)
+        states += random_states(rng, model.hazards, 8)
+        # the same entries built from fresh, unshared phase objects
+        states += [
+            RiskState(tuple((h, Phase(p.kind, p.index)) for h, p in s.entries))
+            for s in states[:4]
+        ]
+        for s in states:
+            assert parse_state(s.name, model.hazards) == s
+            assert s.hazard_ids == tuple(h for h, _ in s.entries)
+            assert all(s.phase(h) == p for h, p in s.entries)
+            assert s != s.name
+            for t in states:
+                same = s.entries == t.entries
+                assert (s == t) is same
+                assert (s != t) is not same
+                assert (s.name == t.name) is same
+                if same:
+                    assert hash(s) == hash(t)
 
     @pytest.mark.parametrize(
         "bad",
