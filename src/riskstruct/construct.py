@@ -8,8 +8,9 @@ the rules of one subset in declaration order.  A rule fires when its guard
 holds and every move is legal in the phase model; when two rules yield the
 same (source, action, target) transition, the first one wins.  A state is
 processed once by each kind of sweep, which makes termination a counting
-argument.  After each sweep pair, states unreachable from the initial
-region are pruned.
+argument.  Every state but an initial one enters as the target of a
+transition from a state already built, so the result is reachable from the
+initial region by construction.
 """
 
 from __future__ import annotations
@@ -279,10 +280,10 @@ class Catalog:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """What one sweep added (or one pruning step removed)."""
+    """What one sweep added."""
 
     increment: int
-    sweep: str  # "endangerment" | "mitigation" | "prune"
+    sweep: str  # one of SWEEPS
     states_added: int
     transitions_added: int
     states_total: int
@@ -317,7 +318,11 @@ class _Builder:
         catalog.validate()
         self.catalog = catalog
         self.initial = catalog.initial_states()
-        self.states: set[RiskState] = set(self.initial if states is None else states)
+        # Each state maps to itself, so that transitions share the stored
+        # object instead of keeping an equal copy of it.
+        self.states: dict[RiskState, RiskState] = {
+            s: s for s in (self.initial if states is None else states)
+        }
         self.transitions: dict[tuple[str, str, str], Transition] = {}
         self.sv: dict[RiskState, Severity] = {}
         self.records: list[SweepRecord] = []
@@ -373,7 +378,6 @@ class _Builder:
                 )
             for kind in SWEEPS:
                 self._sweep(increment, kind)
-            self._prune(increment)
         return self._freeze(), ConstructionLog(tuple(self.records))
 
     def _has_uncovered(self) -> bool:
@@ -458,43 +462,12 @@ class _Builder:
         cs: Optional[int] = None,
         sv: Optional[Severity] = None,
     ) -> None:
-        self.states.add(target)
+        target = self.states.setdefault(target, target)
         key = (source.name, action.name, target.name)
         if key not in self.transitions:  # first declaring rule wins
             self.transitions[key] = Transition(source, action, target, pr=pr, cs=cs)
         if sv is not None and is_mishap(target) and target not in self.sv:
             self.sv[target] = sv
-
-    def _prune(self, increment: int) -> None:
-        reachable: set[RiskState] = set(self.initial)
-        frontier = list(self.initial)
-        adj: dict[str, list[Transition]] = {}
-        for t in self.transitions.values():
-            adj.setdefault(t.source.name, []).append(t)
-        while frontier:
-            s = frontier.pop()
-            for t in adj.get(s.name, ()):
-                if t.target not in reachable:
-                    reachable.add(t.target)
-                    frontier.append(t.target)
-        dropped = self.states - reachable
-        if not dropped:
-            return
-        states_before = len(self.states)
-        transitions_before = len(self.transitions)
-        self.states -= dropped
-        for done in self.processed.values():
-            done -= dropped
-        for s in dropped:
-            self.sv.pop(s, None)
-        self.transitions = {
-            k: t
-            for k, t in self.transitions.items()
-            if t.source in self.states and t.target in self.states
-        }
-        self.records.append(
-            self._record(increment, "prune", states_before, transitions_before)
-        )
 
     def _record(
         self, increment: int, sweep: str, states_before: int, transitions_before: int
@@ -550,4 +523,4 @@ def verify_complete(model: RiskStructure, catalog: Catalog) -> bool:
     for kind in SWEEPS:
         builder._apply(kind, states)
     existing = {t.key() for t in model.transitions}
-    return set(builder.transitions) <= existing and builder.states == set(model.states)
+    return set(builder.transitions) <= existing and builder.states.keys() == model.states

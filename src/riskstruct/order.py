@@ -4,6 +4,12 @@ The per-hazard phase order reads "further in mitigation is better": the
 mishap phase sits below active, active below every mitigated phase, and every
 mitigated phase below inactive; distinct mitigated phases are incomparable.
 States compare componentwise.
+
+Each state equivalence is defined once, as a key function (``hazard_key``,
+``mishap_key``, ``mitigation_key``, ``feature_key``, ``degradation_key``):
+two states are equivalent exactly when their keys are equal.  The
+predicates below and the quotients of :mod:`riskstruct.reduce` both use
+these keys.
 """
 
 from __future__ import annotations
@@ -130,40 +136,42 @@ def sv_scale(band: Band, severity: Severity) -> Severity:
     return _SV_SCALE[(band, severity)]
 
 
+def hazard_key(state: RiskState) -> tuple[bool, ...]:
+    """Per hazard: is it inactive?"""
+    return tuple(p.kind is PhaseKind.INACTIVE for _, p in state.entries)
+
+
+def mishap_key(state: RiskState) -> tuple[bool, ...]:
+    """Per hazard: is it in the mishap phase?"""
+    return tuple(p.kind is PhaseKind.MISHAP for _, p in state.entries)
+
+
+def mitigation_key(state: RiskState) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """The hazard key plus, per hazard, "strictly better than active".
+
+    A phase is strictly better than active exactly when the hazard is
+    mitigated or inactive.
+    """
+    better = (PhaseKind.MITIGATED, PhaseKind.INACTIVE)
+    return hazard_key(state), tuple(p.kind in better for _, p in state.entries)
+
+
 def hazard_equiv(s: RiskState, t: RiskState) -> bool:
     """Per-hazard agreement on inactive vs. not inactive."""
     _check_same_hazards(s, t)
-    return all(
-        (p.kind is PhaseKind.INACTIVE) == (t.phase(h).kind is PhaseKind.INACTIVE)
-        for h, p in s.entries
-    )
+    return hazard_key(s) == hazard_key(t)
 
 
 def mishap_equiv(s: RiskState, t: RiskState) -> bool:
     """Per-hazard agreement on the mishap phase."""
     _check_same_hazards(s, t)
-    return all(
-        (p.kind is PhaseKind.MISHAP) == (t.phase(h).kind is PhaseKind.MISHAP)
-        for h, p in s.entries
-    )
-
-
-def _better_than_active(p: Phase) -> bool:
-    return phase_lt(Phase.active(), p)
+    return mishap_key(s) == mishap_key(t)
 
 
 def mitigation_equiv(s: RiskState, t: RiskState) -> bool:
-    """Hazard equivalence plus agreement on "strictly better than active".
-
-    A phase is strictly better than active exactly when the hazard is
-    mitigated or inactive.
-    """
-    if not hazard_equiv(s, t):
-        return False
-    return all(
-        _better_than_active(p) == _better_than_active(t.phase(h))
-        for h, p in s.entries
-    )
+    """Hazard equivalence plus agreement on "strictly better than active"."""
+    _check_same_hazards(s, t)
+    return mitigation_key(s) == mitigation_key(t)
 
 
 class FeatureVariant(Enum):
@@ -276,19 +284,27 @@ def degraded_in_loop_features(profile: FeatureProfile) -> frozenset[str]:
     )
 
 
+def feature_key(state: RiskState, features: FeatureModel) -> frozenset[str]:
+    """The set of in-the-loop features, faulty or degraded or not."""
+    return in_loop_features(feature_profile(state, features))
+
+
+def degradation_key(
+    state: RiskState, features: FeatureModel
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The feature key plus the set of degraded in-loop features."""
+    profile = feature_profile(state, features)
+    return in_loop_features(profile), degraded_in_loop_features(profile)
+
+
 def feature_equiv(s: RiskState, t: RiskState, features: FeatureModel) -> bool:
     """Same set of in-the-loop features, faulty or degraded or not."""
-    return in_loop_features(feature_profile(s, features)) == in_loop_features(
-        feature_profile(t, features)
-    )
+    return feature_key(s, features) == feature_key(t, features)
 
 
 def degradation_equiv(s: RiskState, t: RiskState, features: FeatureModel) -> bool:
     """Feature equivalence plus the same set of degraded in-loop features."""
-    ps, pt = feature_profile(s, features), feature_profile(t, features)
-    return in_loop_features(ps) == in_loop_features(pt) and degraded_in_loop_features(
-        ps
-    ) == degraded_in_loop_features(pt)
+    return degradation_key(s, features) == degradation_key(t, features)
 
 
 def _check_same_hazards(s: RiskState, t: RiskState) -> None:

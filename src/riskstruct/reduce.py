@@ -1,14 +1,18 @@
 """Model reduction: equivalence quotients, explicit drop rules, chain collapse.
 
-Quotients merge states only within one risk region (so a merge can never
-bridge mishap and non-mishap states), optionally requiring equal risk
-priority.  Merged states keep the phases of a maximal member and a display
-label joining the member names.
+Quotients merge states that are equivalent, agree on the mishap phase of
+every hazard and share a risk region (so a merge can never bridge mishap and
+non-mishap states), optionally requiring equal risk priority.  Each
+equivalence is one key function of :mod:`riskstruct.order`; this module only
+looks it up.  Merged states keep the phases of a maximal member and a display
+label joining the member names.  Drop rules and chain collapse walk the
+model's cached adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -25,13 +29,15 @@ from .analysis import (
     Region,
     RegionAssignment,
     assign_regions,
+    reach,
     risk_priorities,
 )
 from .order import (
-    PhaseKind,
-    degraded_in_loop_features,
-    feature_profile,
-    in_loop_features,
+    degradation_key,
+    feature_key,
+    hazard_key,
+    mishap_key,
+    mitigation_key,
     mitigation_lt,
     sv_max,
 )
@@ -41,50 +47,25 @@ class IncompatibleMerge(RiskModelError):
     """A merge would span mishap and non-mishap states."""
 
 
-EQUIVALENCES = ("h", "hm", "m", "f", "d")
+# Each equivalence is the equality of one key function of riskstruct.order;
+# the feature-based keys also read the model's feature declarations.
+_STATE_KEYS = {"h": hazard_key, "hm": mishap_key, "m": mitigation_key}
+_FEATURE_KEYS = {"f": feature_key, "d": degradation_key}
+EQUIVALENCES = (*_STATE_KEYS, *_FEATURE_KEYS)
 
 
-def _phase_pattern(state: RiskState) -> tuple:
-    return tuple(p.kind is not PhaseKind.INACTIVE for _, p in state.entries)
-
-
-def _mishap_pattern(state: RiskState) -> tuple:
-    return tuple(p.kind is PhaseKind.MISHAP for _, p in state.entries)
-
-
-def _mitigation_signature(state: RiskState) -> tuple:
-    return tuple(
-        (
-            p.kind is not PhaseKind.INACTIVE,
-            p.kind in (PhaseKind.MITIGATED, PhaseKind.INACTIVE),
+def _equivalence_key(model: RiskStructure, equivalence: str) -> Callable[[RiskState], object]:
+    if equivalence in _STATE_KEYS:
+        return _STATE_KEYS[equivalence]
+    if equivalence not in _FEATURE_KEYS:
+        raise RiskModelError(
+            f"unknown equivalence {equivalence!r}; pick one of {EQUIVALENCES}"
         )
-        for _, p in state.entries
-    )
-
-
-def _equivalence_key(model: RiskStructure, equivalence: str) -> Callable[[RiskState], tuple]:
-    if equivalence == "h":
-        return _phase_pattern
-    if equivalence == "hm":
-        return _mishap_pattern
-    if equivalence == "m":
-        return _mitigation_signature
-    if equivalence in ("f", "d"):
-        if model.features is None:
-            raise RiskModelError(
-                f"equivalence {equivalence!r} needs the model's feature declarations"
-            )
-        features = model.features
-
-        def key(state: RiskState) -> tuple:
-            profile = feature_profile(state, features)
-            in_loop = tuple(sorted(in_loop_features(profile)))
-            if equivalence == "f":
-                return (in_loop,)
-            return (in_loop, tuple(sorted(degraded_in_loop_features(profile))))
-
-        return key
-    raise RiskModelError(f"unknown equivalence {equivalence!r}; pick one of {EQUIVALENCES}")
+    if model.features is None:
+        raise RiskModelError(
+            f"equivalence {equivalence!r} needs the model's feature declarations"
+        )
+    return partial(_FEATURE_KEYS[equivalence], features=model.features)
 
 
 def quotient(
@@ -105,7 +86,7 @@ def quotient(
 
     def class_key(state: RiskState) -> tuple:
         # mishap patterns are always preserved, whatever the equivalence
-        parts: tuple = (key_fn(state), _mishap_pattern(state), regions[state].value)
+        parts: tuple = (key_fn(state), mishap_key(state), regions[state].value)
         if rps is not None:
             parts += (rps[state].value,)
         return parts
@@ -214,23 +195,13 @@ def drop_irrelevant(
 
 
 def _prune_unreachable(model: RiskStructure) -> RiskStructure:
-    adjacency: dict[RiskState, list[Transition]] = {}
-    for t in model.transitions:
-        adjacency.setdefault(t.source, []).append(t)
-    reachable = set(model.initial)
-    frontier = list(model.initial)
-    while frontier:
-        s = frontier.pop()
-        for t in adjacency.get(s, ()):
-            if t.target not in reachable:
-                reachable.add(t.target)
-                frontier.append(t.target)
+    reachable = frozenset().union(*(reach(model, s) for s in model.initial))
     transitions = tuple(
         t for t in model.transitions if t.source in reachable and t.target in reachable
     )
     return replace(
         model,
-        states=frozenset(reachable),
+        states=reachable,
         actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
         transitions=transitions,
         sv={s: v for s, v in model.sv.items() if s in reachable},
@@ -262,11 +233,7 @@ def collapse_safe_chains(
 def _collapse_once(
     model: RiskStructure, regions: RegionAssignment
 ) -> Optional[RiskStructure]:
-    outgoing: dict[RiskState, list[Transition]] = {s: [] for s in model.states}
-    incoming: dict[RiskState, list[Transition]] = {s: [] for s in model.states}
-    for t in model.transitions:
-        outgoing[t.source].append(t)
-        incoming[t.target].append(t)
+    outgoing, incoming = model.outgoing(), model.incoming()
 
     def pass_through(s: RiskState) -> bool:
         outs = outgoing[s]

@@ -68,6 +68,15 @@ def _list(raw: Any, anchor: str, errors: list[str]) -> list:
     return []
 
 
+def _bool(raw: Any, anchor: str, errors: list[str]) -> bool:
+    """``raw`` if it is a JSON boolean; anything else (the string ``"false"``
+    would otherwise be read as true) is reported at ``anchor``."""
+    if isinstance(raw, bool):
+        return raw
+    errors.append(f"{anchor}: must be true or false, got {type(raw).__name__}")
+    return False
+
+
 def _str_list(raw: Any, anchor: str, errors: list[str]) -> tuple[str, ...]:
     return tuple(str(x) for x in _list(raw, anchor, errors))
 
@@ -122,8 +131,8 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     from_phases=from_phases,
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
-                    enabled=bool(r.get("enabled", True)),
-                    absorbed=bool(r.get("absorbed", False)),
+                    enabled=_bool(r.get("enabled", True), f"{anchor}.enabled", errors),
+                    absorbed=_bool(r.get("absorbed", False), f"{anchor}.absorbed", errors),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -142,7 +151,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     guard=_guard(r.get("guard"), anchor, errors),
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
-                    enabled=bool(r.get("enabled", True)),
+                    enabled=_bool(r.get("enabled", True), f"{anchor}.enabled", errors),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -165,7 +174,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     guard=_guard(r.get("guard"), anchor, errors),
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
-                    enabled=bool(r.get("enabled", True)),
+                    enabled=_bool(r.get("enabled", True), f"{anchor}.enabled", errors),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -197,9 +206,11 @@ def _features_from_dict(raw: Any, errors: list[str]) -> Optional[FeatureModel]:
                 name=str(f["name"]),
                 variant=FeatureVariant(str(f.get("variant", "primary"))),
                 status=FeatureStatus(str(f.get("status", "in_loop_operational"))),
-                fallback=bool(f.get("fallback", False)),
+                fallback=_bool(
+                    f.get("fallback", False), f"features.universe[{i}].fallback", errors
+                ),
             )
-            for f in raw.get("universe", ())
+            for i, f in enumerate(raw.get("universe", ()))
         )
         effects = []
         for i, e in enumerate(raw.get("effects", ())):
@@ -509,15 +520,17 @@ def load_drop_rules(path: str) -> tuple[DropRule, ...]:
     rules = []
     for i, r in enumerate(entries):
         try:
+            action = str(r["action"])  # raises on a non-object entry first
+            region, self_loop = r.get("source_region"), r.get("self_loop")
+            if self_loop is not None and not isinstance(self_loop, bool):
+                raise ValueError(
+                    f"self_loop must be true or false, got {type(self_loop).__name__}"
+                )
             rules.append(
                 DropRule(
-                    action=str(r["action"]),
-                    source_region=Region(r["source_region"])
-                    if r.get("source_region") is not None
-                    else None,
-                    self_loop=bool(r["self_loop"])
-                    if r.get("self_loop") is not None
-                    else None,
+                    action=action,
+                    source_region=None if region is None else Region(region),
+                    self_loop=self_loop,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

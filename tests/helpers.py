@@ -30,7 +30,9 @@ from riskstruct import (
     all_inactive,
     is_mishap,
     legal_phase_step,
+    phase_leq,
 )
+from riskstruct.order import phase_lt
 
 
 def enumerate_tuple_space(hazards) -> list[RiskState]:
@@ -40,6 +42,30 @@ def enumerate_tuple_space(hazards) -> list[RiskState]:
         RiskState(tuple((h.id, p) for h, p in zip(hazards, combo)))
         for combo in itertools.product(*spaces)
     ]
+
+
+# Per-hazard definitions of the state equivalences, written with the phase
+# order only: inactive is its top, the mishap phase its bottom, and the phases
+# strictly above active are the mitigated ones and inactive.
+
+
+def brute_force_hazard_equiv(s: RiskState, t: RiskState) -> bool:
+    top = Phase.inactive()
+    return all(phase_leq(top, p) == phase_leq(top, t.phase(h)) for h, p in s.entries)
+
+
+def brute_force_mishap_equiv(s: RiskState, t: RiskState) -> bool:
+    bottom = Phase.mishap()
+    return all(
+        phase_leq(p, bottom) == phase_leq(t.phase(h), bottom) for h, p in s.entries
+    )
+
+
+def brute_force_mitigation_equiv(s: RiskState, t: RiskState) -> bool:
+    active = Phase.active()
+    return brute_force_hazard_equiv(s, t) and all(
+        phase_lt(active, p) == phase_lt(active, t.phase(h)) for h, p in s.entries
+    )
 
 
 def brute_force_reach(model, start, classes=None) -> frozenset:

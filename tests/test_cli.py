@@ -58,6 +58,11 @@ class TestValidate:
             ("mishaps", 0, "requires", "AL", "requires: must be a list"),
             ("mishaps", 0, "sets", "AL", "sets: must be a list"),
             ("situation", None, "initial", "A:0,L:0", "initial: must be a list"),
+            # bool("false") is True: a string must not be read as a boolean
+            ("endangerments", 1, "enabled", "false", "enabled: must be true or false"),
+            ("endangerments", 1, "absorbed", "false", "absorbed: must be true or false"),
+            ("mishaps", 0, "enabled", "false", "enabled: must be true or false"),
+            ("mitigations", 0, "enabled", "false", "enabled: must be true or false"),
         ],
     )
     def test_rejected_field_exits_2_on_validate_and_build(
@@ -73,6 +78,15 @@ class TestValidate:
         assert main(["build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_string_fallback_exits_2(self, tmp_path, capsys):
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        data["features"]["universe"][2]["fallback"] = "false"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "features.universe[2].fallback: must be true or false" in err
 
 
 class TestBuild:
@@ -250,7 +264,15 @@ class TestFlagRanges:
 
 
 class TestMalformedDropRules:
-    @pytest.mark.parametrize("text", ["{not json", "[]", '{"drop": 5}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            '{"drop": 5}',
+            '{"drop": [{"action": "f_L", "self_loop": "false"}]}',
+        ],
+    )
     def test_exits_2_with_one_line(self, built_r2, tmp_path, capsys, text):
         rulefile = tmp_path / "drops.json"
         rulefile.write_text(text)

@@ -25,6 +25,7 @@ from riskstruct import (
     mitigation_equiv,
     verify_complete,
 )
+from riskstruct.construct import SWEEPS
 
 from helpers import random_catalog
 
@@ -202,12 +203,21 @@ class TestConstructionContract:
     def test_increments_only_grow(self, r2_catalog, r3_catalog):
         for catalog in (r2_catalog, r3_catalog):
             _, log = construct_rs(catalog)
-            totals = [
-                (r.states_total, r.transitions_total)
-                for r in log.records
-                if r.sweep != "prune"
-            ]
+            assert [r.sweep for r in log.records] == list(SWEEPS) * (
+                len(log.records) // 2
+            )
+            totals = [(r.states_total, r.transitions_total) for r in log.records]
             assert totals == sorted(totals)
+
+    def test_transitions_share_the_stored_state_objects(self, r2_catalog, r3_catalog):
+        rng = Random(5)
+        for catalog in (r2_catalog, r3_catalog, *(random_catalog(rng) for _ in range(20))):
+            model, _ = construct_rs(catalog)
+            stored = {s: s for s in model.states}
+            for t in model.transitions:
+                assert t.source is stored[t.source]
+                assert t.target is stored[t.target]
+            assert all(s is stored[s] for s in (*model.initial, *model.sv))
 
     def test_subset_cap_limits_joint_rules(self, r2_catalog):
         catalog = replace(

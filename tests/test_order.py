@@ -36,7 +36,12 @@ from riskstruct.order import (
     phase_lt,
 )
 
-from helpers import enumerate_tuple_space
+from helpers import (
+    brute_force_hazard_equiv,
+    brute_force_mishap_equiv,
+    brute_force_mitigation_equiv,
+    enumerate_tuple_space,
+)
 
 AB = (HazardPhaseModel(HazardId("A"), 3), HazardPhaseModel(HazardId("L"), 4))
 
@@ -216,6 +221,23 @@ class TestEquivalences:
                 assert rel(s, t) == rel(t, s)
                 if rel(s, t) and rel(t, u):
                     assert rel(s, u)
+
+    def test_keys_match_per_hazard_definitions_on_every_pair(self):
+        rng = Random(17)
+        relations = (
+            (hazard_equiv, brute_force_hazard_equiv),
+            (mishap_equiv, brute_force_mishap_equiv),
+            (mitigation_equiv, brute_force_mitigation_equiv),
+        )
+        for _ in range(8):
+            hazards = tuple(
+                HazardPhaseModel(HazardId(f"H{i}"), rng.randint(1, 2))
+                for i in range(rng.randint(1, 3))
+            )
+            space = enumerate_tuple_space(hazards)
+            for s, t in itertools.product(space, repeat=2):
+                for rel, oracle in relations:
+                    assert rel(s, t) == oracle(s, t), (rel.__name__, s.name, t.name)
 
     def test_mitigation_refines_hazard_equiv(self):
         rng = Random(13)

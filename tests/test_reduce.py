@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
     Action,
@@ -18,10 +20,16 @@ from riskstruct import (
     RiskStructure,
     Severity,
     Transition,
+    assign_regions,
     collapse_safe_chains,
     construct_rs,
+    degradation_equiv,
     drop_irrelevant,
+    feature_equiv,
+    hazard_equiv,
     is_mishap,
+    mishap_equiv,
+    mitigation_equiv,
     quotient,
     risk_priority,
 )
@@ -46,6 +54,22 @@ REDUCED_EXPECTED_EDGES = {
     ("A:m1,L:0", "f_L", "A:m1,L:e"),
     ("A:m1,L:0", "m2_A", "A:m2,L:0|A:m3,L:0"),
 }
+
+
+def assert_classes_follow(model, equiv, related):
+    """``quotient(model, equiv)`` puts two states in one class exactly when
+    ``related`` holds, the mishap phases agree and the regions are equal;
+    the classes are read from the merged states' ``|``-joined labels."""
+    reduced = quotient(model, equiv)
+    rep_of = {}
+    for rep in reduced.states:
+        for name in reduced.label(rep).split("|"):
+            rep_of[model.state_named(name)] = rep
+    assert rep_of.keys() == model.states
+    regions = assign_regions(model)
+    for s, t in itertools.combinations(model.sorted_states(), 2):
+        expected = related(s, t) and mishap_equiv(s, t) and regions[s] is regions[t]
+        assert (rep_of[s] == rep_of[t]) == expected, (equiv, s.name, t.name)
 
 
 class TestQuotient:
@@ -215,6 +239,24 @@ class TestQuotient:
                     if brute_force_reach(model, s) & model.mishap_states():
                         closure = brute_force_reach(reduced, rep_of[s.name])
                         assert closure & reduced.mishap_states()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_classes_are_the_equivalence_classes(self, seed):
+        model = random_structure(Random(seed))
+        for equiv, related in (
+            ("h", hazard_equiv),
+            ("hm", mishap_equiv),
+            ("m", mitigation_equiv),
+        ):
+            assert_classes_follow(model, equiv, related)
+
+    def test_feature_classes_are_the_equivalence_classes(self, r2_model, r3_model):
+        for model in (r2_model, r3_model):
+            for equiv, related in (("f", feature_equiv), ("d", degradation_equiv)):
+                assert_classes_follow(
+                    model, equiv, lambda s, t: related(s, t, model.features)
+                )
 
     def test_merged_parallel_edges_keep_max_pr_min_cs(self):
         hazards = (HazardPhaseModel(HazardId("A"), 2),)
