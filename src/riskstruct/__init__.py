@@ -30,6 +30,7 @@ from .core import (
     legal_phase_step,
     parse_state,
     state_from_phases,
+    state_parser,
 )
 from .order import (
     Band,

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .core import RiskModelError, RiskStructure, embed_state, parse_state
+from .core import RiskModelError, RiskStructure, embed_state, state_parser
 from .analysis import BandThresholds, analysis_table, assign_regions
 from .construct import CatalogInvalid, construct_rs
 from .plan import is_mitigation_monotonous, plan_mitigations
@@ -239,10 +239,10 @@ def cmd_diff(args) -> int:
     def embedded_labels(model: RiskStructure) -> dict:
         # a state's identity is its display label with every member name
         # embedded into the wider hazard set
-        mapping = {}
+        parse, mapping = state_parser(model.hazards), {}
         for s in model.states:
             members = sorted(
-                embed_state(parse_state(m, model.hazards), model_b.hazards).name
+                embed_state(parse(m), model_b.hazards).name
                 for m in model.label(s).split("|")
             )
             mapping[s] = "|".join(members)

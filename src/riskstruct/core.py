@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 DOMAINS = ("drv", "veh", "renv")
 
@@ -233,6 +233,16 @@ class RiskState:
         )
         object.__setattr__(self, "hazard_ids", tuple(h for h, _ in entries))
 
+    @classmethod
+    def _parsed(
+        cls, entries: tuple[tuple[str, Phase], ...], name: str, hazard_ids: tuple[str, ...]
+    ) -> "RiskState":
+        """``RiskState(entries)``, for a parser that has read ``entries`` from
+        their canonical ``name`` and checked their ``hazard_ids``."""
+        state = object.__new__(cls)
+        vars(state).update(entries=entries, name=name, hazard_ids=hazard_ids)
+        return state
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RiskState:
             return NotImplemented
@@ -286,8 +296,37 @@ def all_inactive(hazards: Sequence[HazardPhaseModel]) -> RiskState:
     return RiskState(tuple((h.id, Phase.inactive()) for h in hazards))
 
 
+def state_parser(hazards: Sequence[HazardPhaseModel]) -> Callable[[str], RiskState]:
+    """A function parsing state names over ``hazards``, as :func:`parse_state`.
+
+    A table from every valid ``id:phase`` token to its entry is built once,
+    so a canonical name (one token per hazard, in declaration order) is read
+    by one lookup per token.  Any other text takes the token-by-token checks
+    and gets their messages.
+    """
+    hazards = tuple(hazards)
+    ids = tuple(h.id for h in hazards)
+    table = {f"{h.id}:{p.render()}": (h.id, p) for h in hazards for p in h.phases()}
+
+    def parse(text: str) -> RiskState:
+        tokens = text.split(",")
+        if len(tokens) == len(ids):
+            entries = tuple(map(table.get, tokens))
+            if None not in entries and tuple(h for h, _ in entries) == ids:
+                return RiskState._parsed(entries, text, ids)
+        return _parse_state_checked(text, hazards)
+
+    return parse
+
+
 def parse_state(text: str, hazards: Sequence[HazardPhaseModel]) -> RiskState:
     """Parse a state name; accepts any pair order but normalizes to canonical."""
+    return state_parser(hazards)(text)
+
+
+def _parse_state_checked(
+    text: str, hazards: Sequence[HazardPhaseModel]
+) -> RiskState:
     if not hazards:
         if text:
             raise StateSyntaxError(f"state {text!r} names hazards but none are declared")
@@ -306,6 +345,8 @@ def parse_state(text: str, hazards: Sequence[HazardPhaseModel]) -> RiskState:
 
 def embed_state(state: RiskState, hazards: Sequence[HazardPhaseModel]) -> RiskState:
     """Extend a state to a superset hazard list, filling inactive phases."""
+    if state.hazard_ids == tuple(h.id for h in hazards):
+        return state
     known = state.phases()
     missing = set(known) - {h.id for h in hazards}
     if missing:

@@ -56,7 +56,7 @@ def phase_lt(p: Phase, q: Phase) -> bool:
 def mitigation_leq(s: RiskState, t: RiskState) -> bool:
     """Componentwise phase order over states with the same hazard set."""
     _check_same_hazards(s, t)
-    return all(phase_leq(p, t.phase(h)) for h, p in s.entries)
+    return all(phase_leq(p, q) for (_, p), (_, q) in zip(s.entries, t.entries))
 
 
 def mitigation_lt(s: RiskState, t: RiskState) -> bool:

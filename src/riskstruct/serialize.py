@@ -8,6 +8,8 @@ significant digits.
 from __future__ import annotations
 
 import json
+import re
+from json.encoder import encode_basestring
 from typing import Any, Mapping, Optional
 
 from .core import (
@@ -23,7 +25,7 @@ from .core import (
     RiskStructure,
     Severity,
     Transition,
-    parse_state,
+    state_parser,
 )
 from .analysis import Region, RegionAssignment, assign_regions
 from .construct import (
@@ -49,6 +51,40 @@ from .reduce import DropRule
 def fmt_prob(p: float) -> float:
     """Clamp a probability to six significant digits for serialization."""
     return float(f"{p:.6g}")
+
+
+# A decoded JSON string holds a surrogate, which UTF-8 cannot encode, only
+# where the text has a \u escape of one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _unencodable(text: str, data: Any) -> Optional[str]:
+    """One anchored line naming the first string of ``data``, parsed from the
+    JSON ``text``, that cannot be encoded as UTF-8; None if there is none."""
+    if _SURROGATE_ESCAPE.search(text) is None:
+        return None
+    return _unencodable_at(data, "")
+
+
+def _unencodable_at(value: Any, anchor: str) -> Optional[str]:
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return f"{anchor or 'top level'}: {exc}"
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            found = _unencodable_at(key, anchor) or _unencodable_at(
+                item, f"{anchor}.{key}" if anchor else key
+            )
+            if found:
+                return found
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            found = _unencodable_at(item, f"{anchor}[{i}]")
+            if found:
+                return found
+    return None
 
 
 def _phase(text: Any, anchor: str, errors: list[str]) -> Optional[Phase]:
@@ -277,13 +313,19 @@ def _options_from_dict(raw: Any, errors: list[str]) -> ModelOptions:
 def load_catalog(path: str) -> Catalog:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise CatalogInvalid([f"{path}: not UTF-8 text: {exc}"]) from None
     except json.JSONDecodeError as exc:
         raise CatalogInvalid(
             [f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]
         ) from None
     if not isinstance(data, dict):
         raise CatalogInvalid([f"{path}: catalog must be a JSON object"])
+    found = _unencodable(text, data)
+    if found is not None:
+        raise CatalogInvalid([found])
     return catalog_from_dict(data)
 
 
@@ -312,10 +354,20 @@ def _features_to_dict(features: FeatureModel) -> dict:
     }
 
 
+def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
+    """Each state's label, the states sorted by label, and the transitions as
+    ``(source label, action name, target label, transition)`` rows sorted by
+    those three: the order of the model file and of the DOT export."""
+    label = {s: model.label(s) for s in model.states}
+    rows = [(label[t.source], t.action.name, label[t.target], t) for t in model.transitions]
+    rows.sort(key=lambda row: row[:3])
+    return label, sorted(model.states, key=label.__getitem__), rows
+
+
 def model_to_dict(
     model: RiskStructure, log: ConstructionLog = ConstructionLog()
 ) -> dict:
-    label = model.label
+    label, states, rows = _file_order(model)
     d: dict[str, Any] = {
         "hazards": [
             {
@@ -325,10 +377,8 @@ def model_to_dict(
             }
             for h in model.hazards
         ],
-        "states": [
-            {"name": s.name, "label": label(s)} for s in model.sorted_states()
-        ],
-        "initial": sorted(label(s) for s in model.initial),
+        "states": [{"name": s.name, "label": label[s]} for s in states],
+        "initial": sorted(label[s] for s in model.initial),
         "actions": [
             {
                 "name": a.name,
@@ -340,20 +390,17 @@ def model_to_dict(
         ],
         "transitions": [
             {
-                "source": label(t.source),
-                "action": t.action.name,
-                "target": label(t.target),
+                "source": source,
+                "action": action,
+                "target": target,
                 "pr": fmt_prob(t.pr) if t.pr is not None else None,
                 "cs": t.cs,
             }
-            for t in sorted(
-                model.transitions,
-                key=lambda t: (label(t.source), t.action.name, label(t.target)),
-            )
+            for source, action, target, t in rows
         ],
         "sv": {
-            label(s): v.value
-            for s, v in sorted(model.sv.items(), key=lambda kv: label(kv[0]))
+            label[s]: v.value
+            for s, v in sorted(model.sv.items(), key=lambda kv: label[kv[0]])
         },
         "log": [
             {
@@ -391,7 +438,93 @@ def model_to_dict(
 
 
 def model_to_json(model: RiskStructure, log: ConstructionLog = ConstructionLog()) -> str:
-    return json.dumps(model_to_dict(model, log), indent=2, ensure_ascii=False) + "\n"
+    return json_text(model_to_dict(model, log)) + "\n"
+
+
+_INFINITIES = (float("inf"), float("-inf"))
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in _INFINITIES:
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_SCALAR_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte.
+
+    With ``indent`` the standard library encodes in pure Python; this writer
+    renders a list of flat objects that share one key order, such as a
+    model's states and transitions, from one ``%``-template per list.  A value
+    of any other type is handed to ``json.dumps`` and re-indented.
+    """
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    # ``newline`` is a line break plus the indentation of ``value``'s line
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif (kind is dict or kind is list) and not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict and all(type(key) is str for key in value):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{encode_basestring(key)}: ")
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif kind is list:
+        inner = newline + "  "
+        rows = _flat_rows(value, inner)
+        if rows is not None:
+            out.append(f"[{inner}{rows}{newline}]")
+            return
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        text = json.dumps(value, indent=2, ensure_ascii=False)
+        out.append(text.replace("\n", newline))
+
+
+def _flat_rows(items: list, newline: str) -> Optional[str]:
+    """The objects of ``items`` joined at ``newline``, when all are objects
+    with the same keys in the same order and scalar values; else None."""
+    first = items[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    keys, inner = tuple(first), newline + "  "
+    fields = (inner + encode_basestring(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{" + ",".join(fields) + newline + "}"
+    texts = []
+    for row in items:
+        if type(row) is not dict or tuple(row) != keys:
+            return None
+        try:
+            values = tuple([_SCALAR_TEXT[type(v)](v) for v in row.values()])
+        except KeyError:  # a nested value, or a type json.dumps must handle
+            return None
+        texts.append(template % values)
+    return ("," + newline).join(texts)
 
 
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
@@ -422,11 +555,12 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
     if errors:
         raise RiskModelError("; ".join(errors))
 
+    parse = state_parser(hazards)
     by_label: dict[str, RiskState] = {}
     labels: dict[RiskState, str] = {}
     states = set()
     for entry in data["states"]:
-        state = parse_state(str(entry["name"]), hazards)
+        state = parse(str(entry["name"]))
         label = str(entry.get("label", state.name))
         states.add(state)
         by_label[label] = state
@@ -494,15 +628,24 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
 
 def load_model(path: str) -> tuple[RiskStructure, ConstructionLog]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    data = json.loads(text)
+    found = _unencodable(text, data)
+    if found is not None:
+        raise RiskModelError(found)
     return model_from_dict(data)
 
 
 def save_model(
     path: str, model: RiskStructure, log: ConstructionLog = ConstructionLog()
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model, log))
+    """Write the model file; nothing is opened unless all of it encodes as UTF-8."""
+    try:
+        data = model_to_json(model, log).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RiskModelError(f"model cannot be written as UTF-8: {exc}") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_drop_rules(path: str) -> tuple[DropRule, ...]:
@@ -555,17 +698,14 @@ def to_dot(model: RiskStructure, regions: Optional[RegionAssignment] = None) -> 
     double-bordered, and edges are labeled ``name(pr,cs)``."""
     if regions is None:
         regions = assign_regions(model)
-    label = model.label
+    label, states, rows = _file_order(model)
     lines = ["digraph risk_structure {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for s in model.sorted_states():
+    for s in states:
         attrs = [f"style={_REGION_STYLE[regions[s]]}"]
         if s in model.initial:
             attrs.append("peripheries=2")
-        lines.append(f"  {_dot_quote(label(s))} [{', '.join(attrs)}];")
-    for t in sorted(
-        model.transitions,
-        key=lambda t: (label(t.source), t.action.name, label(t.target)),
-    ):
+        lines.append(f"  {_dot_quote(label[s])} [{', '.join(attrs)}];")
+    for source, _, target, t in rows:
         weights = []
         if t.pr is not None:
             weights.append(f"{fmt_prob(t.pr):.6g}")
@@ -573,7 +713,7 @@ def to_dot(model: RiskStructure, regions: Optional[RegionAssignment] = None) -> 
             weights.append(str(t.cs))
         text = t.action.name + (f"({','.join(weights)})" if weights else "")
         lines.append(
-            f"  {_dot_quote(label(t.source))} -> {_dot_quote(label(t.target))} "
+            f"  {_dot_quote(source)} -> {_dot_quote(target)} "
             f"[label={_dot_quote(text)}];"
         )
     lines.append("}")

@@ -31,7 +31,9 @@ from riskstruct import (
     is_mishap,
     legal_phase_step,
     phase_leq,
+    state_from_phases,
 )
+from riskstruct.core import StateSyntaxError
 from riskstruct.order import phase_lt
 
 
@@ -42,6 +44,24 @@ def enumerate_tuple_space(hazards) -> list[RiskState]:
         RiskState(tuple((h.id, p) for h, p in zip(hazards, combo)))
         for combo in itertools.product(*spaces)
     ]
+
+
+def brute_force_parse_state(text: str, hazards) -> RiskState:
+    """A state name read token by token, every token checked on its own."""
+    if not hazards:
+        if text:
+            raise StateSyntaxError(f"state {text!r} names hazards but none are declared")
+        return RiskState(())
+    phases: dict[str, Phase] = {}
+    if text:
+        for token in text.split(","):
+            hid, sep, ph = token.partition(":")
+            if not sep:
+                raise StateSyntaxError(f"malformed state component {token!r}")
+            if hid in phases:
+                raise StateSyntaxError(f"hazard {hid!r} listed twice in {text!r}")
+            phases[hid] = Phase.parse(ph)
+    return state_from_phases(hazards, phases)
 
 
 # Per-hazard definitions of the state equivalences, written with the phase

@@ -89,6 +89,79 @@ class TestValidate:
         assert "features.universe[2].fallback: must be true or false" in err
 
 
+class TestTextEncoding:
+    """Strings UTF-8 cannot encode (a lone surrogate, which a JSON ``\\u``
+    escape can produce) and files that are not UTF-8 exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "mutate, anchor",
+        [
+            (lambda d: d["hazards"][0].update(id="\udc80"), "hazards[0].id: "),
+            (lambda d: d["hazards"][1].update(description="x\ud800y"),
+             "hazards[1].description: "),
+            (lambda d: d["endangerments"][0]["guard"].update({"\udfff": ["0"]}),
+             "endangerments[0].guard: "),
+        ],
+        ids=["hazard-id", "description", "key"],
+    )
+    def test_catalog_exits_2_on_validate_and_build(
+        self, tmp_path, capsys, mutate, anchor
+    ):
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        data["endangerments"][0]["guard"] = {}
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{bad}: {anchor}") and err.count("\n") == 1
+        assert "surrogates not allowed" in err
+        out = tmp_path / "m.json"
+        assert main(["build", str(bad), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_catalog_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"hazards": [{"id": "\xff", "n_mitigations": 1}]}')
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mutate, anchor",
+        [
+            (lambda d: d["hazards"][0].update(description="\udc80"),
+             "hazards[0].description: "),
+            (lambda d: d["states"][3].update(label="A:e,L:0\udc80"), "states[3].label: "),
+            (lambda d: d["situation"].update(notes="\ud83d"), "situation.notes: "),
+        ],
+        ids=["description", "label", "notes"],
+    )
+    def test_model_file_exits_2(self, built_r2, tmp_path, capsys, mutate, anchor):
+        data = json.loads(open(built_r2).read())
+        mutate(data)
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        for command in (["regions", str(bad)], ["reduce", str(bad)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"riskstruct: invalid model {str(bad)!r}: {anchor}"
+            )
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
+    def test_non_bmp_text_round_trips(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        data["hazards"][0]["description"] = "tunnel \U0001f6a7 exit \u00e9"
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(data))
+        out = tmp_path / "again.json"
+        assert main(["reduce", str(model), "-o", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == data
+
+
 class TestBuild:
     def test_summary_reports_eleven_states_after_increment_two(
         self, tmp_path, r2_path, capsys

@@ -22,10 +22,16 @@ from riskstruct import (
     legal_phase_step,
     parse_state,
     state_from_phases,
+    state_parser,
 )
 from riskstruct.core import StateSyntaxError
 
-from helpers import enumerate_tuple_space, random_states, random_structure
+from helpers import (
+    brute_force_parse_state,
+    enumerate_tuple_space,
+    random_states,
+    random_structure,
+)
 
 AB = (
     HazardPhaseModel(HazardId("A"), 3),
@@ -172,6 +178,51 @@ class TestRiskState:
     def test_parse_rejects(self, bad):
         with pytest.raises(StateSyntaxError):
             parse_state(bad, AB)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parser_matches_token_by_token_parse(self, data):
+        ids = data.draw(st.lists(st.sampled_from("ALRXY"), max_size=4, unique=True))
+        hazards = tuple(
+            HazardPhaseModel(HazardId(h), data.draw(st.integers(1, 3))) for h in ids
+        )
+        phase_texts = ["0", "e", "em", "m1", "m2", "m3", "m4", "m0", "m01", "", "x"]
+        token = st.tuples(
+            st.sampled_from(list(ids) + ["Z", ""]),
+            st.sampled_from([":", ":", "", "::"]),
+            st.sampled_from(phase_texts),
+        ).map("".join)
+        # a canonical name, then edits of its tokens: permuted, duplicated,
+        # dropped, replaced by arbitrary ones, or followed by a comma
+        tokens = [f"{h.id}:{data.draw(st.sampled_from(h.phases())).render()}"
+                  for h in hazards]
+        edit = data.draw(
+            st.sampled_from(["none", "permute", "duplicate", "drop", "replace", "comma"])
+        )
+        if edit == "permute":
+            tokens = data.draw(st.permutations(tokens))
+        elif edit == "duplicate" and tokens:
+            tokens.append(data.draw(st.sampled_from(tokens)))
+        elif edit == "drop" and tokens:
+            tokens.pop(data.draw(st.integers(0, len(tokens) - 1)))
+        elif edit == "replace":
+            tokens = data.draw(st.lists(token, max_size=5))
+        text = ",".join(tokens) + ("," if edit == "comma" else "")
+
+        def outcome(parse):
+            try:
+                s = parse(text)
+            except Exception as exc:  # the oracle's exception is the reference
+                return type(exc), str(exc)
+            return s.name, s.entries, s.hazard_ids, hash(s)
+
+        expected = outcome(lambda t: brute_force_parse_state(t, hazards))
+        assert outcome(state_parser(hazards)) == expected
+        assert outcome(lambda t: parse_state(t, hazards)) == expected
+
+    def test_embed_into_the_same_hazards_is_the_identity(self):
+        s = parse_state("A:m1,L:e", AB)
+        assert embed_state(s, AB) is s
 
     def test_empty_hazard_set(self):
         assert parse_state("", ()) == RiskState(())
