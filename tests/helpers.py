@@ -21,8 +21,10 @@ from riskstruct import (
     MishapRule,
     MitigationRule,
     ModelOptions,
+    OperationalSituation,
     Phase,
     PhaseGuard,
+    PhaseKind,
     RiskState,
     RiskStructure,
     Severity,
@@ -33,6 +35,8 @@ from riskstruct import (
     phase_leq,
     state_from_phases,
 )
+from dataclasses import dataclass
+
 from riskstruct.core import StateSyntaxError
 from riskstruct.order import phase_lt
 
@@ -288,3 +292,316 @@ def random_catalog(rng: Random) -> Catalog:
 def random_states(rng: Random, hazards, count: int) -> list[RiskState]:
     space = enumerate_tuple_space(hazards)
     return [rng.choice(space) for _ in range(count)]
+
+
+# --- construction -----------------------------------------------------------
+
+
+@dataclass
+class BuiltModel:
+    """What :func:`brute_force_construct` derives, by canonical state name."""
+
+    states: set[str]
+    initial: set[str]
+    transitions: dict[tuple[str, str, str], tuple]  # key -> (pr, cs)
+    sv: dict[str, Severity]
+    log: list[tuple]  # per sweep: the counts of a SweepRecord
+
+
+def _mitigation_edge(source: Phase, target: Phase) -> bool:
+    """The phase graph's mitigation edges: active to any mitigated phase or
+    to inactive, and a mitigated phase to inactive or another mitigated
+    phase."""
+    if source.kind is PhaseKind.ACTIVE:
+        return target.kind in (PhaseKind.MITIGATED, PhaseKind.INACTIVE)
+    if source.kind is PhaseKind.MITIGATED:
+        return target.kind is PhaseKind.INACTIVE or (
+            target.kind is PhaseKind.MITIGATED and target.index != source.index
+        )
+    return False
+
+
+def _fire(kind: str, rule, phases: dict[str, Phase]):
+    """One rule on one state: ``(target phases, pr, cs, sv)`` or None."""
+    if not all(phases[h] in allowed for h, allowed in rule.guard.constraints):
+        return None
+    if kind == "endangerment":
+        if not all(phases[h] in rule.from_phases for h in rule.activates):
+            return None
+        target = dict(phases)
+        if not rule.absorbed:
+            target.update((h, Phase.active()) for h in rule.activates)
+        return target, rule.pr, None, None
+    if kind == "mishap":
+        if not all(phases[h] == Phase.active() for h in (*rule.requires, *rule.sets)):
+            return None
+        target = dict(phases)
+        target.update((h, Phase.mishap()) for h in rule.sets)
+        return target, rule.pr, None, rule.sv
+    target = dict(phases)
+    for h, goal in rule.mitigates:
+        if phases[h] == goal:
+            continue
+        if not _mitigation_edge(phases[h], goal):
+            return None
+        target[h] = goal
+    if target == phases:
+        return None  # nothing moved
+    return target, rule.pr, rule.cs, None
+
+
+def brute_force_construct(catalog: Catalog) -> BuiltModel:
+    """The construction written out from the documented rule semantics.
+
+    Sweeps alternate endangerment and mitigation until every non-mishap
+    state went through both.  A sweep takes the non-mishap states it has not
+    taken before, in name order, and tries every enabled rule whose hazard
+    subset fits ``max_subset_size`` on each: subsets by size, then by the
+    declaration positions of their hazards; within a subset, endangerments
+    before mishaps, each in declaration order.  The first rule to yield a
+    (source, action, target) key sets its weights, and the first mishap
+    rule to reach a state sets its severity.
+    """
+    hazards = catalog.hazards
+    ids = [h.id for h in hazards]
+    position = {h: i for i, h in enumerate(ids)}
+
+    def name(phases: dict[str, Phase]) -> str:
+        return ",".join(f"{h}:{phases[h].render()}" for h in ids)
+
+    def mishap(phases: dict[str, Phase]) -> bool:
+        return any(p.kind is PhaseKind.MISHAP for p in phases.values())
+
+    def ordered(entries):
+        """(kind, rule) pairs in precedence order, the subset cap applied."""
+        keyed = []
+        for rank, (kind, index, rule, touched) in enumerate(entries):
+            subset = tuple(sorted({position[h] for h in touched}))
+            if len(subset) <= catalog.options.max_subset_size:
+                keyed.append(((len(subset), subset, rank), kind, rule))
+        return [(kind, rule) for _, kind, rule in sorted(keyed, key=lambda e: e[0])]
+
+    # ranks: endangerments, then mishaps, then mitigations, each in
+    # declaration order
+    endangerment_like = [
+        ("endangerment", i, r, r.activates)
+        for i, r in enumerate(catalog.endangerments)
+        if r.enabled
+    ] + [("mishap", i, r, r.sets) for i, r in enumerate(catalog.mishaps) if r.enabled]
+    mitigation = [
+        ("mitigation", i, r, [h for h, _ in r.mitigates])
+        for i, r in enumerate(catalog.mitigations)
+        if r.enabled
+    ]
+    schedule = (
+        ("endangerment", ordered(endangerment_like)),
+        ("mitigation", ordered(mitigation)),
+    )
+
+    if catalog.situation.initial:
+        starts = [brute_force_parse_state(n, hazards) for n in catalog.situation.initial]
+    else:
+        starts = [all_inactive(hazards)]
+    states = {s.name: dict(s.entries) for s in starts}
+    initial = set(states)
+    transitions: dict[tuple[str, str, str], tuple] = {}
+    sv: dict[str, Severity] = {}
+    log: list[tuple] = []
+    done: dict[str, set[str]] = {"endangerment": set(), "mitigation": set()}
+
+    def uncovered() -> bool:
+        return any(
+            not mishap(ph) and any(n not in d for d in done.values())
+            for n, ph in states.items()
+        )
+
+    increment = 0
+    while ids and uncovered():
+        increment += 1
+        for sweep, rules in schedule:
+            todo = sorted(
+                n for n, ph in states.items() if n not in done[sweep] and not mishap(ph)
+            )
+            states_before, transitions_before = len(states), len(transitions)
+            for source in todo:
+                for kind, rule in rules:
+                    fired = _fire(kind, rule, states[source])
+                    if fired is None:
+                        continue
+                    phases, pr, cs, severity = fired
+                    target = name(phases)
+                    states.setdefault(target, phases)
+                    transitions.setdefault((source, rule.name, target), (pr, cs))
+                    if severity is not None:
+                        sv.setdefault(target, severity)
+            done[sweep].update(todo)
+            log.append(
+                (
+                    increment,
+                    sweep,
+                    len(states) - states_before,
+                    len(transitions) - transitions_before,
+                    len(states),
+                    sum(not mishap(ph) for ph in states.values()),
+                    len(transitions),
+                )
+            )
+    return BuiltModel(set(states), initial, transitions, sv, log)
+
+
+def random_rule_catalog(rng: Random) -> Catalog:
+    """A random small catalog exercising every construction rule feature.
+
+    Unlike :func:`random_catalog` it makes no promise about the order: it
+    draws absorbed endangerments, ``from_phases`` with active or mitigated
+    phases, guards on the moved hazards, joint mitigations that mix
+    already-at-target, legal and illegal moves (``m1 -> m2`` among them),
+    disabled rules, mishaps whose ``requires`` exceeds ``sets``, two mishap
+    rules of different severity into one state, rules sharing a name with
+    different weights, ``max_subset_size`` from 1 to 3 and several initial
+    states.
+    """
+    while True:
+        n_h = rng.randint(1, 4)
+        ns = [rng.randint(1, 3) for _ in range(n_h)]
+        size = 1
+        for n in ns:
+            size *= n + 3
+        if size <= 400:
+            break
+    hazards = tuple(HazardPhaseModel(HazardId(f"H{i}"), n) for i, n in enumerate(ns))
+    ids = [h.id for h in hazards]
+    by_id = {h.id: h for h in hazards}
+    counter = itertools.count(1)
+
+    def pr() -> float:
+        return round(rng.uniform(0.01, 0.99), 3)
+
+    def subset(low: int = 1, high: int = 3) -> tuple[str, ...]:
+        k = rng.randint(low, min(high, n_h))
+        return tuple(sorted(rng.sample(ids, k)))
+
+    def mitigated(h: str) -> Phase:
+        return Phase.mitigated(rng.randint(1, by_id[h].n_mitigations))
+
+    def guard(over) -> PhaseGuard:
+        constraints = {}
+        for h in over:
+            if rng.random() < 0.3:
+                pool = list(by_id[h].phases())
+                constraints[h] = tuple(rng.sample(pool, rng.randint(1, len(pool))))
+        return PhaseGuard.of(constraints)
+
+    def enabled() -> bool:
+        return rng.random() < 0.85
+
+    endangerments: list[EndangermentRule] = []
+    for _ in range(rng.randint(1, n_h + 2)):
+        activates = subset(high=2)
+        from_phases = [Phase.inactive()]
+        if rng.random() < 0.3:
+            from_phases.append(Phase.active())
+        if rng.random() < 0.3:
+            from_phases.append(mitigated(activates[0]))
+        rng.shuffle(from_phases)
+        rule = EndangermentRule(
+            name=f"e{next(counter)}",
+            activates=activates,
+            pr=pr(),
+            guard=guard(ids),  # may constrain the activated hazards too
+            from_phases=tuple(from_phases),
+            enabled=enabled(),
+            absorbed=rng.random() < 0.15,
+        )
+        endangerments.append(rule)
+        if rng.random() < 0.2:  # same name and effect, other guard and pr
+            endangerments.append(
+                EndangermentRule(
+                    name=rule.name,
+                    activates=rule.activates,
+                    pr=pr(),
+                    guard=guard(ids),
+                    from_phases=(Phase.inactive(), Phase.active()),
+                )
+            )
+
+    mishaps: list[MishapRule] = []
+    for _ in range(rng.randint(0, 2)):
+        sets = subset(high=2)
+        requires = sets
+        if rng.random() < 0.4:
+            requires = tuple(sorted({*sets, rng.choice(ids)}))
+        severity = rng.choice((Severity.MARGINAL, Severity.CRITICAL, Severity.FATAL))
+        mishaps.append(
+            MishapRule(
+                name=f"x{next(counter)}",
+                requires=requires,
+                sets=sets,
+                pr=pr(),
+                sv=severity,
+                guard=guard([h for h in ids if h not in sets]),
+                enabled=enabled(),
+            )
+        )
+        if rng.random() < 0.4:  # a second rule into the same mishap state
+            others = [v for v in Severity if v is not severity]
+            mishaps.append(
+                MishapRule(
+                    name=f"x{next(counter)}",
+                    requires=sets,
+                    sets=sets,
+                    pr=pr(),
+                    sv=rng.choice(others),
+                )
+            )
+
+    mitigations: list[MitigationRule] = []
+    for _ in range(rng.randint(1, 2 * n_h + 1)):
+        moved = subset(high=2)
+        goals = tuple(
+            (h, Phase.inactive() if rng.random() < 0.3 else mitigated(h)) for h in moved
+        )
+        rule = MitigationRule(
+            name=f"m{next(counter)}",
+            mitigates=goals,
+            pr=pr(),
+            cs=rng.randint(0, 20),
+            guard=guard(ids),  # may constrain the moved hazards too
+            enabled=enabled(),
+        )
+        mitigations.append(rule)
+        if rng.random() < 0.2:  # same name and effect, other guard and weights
+            mitigations.append(
+                MitigationRule(
+                    name=rule.name,
+                    mitigates=rule.mitigates,
+                    pr=pr(),
+                    cs=rng.randint(0, 20),
+                )
+            )
+    for h in ids:  # m1 -> m2 steps, where the hazard has two mitigated phases
+        if by_id[h].n_mitigations >= 2 and rng.random() < 0.5:
+            mitigations.append(
+                MitigationRule(
+                    name=f"m{next(counter)}",
+                    mitigates=((h, Phase.mitigated(2)),),
+                    pr=pr(),
+                    cs=rng.randint(0, 20),
+                    guard=PhaseGuard.of({h: (Phase.mitigated(1),)}),
+                )
+            )
+
+    initial = None
+    if rng.random() < 0.5:
+        space = [
+            s for s in enumerate_tuple_space(hazards) if not is_mishap(s)
+        ]
+        initial = tuple(s.name for s in rng.sample(space, rng.randint(1, 3)))
+    return Catalog(
+        hazards=hazards,
+        endangerments=tuple(endangerments),
+        mishaps=tuple(mishaps),
+        mitigations=tuple(mitigations),
+        situation=OperationalSituation(initial=initial),
+        options=ModelOptions(max_subset_size=rng.randint(1, 3)),
+    )

@@ -4,6 +4,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
     ActionClass,
@@ -27,7 +28,7 @@ from riskstruct import (
 )
 from riskstruct.construct import SWEEPS
 
-from helpers import random_catalog
+from helpers import brute_force_construct, random_catalog, random_rule_catalog
 
 # The eleven expected transitions of the second-increment scenario, plus
 # the mishap edge, frozen as (source, action, target, pr, cs).
@@ -332,3 +333,40 @@ class TestRandomCatalogs:
         for _ in range(10):
             catalog = random_catalog(rng)
             assert construct_rs(catalog) == construct_rs(catalog)
+
+
+def assert_matches_oracle(catalog):
+    model, log = construct_rs(catalog)
+    expected = brute_force_construct(catalog)
+    assert {s.name for s in model.states} == expected.states
+    assert {s.name for s in model.initial} == expected.initial
+    assert {t.key(): (t.pr, t.cs) for t in model.transitions} == expected.transitions
+    assert {s.name: v for s, v in model.sv.items()} == expected.sv
+    assert [
+        (
+            r.increment,
+            r.sweep,
+            r.states_added,
+            r.transitions_added,
+            r.states_total,
+            r.non_mishap_total,
+            r.transitions_total,
+        )
+        for r in log.records
+    ] == expected.log
+
+
+class TestConstructionOracle:
+    def test_tunnel_catalogs(self, r2_catalog, r3_catalog, r2_variant_catalog):
+        for catalog in (r2_catalog, r3_catalog, r2_variant_catalog):
+            assert_matches_oracle(catalog)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_rule_catalogs(self, seed):
+        assert_matches_oracle(random_rule_catalog(Random(seed)))
+
+    def test_random_catalogs(self):
+        rng = Random(31)
+        for _ in range(20):
+            assert_matches_oracle(random_catalog(rng))
