@@ -267,13 +267,6 @@ def cmd_diff(args) -> int:
         return keys
 
     trans_a, trans_b = transition_keys(model_a, map_a), transition_keys(model_b, map_b)
-    different = False
-    for name in sorted(states_a - states_b):
-        print(f"- state {name}")
-        different = True
-    for name in sorted(states_b - states_a):
-        print(f"+ state {name}")
-        different = True
 
     def fmt_key(key) -> str:
         source, action, target, pr, cs = key
@@ -283,13 +276,15 @@ def cmd_diff(args) -> int:
         suffix = f" ({weights})" if weights else ""
         return f"{source} -{action}-> {target}{suffix}"
 
-    for key in sorted(trans_a - trans_b, key=fmt_key):
-        print(f"- transition {fmt_key(key)}")
-        different = True
-    for key in sorted(trans_b - trans_a, key=fmt_key):
-        print(f"+ transition {fmt_key(key)}")
-        different = True
-    return EXIT_DIFFERENT if different else EXIT_OK
+    # Each key is formatted once; keys that format alike print the same line,
+    # so sorting the lines is sorting the keys by their text.  One writelines
+    # call replaces a print per line without also holding the whole text.
+    lines = [f"- state {name}" for name in sorted(states_a - states_b)]
+    lines += [f"+ state {name}" for name in sorted(states_b - states_a)]
+    lines += sorted(f"- transition {fmt_key(key)}" for key in trans_a - trans_b)
+    lines += sorted(f"+ transition {fmt_key(key)}" for key in trans_b - trans_a)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
+    return EXIT_DIFFERENT if lines else EXIT_OK
 
 
 def cmd_export_dot(args) -> int:

@@ -11,13 +11,22 @@ processed once by each kind of sweep, which makes termination a counting
 argument.  Every state but an initial one enters as the target of a
 transition from a state already built, so the result is reachable from the
 initial region by construction.
+
+Rules act on canonical state names.  Each enabled rule is compiled once per
+construction into, per hazard it constrains, the set of ``id:phase`` tokens
+it accepts (its guard intersected with ``from_phases``, with the active
+phase, or with the phases at or one legal step from the mitigation target)
+and the tokens it writes.  Applying it to a state tests a few tokens of the
+split name and joins the moved ones into the target's name; a new target is
+made from the :func:`~riskstruct.core.phase_tokens` table, a known one is
+looked up by name.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     DOMAINS,
@@ -37,6 +46,7 @@ from .core import (
     is_mishap,
     legal_phase_step,
     parse_state,
+    phase_tokens,
 )
 from .order import FeatureModel
 
@@ -64,9 +74,6 @@ class PhaseGuard:
         return cls(
             tuple(sorted((h, tuple(ps)) for h, ps in mapping.items()))
         )
-
-    def satisfied(self, state: RiskState) -> bool:
-        return all(state.phase(h) in phases for h, phases in self.constraints)
 
     def hazards(self) -> tuple[str, ...]:
         return tuple(h for h, _ in self.constraints)
@@ -306,10 +313,32 @@ def _subsets(ids: Sequence[str], cap: int) -> list[frozenset[str]]:
 SWEEPS = ("endangerment", "mitigation")
 
 
+class _Rule(NamedTuple):
+    """One enabled rule, compiled to act on canonical state names.
+
+    A state fires the rule when, for each ``(position, accepted)`` of
+    ``checks``, its name's token at that position is in ``accepted``: the
+    rule's guard intersected with what the rule itself needs of the hazard
+    (a phase of ``from_phases``, being active, or sitting at the mitigation
+    target or one legal step from it).  The target's name swaps in the token
+    of each ``(position, token)`` of ``moves``.  A mitigation fires only if
+    that changes the name (``must_move``).
+    """
+
+    checks: tuple[tuple[int, frozenset[str]], ...]
+    moves: tuple[tuple[int, str], ...]
+    action: Action
+    pr: float
+    cs: Optional[int]
+    sv: Optional[Severity]
+    must_move: bool
+
+
 class _Builder:
     """Mutable construction state, frozen into a RiskStructure at the end.
 
-    ``states`` defaults to the catalog's initial states.
+    ``states`` defaults to the catalog's initial states; each must range
+    over the catalog's hazards in declaration order.
     """
 
     def __init__(
@@ -318,29 +347,34 @@ class _Builder:
         catalog.validate()
         self.catalog = catalog
         self.initial = catalog.initial_states()
-        # Each state maps to itself, so that transitions share the stored
-        # object instead of keeping an equal copy of it.
-        self.states: dict[RiskState, RiskState] = {
-            s: s for s in (self.initial if states is None else states)
-        }
+        self.ids = catalog.hazard_ids()
+        # Each stored state under its canonical name; transitions share the
+        # stored objects instead of keeping equal copies of them.
+        self.states: dict[str, RiskState] = {}
+        for s in self.initial if states is None else states:
+            if s.hazard_ids != self.ids:
+                raise RiskModelError(
+                    f"state {s.name!r} does not range over the catalog's "
+                    f"hazards {', '.join(self.ids)} in declaration order"
+                )
+            self.states[s.name] = s
         self.transitions: dict[tuple[str, str, str], Transition] = {}
         self.sv: dict[RiskState, Severity] = {}
         self.records: list[SweepRecord] = []
         # Each sweep applies every rule to every state it processes, so a
-        # state is either processed by a kind of sweep or not at all.
-        self.processed: dict[str, set[RiskState]] = {kind: set() for kind in SWEEPS}
-        # Per kind of sweep, the rules to try on a state, with their actions,
-        # in subset order and then declaration order: the first declaring
-        # rule of a transition wins, so this order is part of the output.
-        subsets = _subsets(catalog.hazard_ids(), catalog.options.max_subset_size)
+        # state (by name) is either processed by a kind of sweep or not at all.
+        self.processed: dict[str, set[str]] = {kind: set() for kind in SWEEPS}
+        self.entries = phase_tokens(catalog.hazards)  # token -> (id, phase)
+        # Per kind of sweep, the compiled rules to try on a state, in subset
+        # order and then declaration order: the first declaring rule of a
+        # transition wins, so this order is part of the output.
+        subsets = _subsets(self.ids, catalog.options.max_subset_size)
         e_rules = self._index_endangerment_like()
         m_rules = self._index_mitigations()
-        self.rules: dict[str, list[tuple[object, Action]]] = {
-            kind: [
-                (rule, catalog.action_for(rule))
-                for subset in subsets
-                for rule in index.get(subset, ())
-            ]
+        self.rules: dict[str, tuple[_Rule, ...]] = {
+            kind: tuple(
+                self._compile(rule) for subset in subsets for rule in index.get(subset, ())
+            )
             for kind, index in zip(SWEEPS, (e_rules, m_rules))
         }
 
@@ -361,11 +395,53 @@ class _Builder:
                 index.setdefault(rule.hazard_set(), []).append(rule)
         return index
 
+    def _compile(self, rule) -> _Rule:
+        accepted: dict[str, set[str]] = {}
+
+        def require(h: str, phase_ok: Callable[[Phase], bool]) -> None:
+            ok = {t for t, (hid, p) in self.entries.items() if hid == h and phase_ok(p)}
+            accepted[h] = accepted[h] & ok if h in accepted else ok
+
+        for h, phases in rule.guard.constraints:
+            require(h, phases.__contains__)
+        cs = sv = None
+        must_move = False
+        if isinstance(rule, EndangermentRule):
+            for h in rule.activates:
+                require(h, rule.from_phases.__contains__)
+            moves = () if rule.absorbed else tuple((h, Phase.active()) for h in rule.activates)
+        elif isinstance(rule, MishapRule):
+            for h in (*rule.requires, *rule.sets):
+                require(h, Phase.active().__eq__)
+            moves = tuple((h, Phase.mishap()) for h in rule.sets)
+            sv = rule.sv
+        else:
+            for h, goal in rule.mitigates:
+                require(
+                    h,
+                    lambda p, goal=goal: p == goal
+                    or legal_phase_step(p, ActionClass.MITIGATION, goal),
+                )
+            moves = rule.mitigates
+            cs = rule.cs
+            must_move = True
+        position = self.ids.index
+        return _Rule(
+            checks=tuple(
+                sorted((position(h), frozenset(ok)) for h, ok in accepted.items())
+            ),
+            moves=tuple((position(h), f"{h}:{p.render()}") for h, p in moves),
+            action=self.catalog.action_for(rule),
+            pr=rule.pr,
+            cs=cs,
+            sv=sv,
+            must_move=must_move,
+        )
+
     def run(self) -> tuple[RiskStructure, ConstructionLog]:
-        hazard_ids = self.catalog.hazard_ids()
-        if hazard_ids:
+        if self.ids:
             bound = 2 * full_state_space_size(self.catalog.hazards) * (
-                2 ** len(hazard_ids)
+                2 ** len(self.ids)
             )
         else:
             bound = 0
@@ -381,98 +457,59 @@ class _Builder:
         return self._freeze(), ConstructionLog(tuple(self.records))
 
     def _has_uncovered(self) -> bool:
-        if not self.catalog.hazards:
+        if not self.ids:
             return False  # no hazard subsets, so nothing to process
         done_e, done_m = (self.processed[kind] for kind in SWEEPS)
         return any(
-            not is_mishap(s) and (s not in done_e or s not in done_m)
-            for s in self.states
+            not is_mishap(s) and (name not in done_e or name not in done_m)
+            for name, s in self.states.items()
         )
 
     def _sweep(self, increment: int, kind: str) -> None:
         done = self.processed[kind]
         snapshot = sorted(
-            (s for s in self.states if s not in done and not is_mishap(s)),
+            (s for name, s in self.states.items() if name not in done and not is_mishap(s)),
             key=lambda s: s.name,
         )
         states_before = len(self.states)
         transitions_before = len(self.transitions)
         self._apply(kind, snapshot)
-        done.update(snapshot)
+        done.update(s.name for s in snapshot)
         self.records.append(self._record(increment, kind, states_before, transitions_before))
 
     def _apply(self, kind: str, states: Sequence[RiskState]) -> None:
         """Try every rule of one kind of sweep on each state, in order."""
         rules = self.rules[kind]
-        for state in states:
-            for rule, action in rules:
-                self._try_rule(state, rule, action)
-
-    def _try_rule(self, state: RiskState, rule, action: Action) -> None:
-        if isinstance(rule, EndangermentRule):
-            if not all(state.phase(h) in rule.from_phases for h in rule.activates):
-                return
-            if not rule.guard.satisfied(state):
-                return
-            if rule.absorbed:
-                target = state
-            else:
-                target = state.with_phases(
-                    {h: Phase.active() for h in rule.activates}
-                )
-                if target == state and Phase.active() not in rule.from_phases:
-                    return
-            self._add(state, action, target, pr=rule.pr)
-        elif isinstance(rule, MishapRule):
-            active = Phase.active()
-            if not all(state.phase(h) == active for h in (*rule.requires, *rule.sets)):
-                return
-            if not rule.guard.satisfied(state):
-                return
-            target = state.with_phases({h: Phase.mishap() for h in rule.sets})
-            self._add(state, action, target, pr=rule.pr, sv=rule.sv)
-        elif isinstance(rule, MitigationRule):
-            if not rule.guard.satisfied(state):
-                return
-            moved = False
-            for h, target_phase in rule.mitigates:
-                current = state.phase(h)
-                if current == target_phase:
-                    continue
-                if not legal_phase_step(current, ActionClass.MITIGATION, target_phase):
-                    return
-                moved = True
-            if not moved:
-                return
-            target = state.with_phases(
-                {
-                    h: p
-                    for h, p in rule.mitigates
-                    if state.phase(h) != p
-                }
-            )
-            self._add(state, action, target, pr=rule.pr, cs=rule.cs)
-
-    def _add(
-        self,
-        source: RiskState,
-        action: Action,
-        target: RiskState,
-        pr: Optional[float] = None,
-        cs: Optional[int] = None,
-        sv: Optional[Severity] = None,
-    ) -> None:
-        target = self.states.setdefault(target, target)
-        key = (source.name, action.name, target.name)
-        if key not in self.transitions:  # first declaring rule wins
-            self.transitions[key] = Transition(source, action, target, pr=pr, cs=cs)
-        if sv is not None and is_mishap(target) and target not in self.sv:
-            self.sv[target] = sv
+        stored, transitions, severities = self.states, self.transitions, self.sv
+        for source in states:
+            name = source.name
+            tokens = name.split(",")
+            for checks, moves, action, pr, cs, sv, must_move in rules:
+                for i, accepted in checks:
+                    if tokens[i] not in accepted:
+                        break
+                else:  # every check passed: the rule fires
+                    moved = tokens.copy()
+                    for i, token in moves:
+                        moved[i] = token
+                    target_name = ",".join(moved)
+                    if must_move and target_name == name:
+                        continue
+                    target = stored.get(target_name)
+                    if target is None:
+                        entries = tuple(map(self.entries.__getitem__, moved))
+                        target = RiskState._parsed(entries, target_name, self.ids)
+                        stored[target_name] = target
+                    key = (name, action.name, target_name)
+                    if key not in transitions:  # first declaring rule wins
+                        transitions[key] = Transition(source, action, target, pr=pr, cs=cs)
+                    if sv is not None and target not in severities:
+                        severities[target] = sv
 
     def _record(
         self, increment: int, sweep: str, states_before: int, transitions_before: int
     ) -> SweepRecord:
-        non_mishap = sum(1 for s in self.states if not is_mishap(s))
+        non_mishap = sum(1 for s in self.states.values() if not is_mishap(s))
         return SweepRecord(
             increment=increment,
             sweep=sweep,
@@ -484,15 +521,13 @@ class _Builder:
         )
 
     def _freeze(self) -> RiskStructure:
-        transitions = tuple(
-            sorted(self.transitions.values(), key=lambda t: t.key())
-        )
-        actions = tuple(
-            sorted({t.action for t in transitions}, key=lambda a: a.name)
-        )
+        transitions = tuple(self.transitions[key] for key in sorted(self.transitions))
+        # a validated catalog gives each action name one meaning
+        by_name = {t.action.name: t.action for t in transitions}
+        actions = tuple(by_name[name] for name in sorted(by_name))
         return RiskStructure(
             hazards=self.catalog.hazards,
-            states=frozenset(self.states),
+            states=frozenset(self.states.values()),
             actions=actions,
             transitions=transitions,
             initial=self.initial,
@@ -523,4 +558,6 @@ def verify_complete(model: RiskStructure, catalog: Catalog) -> bool:
     for kind in SWEEPS:
         builder._apply(kind, states)
     existing = {t.key() for t in model.transitions}
-    return set(builder.transitions) <= existing and builder.states.keys() == model.states
+    return set(builder.transitions) <= existing and builder.states.keys() == {
+        s.name for s in model.states
+    }

@@ -237,7 +237,7 @@ class RiskState:
     def _parsed(
         cls, entries: tuple[tuple[str, Phase], ...], name: str, hazard_ids: tuple[str, ...]
     ) -> "RiskState":
-        """``RiskState(entries)``, for a parser that has read ``entries`` from
+        """``RiskState(entries)``, for a caller that has read ``entries`` from
         their canonical ``name`` and checked their ``hazard_ids``."""
         state = object.__new__(cls)
         vars(state).update(entries=entries, name=name, hazard_ids=hazard_ids)
@@ -296,17 +296,27 @@ def all_inactive(hazards: Sequence[HazardPhaseModel]) -> RiskState:
     return RiskState(tuple((h.id, Phase.inactive()) for h in hazards))
 
 
+def phase_tokens(
+    hazards: Sequence[HazardPhaseModel],
+) -> dict[str, tuple[str, Phase]]:
+    """Every valid ``id:phase`` token of ``hazards``, mapped to its entry.
+
+    A canonical state name is one such token per hazard, in declaration
+    order, joined by commas.
+    """
+    return {f"{h.id}:{p.render()}": (h.id, p) for h in hazards for p in h.phases()}
+
+
 def state_parser(hazards: Sequence[HazardPhaseModel]) -> Callable[[str], RiskState]:
     """A function parsing state names over ``hazards``, as :func:`parse_state`.
 
-    A table from every valid ``id:phase`` token to its entry is built once,
-    so a canonical name (one token per hazard, in declaration order) is read
-    by one lookup per token.  Any other text takes the token-by-token checks
-    and gets their messages.
+    The :func:`phase_tokens` table is built once, so a canonical name is
+    read by one lookup per token.  Any other text takes the token-by-token
+    checks and gets their messages.
     """
     hazards = tuple(hazards)
     ids = tuple(h.id for h in hazards)
-    table = {f"{h.id}:{p.render()}": (h.id, p) for h in hazards for p in h.phases()}
+    table = phase_tokens(hazards)
 
     def parse(text: str) -> RiskState:
         tokens = text.split(",")
@@ -357,8 +367,14 @@ def embed_state(state: RiskState, hazards: Sequence[HazardPhaseModel]) -> RiskSt
 
 
 def is_mishap(state: RiskState) -> bool:
-    """True iff some hazard is in its mishap phase."""
-    return any(p.kind is PhaseKind.MISHAP for _, p in state.entries)
+    """True iff some hazard is in its mishap phase.
+
+    Read from the canonical name: a ``:`` only ever separates an id from its
+    phase, since ids contain neither ``:`` nor ``,``, and ``em`` is the only
+    phase whose text starts with ``em``.  So ``:em`` occurs in the name
+    exactly when some phase is the mishap phase.
+    """
+    return ":em" in state.name
 
 
 def full_state_space_size(hazards: Sequence[HazardPhaseModel]) -> int:
@@ -462,7 +478,7 @@ class Transition:
             raise ValueError("transition endpoints disagree on the hazard set")
         if self.checked:
             for (hid, sp), (_, tp) in zip(self.source.entries, self.target.entries):
-                if sp == tp:
+                if sp is tp or sp == tp:
                     continue
                 if not legal_phase_step(sp, self.action.kind, tp):
                     raise IllegalPhaseTransition(

@@ -53,6 +53,16 @@ def phase_lt(p: Phase, q: Phase) -> bool:
     return p != q and phase_leq(p, q)
 
 
+def level_sum(state: RiskState) -> int:
+    """Sum over hazards of the phase level (mishap 0, active 1, mitigated 2,
+    inactive 3).
+
+    It strictly increases along :func:`mitigation_lt`: every hazard keeps its
+    phase or climbs a level, and at least one hazard changes.
+    """
+    return sum(_PHASE_LEVEL[p.kind] for _, p in state.entries)
+
+
 def mitigation_leq(s: RiskState, t: RiskState) -> bool:
     """Componentwise phase order over states with the same hazard set."""
     _check_same_hazards(s, t)

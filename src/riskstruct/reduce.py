@@ -36,6 +36,7 @@ from .order import (
     degradation_key,
     feature_key,
     hazard_key,
+    level_sum,
     mishap_key,
     mitigation_key,
     mitigation_lt,
@@ -76,9 +77,11 @@ def quotient(
     regions: Optional[RegionAssignment] = None,
 ) -> RiskStructure:
     """Merge equivalent states that share a region (and risk priority, if
-    required).  Parallel merged transitions with one action name keep the
-    maximum probability and minimum cost; self-loops induced by merging are
-    dropped."""
+    required).  Each class is represented by the label-least of its maximal
+    members in the mitigation order, found by level sum (see
+    :func:`_maxima`).  Parallel merged transitions with one action name keep
+    the maximum probability and minimum cost; self-loops induced by merging
+    are dropped."""
     key_fn = _equivalence_key(model, equivalence)
     if regions is None:
         regions = assign_regions(model)
@@ -104,10 +107,7 @@ def quotient(
                 "a class would span mishap and non-mishap states: "
                 + ", ".join(sorted(model.label(s) for s in members))
             )
-        maximal = [
-            s for s in members if not any(mitigation_lt(s, t) for t in members)
-        ]
-        representative = min(maximal, key=model.label)
+        representative = min(_maxima(members), key=model.label)
         for s in members:
             state_map[s] = representative
         if len(members) > 1:
@@ -146,6 +146,28 @@ def quotient(
         sv=sv,
         labels=labels,
     )
+
+
+def _maxima(members: Sequence[RiskState]) -> list[RiskState]:
+    """The members that no member strictly dominates in mitigation order.
+
+    A strictly better state has a strictly larger :func:`level_sum`, so the
+    members are visited by descending level sum and each is tested only
+    against the maxima kept from higher sums: whatever dominates it is, or is
+    dominated by, one of those (Kung, Luccio & Preparata, "On finding the
+    maxima of a set of vectors", JACM 1975).  Members of one level sum never
+    dominate each other; a class of the ``m`` equivalence has one level
+    vector, so it costs no comparison at all.
+    """
+    by_level: dict[int, list[RiskState]] = {}
+    for s in members:
+        by_level.setdefault(level_sum(s), []).append(s)
+    maxima: list[RiskState] = []
+    for level in sorted(by_level, reverse=True):
+        maxima += [
+            s for s in by_level[level] if not any(mitigation_lt(s, t) for t in maxima)
+        ]
+    return maxima
 
 
 def _merge_max(a: Optional[float], b: Optional[float]) -> Optional[float]:

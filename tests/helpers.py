@@ -8,6 +8,7 @@ implementations are checked against a second, independent route.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from random import Random
 
 
@@ -35,10 +36,8 @@ from riskstruct import (
     phase_leq,
     state_from_phases,
 )
-from dataclasses import dataclass
-
 from riskstruct.core import StateSyntaxError
-from riskstruct.order import phase_lt
+from riskstruct.order import mitigation_lt, phase_lt
 
 
 def enumerate_tuple_space(hazards) -> list[RiskState]:
@@ -48,6 +47,11 @@ def enumerate_tuple_space(hazards) -> list[RiskState]:
         RiskState(tuple((h.id, p) for h, p in zip(hazards, combo)))
         for combo in itertools.product(*spaces)
     ]
+
+
+def brute_force_is_mishap(state: RiskState) -> bool:
+    """Some hazard's phase, read from the entries, is the mishap phase."""
+    return any(p.kind is PhaseKind.MISHAP for _, p in state.entries)
 
 
 def brute_force_parse_state(text: str, hazards) -> RiskState:
@@ -90,6 +94,11 @@ def brute_force_mitigation_equiv(s: RiskState, t: RiskState) -> bool:
     return brute_force_hazard_equiv(s, t) and all(
         phase_lt(active, p) == phase_lt(active, t.phase(h)) for h, p in s.entries
     )
+
+
+def brute_force_maxima(members) -> list[RiskState]:
+    """The members no other member strictly dominates: the all-pairs scan."""
+    return [s for s in members if not any(mitigation_lt(s, t) for t in members)]
 
 
 def brute_force_reach(model, start, classes=None) -> frozenset:

@@ -18,6 +18,8 @@ from riskstruct import (
     OrderClass,
     Phase,
     PhaseGuard,
+    RiskModelError,
+    RiskState,
     Severity,
     classify_by_order,
     construct_rs,
@@ -219,6 +221,16 @@ class TestConstructionContract:
                 assert t.source is stored[t.source]
                 assert t.target is stored[t.target]
             assert all(s is stored[s] for s in (*model.initial, *model.sv))
+
+    def test_states_over_other_hazards_are_rejected(self, r2_model, r2_catalog, r3_catalog):
+        swapped = RiskState(tuple(reversed(next(iter(r2_model.initial)).entries)))
+        for model, catalog in (
+            (r2_model, r3_catalog),
+            (replace(r2_model, states=r2_model.states | {swapped}), r2_catalog),
+        ):
+            with pytest.raises(RiskModelError, match="in declaration order") as err:
+                verify_complete(model, catalog)
+            assert "\n" not in str(err.value)
 
     def test_subset_cap_limits_joint_rules(self, r2_catalog):
         catalog = replace(

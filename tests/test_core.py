@@ -27,6 +27,7 @@ from riskstruct import (
 from riskstruct.core import StateSyntaxError
 
 from helpers import (
+    brute_force_is_mishap,
     brute_force_parse_state,
     enumerate_tuple_space,
     random_states,
@@ -244,6 +245,16 @@ class TestIsMishap:
 
     def test_mitigated_is_not_mishap(self):
         assert not is_mishap(parse_state("A:m1,L:e", AB))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_name_test_matches_the_entries(self, seed):
+        # ids that look like phase texts, and zero hazards
+        rng = Random(seed)
+        ids = rng.sample(["em", "xem", "e", "emx", "m1", "A"], rng.randint(0, 3))
+        hazards = tuple(HazardPhaseModel(HazardId(h), rng.randint(1, 2)) for h in ids)
+        for s in (*enumerate_tuple_space(hazards), *random_structure(rng).states):
+            assert is_mishap(s) == brute_force_is_mishap(s), s.name
 
 
 class TestApplyAction:

@@ -1,5 +1,5 @@
 """Byte-identity goldens: the sha256 of the files the CLI writes for the
-bundled tunnel-exit catalogs.
+bundled tunnel-exit catalogs, and of what ``diff`` prints about them.
 
 Nothing else pins output across versions (criterion 10 compares two hash
 seeds of one version).  A change of these digests is a change of the
@@ -50,3 +50,24 @@ def _outputs(name: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_digests(name, tmp_path):
     assert _outputs(name, tmp_path) == GOLDEN[name]
+
+
+# Recorded from the tree of commit c0234ce: ``diff`` of the r2 model against
+# the r3 model, and of the r2 ``--equiv m`` quotient against the r2 model.
+DIFF_GOLDEN = {
+    "r2-r3": "6122b74a0e0abd5032ce1903a4dc11a7384375792dfc125f531635b7e8455608",
+    "r2-quotient-r2": "d85a2b6a61944594267ea78efbbbdd2b6bfdc0ddfd47ac18b1beb837b3fb54c5",
+}
+
+
+def test_diff_output_digests(tmp_path, capsys):
+    r2, r3, quotient = (tmp_path / f"{n}.json" for n in ("r2", "r3", "quotient"))
+    assert main(["build", str(catalog_path("tunnel-exit-r2")), "-o", str(r2)]) == 0
+    assert main(["build", str(catalog_path("tunnel-exit-r3")), "-o", str(r3)]) == 0
+    assert main(["reduce", str(r2), "--equiv", "m", "-o", str(quotient)]) == 0
+    capsys.readouterr()
+    digests = {}
+    for name, a, b in (("r2-r3", r2, r3), ("r2-quotient-r2", quotient, r2)):
+        assert main(["diff", str(a), str(b)]) == 3
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == DIFF_GOLDEN

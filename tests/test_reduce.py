@@ -36,7 +36,7 @@ from riskstruct import (
 from riskstruct.catalogs import catalog_path
 from riskstruct.serialize import load_drop_rules
 
-from helpers import brute_force_reach, random_structure
+from helpers import brute_force_maxima, brute_force_reach, random_structure
 
 # The reduced second-increment model: ten scenario states plus the mishap,
 # and the twelve edges that survive the documented drops.
@@ -59,12 +59,17 @@ REDUCED_EXPECTED_EDGES = {
 def assert_classes_follow(model, equiv, related):
     """``quotient(model, equiv)`` puts two states in one class exactly when
     ``related`` holds, the mishap phases agree and the regions are equal;
-    the classes are read from the merged states' ``|``-joined labels."""
+    the classes are read from the merged states' ``|``-joined labels.  Each
+    class is represented by its label-least member among those the
+    all-pairs scan finds maximal, and labelled by its sorted member labels."""
     reduced = quotient(model, equiv)
     rep_of = {}
     for rep in reduced.states:
-        for name in reduced.label(rep).split("|"):
-            rep_of[model.state_named(name)] = rep
+        members = [model.state_named(name) for name in reduced.label(rep).split("|")]
+        for s in members:
+            rep_of[s] = rep
+        assert rep == min(brute_force_maxima(members), key=model.label)
+        assert reduced.label(rep) == "|".join(sorted(map(model.label, members)))
     assert rep_of.keys() == model.states
     regions = assign_regions(model)
     for s, t in itertools.combinations(model.sorted_states(), 2):
