@@ -21,13 +21,14 @@ from .construct import CatalogInvalid, construct_rs
 from .plan import is_mitigation_monotonous, plan_mitigations
 from .reduce import collapse_safe_chains, drop_irrelevant, quotient, EQUIVALENCES
 from .serialize import (
+    dot_chunks,
     fmt_prob,
     load_catalog,
     load_drop_rules,
     load_model,
-    model_to_json,
+    model_chunks,
+    save_dot,
     save_model,
-    to_dot,
 )
 
 EXIT_OK = 0
@@ -215,7 +216,7 @@ def cmd_reduce(args) -> int:
             return _fail(EXIT_IO, f"cannot write model {args.output!r}: {exc}")
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(model_to_json(model, log))
+        sys.stdout.writelines(model_chunks(model, log))
     return EXIT_OK
 
 
@@ -289,15 +290,13 @@ def cmd_diff(args) -> int:
 
 def cmd_export_dot(args) -> int:
     model, _ = _load_model(args.model)
-    text = to_dot(model)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            save_dot(args.output, model)
         except OSError as exc:
             return _fail(EXIT_IO, f"cannot write {args.output!r}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(dot_chunks(model))
     return EXIT_OK
 
 

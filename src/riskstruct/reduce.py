@@ -98,7 +98,9 @@ def quotient(
     for s in sorted(model.states, key=model.label):
         classes.setdefault(class_key(s), []).append(s)
 
-    state_map: dict[RiskState, RiskState] = {}
+    # maps are keyed by state names, whose hashes are cached, not by states
+    rep_of: dict[str, RiskState] = {}
+    representatives: list[RiskState] = []
     labels: dict[RiskState, str] = {}
     for members in classes.values():
         mishap_mix = {is_mishap(s) for s in members}
@@ -108,8 +110,9 @@ def quotient(
                 + ", ".join(sorted(model.label(s) for s in members))
             )
         representative = min(_maxima(members), key=model.label)
+        representatives.append(representative)
         for s in members:
-            state_map[s] = representative
+            rep_of[s.name] = representative
         if len(members) > 1:
             labels[representative] = "|".join(
                 sorted(model.label(s) for s in members)
@@ -117,32 +120,34 @@ def quotient(
         elif representative in model.labels:
             labels[representative] = model.labels[representative]
 
-    merged: dict[tuple[RiskState, str, RiskState], Transition] = {}
+    # parallel edges merge their weights first; one Transition per merged edge
+    merged: dict[tuple[str, str, str], list] = {}
     for t in model.transitions:
-        src, tgt = state_map[t.source], state_map[t.target]
-        if src == tgt and t.source != t.target:
+        src, tgt = rep_of[t.source.name], rep_of[t.target.name]
+        if src is tgt and t.source.name != t.target.name:
             continue  # self-loop induced by the merge
-        key = (src, t.action.name, tgt)
-        if key in merged:
-            old = merged[key]
-            pr = _merge_max(old.pr, t.pr)
-            cs = _merge_min(old.cs, t.cs)
-            merged[key] = Transition(src, old.action, tgt, pr=pr, cs=cs, checked=False)
+        key = (src.name, t.action.name, tgt.name)
+        edge = merged.get(key)
+        if edge is None:
+            merged[key] = [src, t.action, tgt, t.pr, t.cs]
         else:
-            merged[key] = Transition(src, t.action, tgt, pr=t.pr, cs=t.cs, checked=False)
+            edge[3] = _merge_max(edge[3], t.pr)
+            edge[4] = _merge_min(edge[4], t.cs)
+    transitions = tuple(
+        Transition(src, action, tgt, pr=pr, cs=cs, checked=False)
+        for _, (src, action, tgt, pr, cs) in sorted(merged.items())
+    )
 
-    new_states = frozenset(state_map.values())
     sv: dict[RiskState, Severity] = {}
     for s, severity in model.sv.items():
-        rep = state_map[s]
+        rep = rep_of[s.name]
         sv[rep] = sv_max([severity, sv[rep]]) if rep in sv else severity
-    transitions = tuple(sorted(merged.values(), key=lambda t: t.key()))
     return replace(
         model,
-        states=new_states,
+        states=frozenset(representatives),
         actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
         transitions=transitions,
-        initial=frozenset(state_map[s] for s in model.initial),
+        initial=frozenset(rep_of[s.name] for s in model.initial),
         sv=sv,
         labels=labels,
     )

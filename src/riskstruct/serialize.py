@@ -2,7 +2,9 @@
 
 All output is byte-stable for a given input: collections are emitted in
 canonical (label) order and probabilities are written with at most six
-significant digits.
+significant digits.  Model and DOT files are rendered in batches of rows,
+each encoded as UTF-8 before the file is opened, so a write holds the model
+and about one file's bytes.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
     Action,
@@ -355,19 +357,61 @@ def _features_to_dict(features: FeatureModel) -> dict:
 
 
 def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
-    """Each state's label, the states sorted by label, and the transitions as
-    ``(source label, action name, target label, transition)`` rows sorted by
-    those three: the order of the model file and of the DOT export."""
-    label = {s: model.label(s) for s in model.states}
-    rows = [(label[t.source], t.action.name, label[t.target], t) for t in model.transitions]
-    rows.sort(key=lambda row: row[:3])
-    return label, sorted(model.states, key=label.__getitem__), rows
+    """Each state's label by state name, the states sorted by label, and the
+    transitions sorted by source label, action name and target label: the
+    order of the model file and of the DOT export."""
+    label = {s.name: model.label(s) for s in model.states}
+    states = sorted(model.states, key=lambda s: label[s.name])
+    transitions = sorted(
+        model.transitions,
+        key=lambda t: (label[t.source.name], t.action.name, label[t.target.name]),
+    )
+    return label, states, transitions
 
 
-def model_to_dict(
-    model: RiskStructure, log: ConstructionLog = ConstructionLog()
-) -> dict:
-    label, states, rows = _file_order(model)
+#: Rows rendered per chunk of a model or DOT file: a chunk of a chain model
+#: file is about 25 KB, so a save holds the encoded file and little more.
+_BATCH_ROWS = 128
+
+
+def _batches(items: list) -> Iterator[list]:
+    for start in range(0, len(items), _BATCH_ROWS):
+        yield items[start : start + _BATCH_ROWS]
+
+
+class _Rows(NamedTuple):
+    """A list of flat JSON objects, one per item, all with ``fields`` as keys:
+    the model's states and transitions."""
+
+    fields: tuple[str, ...]
+    values: Callable[[Any], tuple]  # item -> one scalar per field
+    items: list
+
+    def dicts(self) -> list[dict]:
+        return [dict(zip(self.fields, self.values(item))) for item in self.items]
+
+    def chunks(self, newline: str) -> Iterator[str]:
+        """The list's JSON text at ``newline`` (a line break plus the list's
+        indentation), ``json.dumps(self.dicts(), indent=2)`` in batches."""
+        if not self.items:
+            yield "[]"
+            return
+        inner = newline + "  "
+        template = _row_template(self.fields, inner)
+        sep, values = "[" + inner, self.values
+        for batch in _batches(self.items):
+            yield sep
+            yield ("," + inner).join(
+                [template % tuple(map(_scalar_text, values(item))) for item in batch]
+            )
+            sep = "," + inner
+        yield newline + "]"
+
+
+def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
+    """The model file's top-level object, with its states and transitions
+    left as :class:`_Rows` for the caller to expand or render."""
+    label, states, transitions = _file_order(model)
     d: dict[str, Any] = {
         "hazards": [
             {
@@ -377,8 +421,8 @@ def model_to_dict(
             }
             for h in model.hazards
         ],
-        "states": [{"name": s.name, "label": label[s]} for s in states],
-        "initial": sorted(label[s] for s in model.initial),
+        "states": _Rows(("name", "label"), lambda s: (s.name, label[s.name]), states),
+        "initial": sorted(label[s.name] for s in model.initial),
         "actions": [
             {
                 "name": a.name,
@@ -388,19 +432,20 @@ def model_to_dict(
             }
             for a in model.actions
         ],
-        "transitions": [
-            {
-                "source": source,
-                "action": action,
-                "target": target,
-                "pr": fmt_prob(t.pr) if t.pr is not None else None,
-                "cs": t.cs,
-            }
-            for source, action, target, t in rows
-        ],
+        "transitions": _Rows(
+            ("source", "action", "target", "pr", "cs"),
+            lambda t: (
+                label[t.source.name],
+                t.action.name,
+                label[t.target.name],
+                fmt_prob(t.pr) if t.pr is not None else None,
+                t.cs,
+            ),
+            transitions,
+        ),
         "sv": {
-            label[s]: v.value
-            for s, v in sorted(model.sv.items(), key=lambda kv: label[kv[0]])
+            label[s.name]: v.value
+            for s, v in sorted(model.sv.items(), key=lambda kv: label[kv[0].name])
         },
         "log": [
             {
@@ -437,8 +482,38 @@ def model_to_dict(
     return d
 
 
+def model_to_dict(
+    model: RiskStructure, log: ConstructionLog = ConstructionLog()
+) -> dict:
+    """The model file as a JSON value."""
+    return {
+        key: value.dicts() if type(value) is _Rows else value
+        for key, value in _model_value(model, log).items()
+    }
+
+
+def model_chunks(
+    model: RiskStructure, log: ConstructionLog = ConstructionLog()
+) -> Iterator[str]:
+    """The model file's text in chunks of at most ``_BATCH_ROWS`` states or
+    transitions; joined, they are ``json.dumps(model_to_dict(model, log),
+    indent=2, ensure_ascii=False) + "\\n"``."""
+    sep = "{"
+    for key, value in _model_value(model, log).items():
+        head = f"{sep}\n  {encode_basestring(key)}: "
+        if type(value) is _Rows:
+            yield head
+            yield from value.chunks("\n  ")
+        else:
+            out = [head]
+            _write(value, "\n  ", out)
+            yield "".join(out)
+        sep = ","
+    yield "\n}\n"
+
+
 def model_to_json(model: RiskStructure, log: ConstructionLog = ConstructionLog()) -> str:
-    return json_text(model_to_dict(model, log)) + "\n"
+    return "".join(model_chunks(model, log))
 
 
 _INFINITIES = (float("inf"), float("-inf"))
@@ -461,12 +536,17 @@ _SCALAR_TEXT = {
 }
 
 
+def _scalar_text(value: Any) -> str:
+    text = _SCALAR_TEXT.get(type(value))
+    return text(value) if text is not None else json.dumps(value, ensure_ascii=False)
+
+
 def json_text(value: Any) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte.
 
     With ``indent`` the standard library encodes in pure Python; this writer
     renders a list of flat objects that share one key order, such as a
-    model's states and transitions, from one ``%``-template per list.  A value
+    model's construction log, from one ``%``-template per list.  A value
     of any other type is handed to ``json.dumps`` and re-indented.
     """
     out: list[str] = []
@@ -512,9 +592,8 @@ def _flat_rows(items: list, newline: str) -> Optional[str]:
     first = items[0]
     if type(first) is not dict or not first or not all(type(k) is str for k in first):
         return None
-    keys, inner = tuple(first), newline + "  "
-    fields = (inner + encode_basestring(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "{" + ",".join(fields) + newline + "}"
+    keys = tuple(first)
+    template = _row_template(keys, newline)
     texts = []
     for row in items:
         if type(row) is not dict or tuple(row) != keys:
@@ -525,6 +604,14 @@ def _flat_rows(items: list, newline: str) -> Optional[str]:
             return None
         texts.append(template % values)
     return ("," + newline).join(texts)
+
+
+def _row_template(keys: tuple[str, ...], newline: str) -> str:
+    """A ``%``-template of a flat object with ``keys`` at ``newline``, taking
+    one JSON text per key."""
+    inner = newline + "  "
+    fields = (inner + encode_basestring(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + ",".join(fields) + newline + "}"
 
 
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
@@ -631,21 +718,28 @@ def load_model(path: str) -> tuple[RiskStructure, ConstructionLog]:
         text = fh.read()
     data = json.loads(text)
     found = _unencodable(text, data)
+    del text  # the model is built from ``data`` alone
     if found is not None:
         raise RiskModelError(found)
     return model_from_dict(data)
+
+
+def _write_utf8(path: str, chunks: Iterator[str], what: str) -> None:
+    """Encode every chunk, then write them; nothing is opened unless all of
+    them encode as UTF-8."""
+    try:
+        data = [chunk.encode("utf-8") for chunk in chunks]
+    except UnicodeEncodeError as exc:
+        raise RiskModelError(f"{what} cannot be written as UTF-8: {exc}") from None
+    with open(path, "wb") as fh:
+        fh.writelines(data)
 
 
 def save_model(
     path: str, model: RiskStructure, log: ConstructionLog = ConstructionLog()
 ) -> None:
     """Write the model file; nothing is opened unless all of it encodes as UTF-8."""
-    try:
-        data = model_to_json(model, log).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise RiskModelError(f"model cannot be written as UTF-8: {exc}") from None
-    with open(path, "wb") as fh:
-        fh.write(data)
+    _write_utf8(path, model_chunks(model, log), "model")
 
 
 def load_drop_rules(path: str) -> tuple[DropRule, ...]:
@@ -692,29 +786,54 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def dot_chunks(
+    model: RiskStructure, regions: Optional[RegionAssignment] = None
+) -> Iterator[str]:
+    """The DOT text of :func:`to_dot` in chunks of at most ``_BATCH_ROWS``
+    lines."""
+    if regions is None:
+        regions = assign_regions(model)
+    label, states, transitions = _file_order(model)
+    yield "digraph risk_structure {\n  rankdir=LR;\n  node [shape=ellipse];\n"
+    for batch in _batches(states):
+        yield "".join(
+            [
+                f"  {_dot_quote(label[s.name])} [style={_REGION_STYLE[regions[s]]}"
+                + (", peripheries=2];\n" if s in model.initial else "];\n")
+                for s in batch
+            ]
+        )
+    for batch in _batches(transitions):
+        yield "".join(
+            [
+                f"  {_dot_quote(label[t.source.name])} -> "
+                f"{_dot_quote(label[t.target.name])} "
+                f"[label={_dot_quote(t.action.name + _dot_weights(t))}];\n"
+                for t in batch
+            ]
+        )
+    yield "}\n"
+
+
+def _dot_weights(t: Transition) -> str:
+    weights = []
+    if t.pr is not None:
+        weights.append(f"{fmt_prob(t.pr):.6g}")
+    if t.cs is not None:
+        weights.append(str(t.cs))
+    return f"({','.join(weights)})" if weights else ""
+
+
 def to_dot(model: RiskStructure, regions: Optional[RegionAssignment] = None) -> str:
     """Render the model as deterministic DOT; node borders follow the region
     (safe solid, hazardous dashed, mishap dotted), initial states are
     double-bordered, and edges are labeled ``name(pr,cs)``."""
-    if regions is None:
-        regions = assign_regions(model)
-    label, states, rows = _file_order(model)
-    lines = ["digraph risk_structure {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for s in states:
-        attrs = [f"style={_REGION_STYLE[regions[s]]}"]
-        if s in model.initial:
-            attrs.append("peripheries=2")
-        lines.append(f"  {_dot_quote(label[s])} [{', '.join(attrs)}];")
-    for source, _, target, t in rows:
-        weights = []
-        if t.pr is not None:
-            weights.append(f"{fmt_prob(t.pr):.6g}")
-        if t.cs is not None:
-            weights.append(str(t.cs))
-        text = t.action.name + (f"({','.join(weights)})" if weights else "")
-        lines.append(
-            f"  {_dot_quote(source)} -> {_dot_quote(target)} "
-            f"[label={_dot_quote(text)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_chunks(model, regions))
+
+
+def save_dot(
+    path: str, model: RiskStructure, regions: Optional[RegionAssignment] = None
+) -> None:
+    """Write :func:`to_dot`'s text; nothing is opened unless all of it encodes
+    as UTF-8."""
+    _write_utf8(path, dot_chunks(model, regions), "DOT")

@@ -31,11 +31,13 @@ from riskstruct import (
     Severity,
     Transition,
     all_inactive,
+    assign_regions,
     is_mishap,
     legal_phase_step,
     phase_leq,
     state_from_phases,
 )
+from riskstruct.analysis import Region
 from riskstruct.core import StateSyntaxError
 from riskstruct.order import mitigation_lt, phase_lt
 
@@ -99,6 +101,38 @@ def brute_force_mitigation_equiv(s: RiskState, t: RiskState) -> bool:
 def brute_force_maxima(members) -> list[RiskState]:
     """The members no other member strictly dominates: the all-pairs scan."""
     return [s for s in members if not any(mitigation_lt(s, t) for t in members)]
+
+
+def brute_force_dot(model) -> str:
+    """The DOT export rendered as one list of lines, without the writer's
+    batches: nodes by label, then edges by (source label, action, target
+    label)."""
+    regions = assign_regions(model)
+    style = {Region.SAFE: "solid", Region.HAZARDOUS: "dashed", Region.MISHAP: "dotted"}
+
+    def quote(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph risk_structure {", "  rankdir=LR;", "  node [shape=ellipse];"]
+    for s in sorted(model.states, key=model.label):
+        attrs = [f"style={style[regions[s]]}"]
+        if s in model.initial:
+            attrs.append("peripheries=2")
+        lines.append(f"  {quote(model.label(s))} [{', '.join(attrs)}];")
+    edges = sorted(
+        model.transitions,
+        key=lambda t: (model.label(t.source), t.action.name, model.label(t.target)),
+    )
+    for t in edges:
+        weights = [f"{float(f'{t.pr:.6g}'):.6g}"] if t.pr is not None else []
+        weights += [str(t.cs)] if t.cs is not None else []
+        text = t.action.name + (f"({','.join(weights)})" if weights else "")
+        lines.append(
+            f"  {quote(model.label(t.source))} -> {quote(model.label(t.target))} "
+            f"[label={quote(text)}];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_reach(model, start, classes=None) -> frozenset:

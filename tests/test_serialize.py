@@ -1,24 +1,38 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
     CatalogInvalid,
+    ConstructionLog,
+    HazardId,
+    OperationalSituation,
     RiskModelError,
+    cli,
     construct_rs,
     load_catalog,
     model_from_dict,
     model_to_dict,
     model_to_json,
+    quotient,
     save_model,
     to_dot,
 )
 from riskstruct.catalogs import catalog_path
-from riskstruct.serialize import fmt_prob, json_text
+from riskstruct.serialize import catalog_from_dict, fmt_prob, json_text, save_dot
+
+from helpers import brute_force_dot, random_structure
 
 _KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%s", "%%", "%(a)s", "{}", "{0}", ""]))
 _SCALARS = st.one_of(
@@ -54,6 +68,148 @@ _JSON = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+def _chain_catalog(n: int):
+    """The benchmark's chain catalog with n hazards, k=2, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "chain.py"
+    spec = importlib.util.spec_from_file_location("chain", path)
+    chain = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(chain)
+    return catalog_from_dict(chain.chain_catalog(n, 2, 0))
+
+
+@pytest.fixture(scope="module")
+def chain5():
+    """The built chain model with 5 hazards: 1,280 states, 5,376 transitions,
+    so its states and transitions each fill many write batches."""
+    return construct_rs(_chain_catalog(5))
+
+
+def _json_oracle(model, log=ConstructionLog()) -> str:
+    return json.dumps(model_to_dict(model, log), indent=2, ensure_ascii=False) + "\n"
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def assert_writers_agree(model, work: Path) -> None:
+    """Every writer of the model file and of the DOT export gives the
+    oracle's text: ``json.dumps`` of ``model_to_dict`` and ``brute_force_dot``;
+    the same for the model's ``m`` quotient, saved and made by ``reduce``."""
+    path, dot = work / "model.json", work / "model.dot"
+    raw = work / "raw.json"
+    save_model(str(raw), model)
+    quotient_text = _json_oracle(quotient(model, "m"))
+    assert _stdout(["reduce", str(raw), "--equiv", "m"]) == quotient_text
+    for m in (model, quotient(model, "m")):
+        text, dot_text = _json_oracle(m), brute_force_dot(m)
+        assert model_to_json(m) == text
+        save_model(str(path), m)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert _stdout(["reduce", str(path)]) == text
+        assert to_dot(m) == dot_text
+        save_dot(str(dot), m)
+        assert dot.read_bytes() == dot_text.encode("utf-8")
+        assert _stdout(["export-dot", str(path)]) == dot_text
+        assert cli.main(["export-dot", str(path), "-o", str(dot)]) == 0
+        assert dot.read_bytes() == dot_text.encode("utf-8")
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@st.composite
+def _writer_models(draw):
+    """``random_structure`` with non-ASCII, quoted and escaped labels, hazard
+    descriptions and notes, some ``pr`` set to None, sometimes no transitions."""
+    model = random_structure(Random(draw(st.integers(0, 2**32))))
+    states = sorted(model.states, key=lambda s: s.name)
+    # unique labels that no state name equals: names start with "H"
+    labels = {
+        s: f"é{i}·{draw(_TEXT)}" for i, s in enumerate(states) if draw(st.booleans())
+    }
+    transitions = tuple(
+        dataclasses.replace(t, pr=None) if draw(st.booleans()) else t
+        for t in model.transitions
+    )
+    if draw(st.integers(0, 3)) == 0:
+        transitions = ()
+    hazards = tuple(
+        dataclasses.replace(h, hazard=HazardId(h.id, draw(_TEXT))) for h in model.hazards
+    )
+    return dataclasses.replace(
+        model,
+        hazards=hazards,
+        transitions=transitions,
+        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
+        labels=labels,
+        situation=OperationalSituation(name=draw(_TEXT), notes=draw(_TEXT)),
+    )
+
+
+class TestWriterOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_writer_models())
+    def test_random_structures(self, model):
+        with tempfile.TemporaryDirectory() as work:
+            assert_writers_agree(model, Path(work))
+
+    @pytest.mark.parametrize("fixture", ["r2_model", "r3_model"])
+    def test_tunnel_models(self, fixture, request, tmp_path):
+        assert_writers_agree(request.getfixturevalue(fixture), tmp_path)
+
+    def test_log_and_batches(self, chain5, tmp_path):
+        model, log = chain5
+        path = tmp_path / "model.json"
+        save_model(str(path), model, log)
+        assert path.read_bytes() == _json_oracle(model, log).encode("utf-8")
+        dot = tmp_path / "model.dot"
+        save_dot(str(dot), model)
+        assert dot.read_bytes() == brute_force_dot(model).encode("utf-8")
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` above what was allocated
+    before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A write holds the model, the encoded file and one batch of text: not
+    a dict tree, the joined text and its bytes at once."""
+
+    def test_save_model_peak_is_below_one_and_a_half_files(self, chain5, tmp_path):
+        model, log = chain5
+        path = tmp_path / "model.json"
+        peak = _traced_peak(lambda: save_model(str(path), model, log))
+        assert peak < 1.5 * path.stat().st_size
+
+    def test_export_dot_peak_is_below_one_and_a_half_files(
+        self, chain5, tmp_path, monkeypatch
+    ):
+        model, log = chain5
+        monkeypatch.setattr(cli, "_load_model", lambda path: (model, log))
+        path = tmp_path / "model.dot"
+        peak = _traced_peak(
+            lambda: cli.main(["export-dot", "model.json", "-o", str(path)])
+        )
+        assert path.read_bytes() == to_dot(model).encode("utf-8")
+        assert peak < 1.5 * path.stat().st_size
 
 
 class TestCatalogIO:
@@ -128,12 +284,43 @@ class TestModelIO:
         save_model(str(path), r2_model)
         assert path.read_bytes() == model_to_json(r2_model).encode("utf-8")
 
-    def test_save_refuses_a_lone_surrogate_before_opening(self, r2_model, tmp_path):
+    def test_save_refuses_a_lone_surrogate_before_opening(
+        self, r2_model, chain5, tmp_path
+    ):
         state = next(iter(r2_model.states))
         model = dataclasses.replace(r2_model, labels={state: "bad\udc80"})
         path = tmp_path / "m.json"
         with pytest.raises(RiskModelError, match="UTF-8"):
             save_model(str(path), model)
+        assert not path.exists()
+
+        # an existing target is neither truncated nor rewritten
+        path.write_bytes(b"previous model \xc3\xa9\n")
+        with pytest.raises(RiskModelError, match="UTF-8"):
+            save_model(str(path), model)
+        assert path.read_bytes() == b"previous model \xc3\xa9\n"
+
+        # a bad string in the last batches: the label-last state, the label
+        # of a mishap state (an sv key) and the notes, written after the rows
+        chain, log = chain5
+        last = max(chain.states, key=lambda s: s.name)
+        mishap = max(chain.sv, key=lambda s: s.name)
+        for bad in (
+            dataclasses.replace(chain, labels={last: "~\udc80"}),
+            dataclasses.replace(chain, labels={mishap: "~\udc80"}),
+            dataclasses.replace(chain, situation=OperationalSituation(notes="\ud83d")),
+        ):
+            with pytest.raises(RiskModelError, match="UTF-8"):
+                save_model(str(path), bad, log)
+            assert path.read_bytes() == b"previous model \xc3\xa9\n"
+
+    def test_save_dot_refuses_a_lone_surrogate_before_opening(self, chain5, tmp_path):
+        chain, _ = chain5
+        last = max(chain.states, key=lambda s: s.name)
+        model = dataclasses.replace(chain, labels={last: "~\udc80"})
+        path = tmp_path / "m.dot"
+        with pytest.raises(RiskModelError, match="UTF-8"):
+            save_dot(str(path), model)
         assert not path.exists()
 
     def test_transitions_sorted_by_label(self, r2_model):
