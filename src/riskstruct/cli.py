@@ -22,6 +22,7 @@ from .plan import is_mitigation_monotonous, plan_mitigations
 from .reduce import collapse_safe_chains, drop_irrelevant, quotient, EQUIVALENCES
 from .serialize import (
     dot_chunks,
+    edge_text_key,
     fmt_prob,
     load_catalog,
     load_drop_rules,
@@ -29,6 +30,7 @@ from .serialize import (
     model_chunks,
     save_dot,
     save_model,
+    weights_text,
 )
 
 EXIT_OK = 0
@@ -237,45 +239,59 @@ def cmd_diff(args) -> int:
                 f"incompatible hazard {h.id!r}: different n_mitigations",
             )
 
-    def embedded_labels(model: RiskStructure) -> dict:
-        # a state's identity is its display label with every member name
-        # embedded into the wider hazard set
+    def embedded_labels(model: RiskStructure) -> dict[str, str]:
+        # a state's identity, by its name, is its display label with every
+        # member name embedded into the wider hazard set; an unlabelled state
+        # is its own only member, so it is embedded without re-parsing
         parse, mapping = state_parser(model.hazards), {}
+        labels = {s.name: label for s, label in model.labels.items()}
         for s in model.states:
-            members = sorted(
-                embed_state(parse(m), model_b.hazards).name
-                for m in model.label(s).split("|")
-            )
-            mapping[s] = "|".join(members)
+            label = labels.get(s.name)
+            if label is None:
+                mapping[s.name] = embed_state(s, model_b.hazards).name
+            else:
+                members = sorted(
+                    embed_state(parse(m), model_b.hazards).name
+                    for m in label.split("|")
+                )
+                mapping[s.name] = "|".join(members)
         return mapping
 
     map_a, map_b = embedded_labels(model_a), embedded_labels(model_b)
     states_a = set(map_a.values())
     states_b = set(map_b.values())
 
+    # Per edge_text_key, made once: the edge's (action, rounded pr, cs), a
+    # tuple shared by every transition key that holds it, and the text of
+    # its line around the source and target.
+    edges: dict[tuple, tuple] = {}
+    texts: dict[tuple, tuple[str, str]] = {}
+
     def transition_keys(model, mapping):
         keys = set()
         for t in model.transitions:
-            keys.add(
-                (
-                    mapping[t.source],
+            key = edge_text_key(t.action.name, t.pr, t.cs)
+            edge = edges.get(key)
+            if edge is None:
+                edge = edges[key] = (
                     t.action.name,
-                    mapping[t.target],
-                    fmt_prob(t.pr) if t.pr is not None else None,
+                    None if t.pr is None else fmt_prob(t.pr),
                     t.cs,
                 )
-            )
+                weights = weights_text(t.pr, t.cs)
+                texts[edge_text_key(*edge)] = (
+                    f" -{t.action.name}-> ",
+                    f" {weights}" if weights else "",
+                )
+            keys.add((mapping[t.source.name], edge, mapping[t.target.name]))
         return keys
 
     trans_a, trans_b = transition_keys(model_a, map_a), transition_keys(model_b, map_b)
 
     def fmt_key(key) -> str:
-        source, action, target, pr, cs = key
-        weights = ",".join(
-            str(w) for w in (f"{pr:.6g}" if pr is not None else None, cs) if w is not None
-        )
-        suffix = f" ({weights})" if weights else ""
-        return f"{source} -{action}-> {target}{suffix}"
+        source, edge, target = key
+        arrow, suffix = texts[edge_text_key(*edge)]
+        return f"{source}{arrow}{target}{suffix}"
 
     # Each key is formatted once; keys that format alike print the same line,
     # so sorting the lines is sorting the keys by their text.  One writelines

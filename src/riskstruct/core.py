@@ -9,8 +9,9 @@ result into a :class:`RiskStructure`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -210,7 +211,7 @@ def legal_phase_step(source: Phase, action_class: ActionClass, target: Phase) ->
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskState:
     """One phase per hazard, ordered by catalog declaration order.
 
@@ -219,7 +220,9 @@ class RiskState:
     :func:`parse_state`.  The name is computed once and is the state's
     identity: two states are equal, and hash alike, exactly when their names
     are equal.  That is the same as equal entries, because hazard ids contain
-    none of ``:,|`` and each phase renders to its own text.
+    none of ``:,|`` and each phase renders to its own text.  Code that
+    handles many states at once keys its sets and maps by name: a name's
+    hash is cached, a state's is a Python call.
     """
 
     entries: tuple[tuple[str, Phase], ...]
@@ -240,7 +243,10 @@ class RiskState:
         """``RiskState(entries)``, for a caller that has read ``entries`` from
         their canonical ``name`` and checked their ``hazard_ids``."""
         state = object.__new__(cls)
-        vars(state).update(entries=entries, name=name, hazard_ids=hazard_ids)
+        set_entries, set_name, set_hazard_ids = _STATE_SLOTS
+        set_entries(state, entries)
+        set_name(state, name)
+        set_hazard_ids(state, hazard_ids)
         return state
 
     def __eq__(self, other: object) -> bool:
@@ -272,6 +278,16 @@ class RiskState:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.name
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot of the dataclass ``cls``, in field
+    order: it stores a value past a frozen ``__setattr__`` in about half the
+    time of ``object.__setattr__``."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_STATE_SLOTS = _slot_setters(RiskState)
 
 
 def state_from_phases(
@@ -310,19 +326,20 @@ def phase_tokens(
 def state_parser(hazards: Sequence[HazardPhaseModel]) -> Callable[[str], RiskState]:
     """A function parsing state names over ``hazards``, as :func:`parse_state`.
 
-    The :func:`phase_tokens` table is built once, so a canonical name is
-    read by one lookup per token.  Any other text takes the token-by-token
-    checks and gets their messages.
+    A :func:`phase_tokens` table per hazard is built once, so a canonical
+    name is read by one lookup per token, in the table of the token's
+    position, which also checks the declaration order.  Any other text
+    takes the token-by-token checks and gets their messages.
     """
     hazards = tuple(hazards)
     ids = tuple(h.id for h in hazards)
-    table = phase_tokens(hazards)
+    tables = [phase_tokens((h,)) for h in hazards]
 
     def parse(text: str) -> RiskState:
         tokens = text.split(",")
-        if len(tokens) == len(ids):
-            entries = tuple(map(table.get, tokens))
-            if None not in entries and tuple(h for h, _ in entries) == ids:
+        if len(tokens) == len(tables):
+            entries = tuple(map(dict.get, tables, tokens))
+            if None not in entries:
                 return RiskState._parsed(entries, text, ids)
         return _parse_state_checked(text, hazards)
 
@@ -456,7 +473,7 @@ def apply_action(state: RiskState, action: Action) -> RiskState:
     return state.with_phases(updates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """A weighted labeled edge of the risk structure.
 
@@ -474,25 +491,68 @@ class Transition:
     checked: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.source.hazard_ids != self.target.hazard_ids:
-            raise ValueError("transition endpoints disagree on the hazard set")
-        if self.checked:
-            for (hid, sp), (_, tp) in zip(self.source.entries, self.target.entries):
-                if sp is tp or sp == tp:
-                    continue
-                if not legal_phase_step(sp, self.action.kind, tp):
-                    raise IllegalPhaseTransition(
-                        f"transition {self.source.name} -{self.action.name}-> "
-                        f"{self.target.name}: hazard {hid!r} moves "
-                        f"{sp.render()} -> {tp.render()} illegally"
-                    )
-        if self.pr is not None and not 0.0 <= self.pr <= 1.0:
-            raise ValueError(f"pr must be in [0,1], got {self.pr}")
-        if self.cs is not None and self.cs < 0:
-            raise ValueError(f"cs must be nonnegative, got {self.cs}")
+        _check_edge(
+            self.source, self.action, self.target, self.pr, self.cs, self.checked
+        )
+
+    @classmethod
+    def _row(
+        cls,
+        source: RiskState,
+        action: Action,
+        target: RiskState,
+        pr: Optional[float],
+        cs: Optional[int],
+    ) -> "Transition":
+        """``Transition(source, action, target, pr, cs, checked=False)``, with
+        the same checks, for a caller that makes many edges at once."""
+        _check_edge(source, action, target, pr, cs, False)
+        edge = object.__new__(cls)
+        set_source, set_action, set_target, set_pr, set_cs, set_checked = _EDGE_SLOTS
+        set_source(edge, source)
+        set_action(edge, action)
+        set_target(edge, target)
+        set_pr(edge, pr)
+        set_cs(edge, cs)
+        set_checked(edge, False)
+        return edge
 
     def key(self) -> tuple[str, str, str]:
         return (self.source.name, self.action.name, self.target.name)
+
+
+_EDGE_SLOTS = _slot_setters(Transition)
+
+#: :meth:`Transition.key` as one C-level call, for sorting many edges.
+transition_key = attrgetter("source.name", "action.name", "target.name")
+
+
+def _check_edge(
+    source: RiskState,
+    action: Action,
+    target: RiskState,
+    pr: Optional[float],
+    cs: Optional[int],
+    checked: bool,
+) -> None:
+    """The checks of a :class:`Transition`: one hazard set, phase-graph
+    legality unless ``checked`` is false, ``pr`` in [0,1], ``cs`` >= 0."""
+    if source.hazard_ids != target.hazard_ids:
+        raise ValueError("transition endpoints disagree on the hazard set")
+    if checked:
+        for (hid, sp), (_, tp) in zip(source.entries, target.entries):
+            if sp is tp or sp == tp:
+                continue
+            if not legal_phase_step(sp, action.kind, tp):
+                raise IllegalPhaseTransition(
+                    f"transition {source.name} -{action.name}-> "
+                    f"{target.name}: hazard {hid!r} moves "
+                    f"{sp.render()} -> {tp.render()} illegally"
+                )
+    if pr is not None and not 0.0 <= pr <= 1.0:
+        raise ValueError(f"pr must be in [0,1], got {pr}")
+    if cs is not None and cs < 0:
+        raise ValueError(f"cs must be nonnegative, got {cs}")
 
 
 @dataclass(frozen=True)
@@ -548,17 +608,20 @@ class RiskStructure:
         ids = [h.id for h in self.hazards]
         if len(set(ids)) != len(ids):
             raise ValueError("hazard ids must be unique")
-        if not self.initial or not self.initial <= self.states:
+        # membership by canonical name, which is a state's identity
+        names = {s.name for s in self.states}
+        if not self.initial or not all(s.name in names for s in self.initial):
             raise ValueError("initial states must be a nonempty subset of states")
-        mishaps = {s for s in self.states if is_mishap(s)}
+        mishaps = {s.name for s in self.states if is_mishap(s)}
         for t in self.transitions:
-            if t.source not in self.states or t.target not in self.states:
+            source = t.source.name
+            if source not in names or t.target.name not in names:
                 raise ValueError(f"transition endpoints outside state set: {t.key()}")
-            if t.source in mishaps:
+            if source in mishaps:
                 raise ValueError(
                     f"mishap state {self.label(t.source)!r} must be final"
                 )
-        if set(self.sv) != mishaps:
+        if {s.name for s in self.sv} != mishaps:
             raise ValueError("severity must be assigned exactly on mishap states")
 
     @property
@@ -605,7 +668,7 @@ class RiskStructure:
     def _adjacency(self) -> tuple[Mapping, Mapping]:
         out: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
         inc: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
-        for t in sorted(self.transitions, key=Transition.key):
+        for t in sorted(self.transitions, key=transition_key):
             out[t.source].append(t)
             inc[t.target].append(t)
         return (

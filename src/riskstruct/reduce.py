@@ -133,8 +133,9 @@ def quotient(
         else:
             edge[3] = _merge_max(edge[3], t.pr)
             edge[4] = _merge_min(edge[4], t.cs)
+    row = Transition._row
     transitions = tuple(
-        Transition(src, action, tgt, pr=pr, cs=cs, checked=False)
+        row(src, action, tgt, pr, cs)
         for _, (src, action, tgt, pr, cs) in sorted(merged.items())
     )
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
@@ -28,6 +31,7 @@ from .core import (
     Severity,
     Transition,
     state_parser,
+    transition_key,
 )
 from .analysis import Region, RegionAssignment, assign_regions
 from .construct import (
@@ -360,7 +364,11 @@ def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
     """Each state's label by state name, the states sorted by label, and the
     transitions sorted by source label, action name and target label: the
     order of the model file and of the DOT export."""
-    label = {s.name: model.label(s) for s in model.states}
+    label = {s.name: s.name for s in model.states}
+    if not model.labels:  # label order is name order, the order of the keys
+        states = sorted(model.states, key=attrgetter("name"))
+        return label, states, sorted(model.transitions, key=transition_key)
+    label.update((s.name, text) for s, text in model.labels.items())
     states = sorted(model.states, key=lambda s: label[s.name])
     transitions = sorted(
         model.transitions,
@@ -379,6 +387,25 @@ def _batches(items: list) -> Iterator[list]:
         yield items[start : start + _BATCH_ROWS]
 
 
+#: The line break and indentation of a row of the model file's state and
+#: transition lists.
+_ROW_NEWLINE = "\n    "
+
+
+def _row_template(keys: tuple[str, ...], newline: str) -> str:
+    """A ``%``-template of a flat object with ``keys`` at ``newline``, taking
+    one JSON text per key."""
+    inner = newline + "  "
+    fields = (inner + encode_basestring(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + ",".join(fields) + newline + "}"
+
+
+_STATE_FIELDS = ("name", "label")
+_TRANSITION_FIELDS = ("source", "action", "target", "pr", "cs")
+_STATE_ROW = _row_template(_STATE_FIELDS, _ROW_NEWLINE)
+_TRANSITION_ROW = _row_template(_TRANSITION_FIELDS, _ROW_NEWLINE)
+
+
 class _Rows(NamedTuple):
     """A list of flat JSON objects, one per item, all with ``fields`` as keys:
     the model's states and transitions."""
@@ -386,32 +413,60 @@ class _Rows(NamedTuple):
     fields: tuple[str, ...]
     values: Callable[[Any], tuple]  # item -> one scalar per field
     items: list
+    texts: Callable[[list], list[str]]  # items -> their objects' JSON texts
 
     def dicts(self) -> list[dict]:
         return [dict(zip(self.fields, self.values(item))) for item in self.items]
 
-    def chunks(self, newline: str) -> Iterator[str]:
-        """The list's JSON text at ``newline`` (a line break plus the list's
-        indentation), ``json.dumps(self.dicts(), indent=2)`` in batches."""
+    def chunks(self) -> Iterator[str]:
+        """The list's JSON text as a value of the model file's top-level
+        object, ``json.dumps(self.dicts(), indent=2)`` re-indented, in
+        batches."""
         if not self.items:
             yield "[]"
             return
-        inner = newline + "  "
-        template = _row_template(self.fields, inner)
-        sep, values = "[" + inner, self.values
+        sep = "[" + _ROW_NEWLINE
         for batch in _batches(self.items):
             yield sep
-            yield ("," + inner).join(
-                [template % tuple(map(_scalar_text, values(item))) for item in batch]
+            yield ("," + _ROW_NEWLINE).join(self.texts(batch))
+            sep = "," + _ROW_NEWLINE
+        yield "\n  ]"
+
+
+def edge_text_key(name: str, pr: Optional[float], cs: Optional[int]) -> tuple:
+    """A key under which every edge of action ``name`` with weights ``pr``
+    and ``cs`` is written alike.  ``-0.0 == 0.0`` and ``True == 1``, yet each
+    is written its own way, so a zero weight stands as its ``repr`` and
+    ``cs`` comes with its type."""
+    return (name, pr or repr(pr), cs or repr(cs), cs.__class__)
+
+
+def _transition_texts(
+    quoted: dict[str, str], templates: dict[tuple, str], batch: list[Transition]
+) -> list[str]:
+    """The JSON texts of ``batch``'s transitions, from each label's JSON text
+    in ``quoted`` and a template per :func:`edge_text_key`, rendered once
+    into ``templates``."""
+    texts = []
+    for t in batch:
+        key = edge_text_key(t.action.name, t.pr, t.cs)
+        template = templates.get(key)
+        if template is None:
+            pr = None if t.pr is None else fmt_prob(t.pr)
+            action = encode_basestring(t.action.name).replace("%", "%%")
+            template = templates[key] = _TRANSITION_ROW % (
+                "%s", action, "%s", _scalar_text(pr), _scalar_text(t.cs)
             )
-            sep = "," + inner
-        yield newline + "]"
+        texts.append(template % (quoted[t.source.name], quoted[t.target.name]))
+    return texts
 
 
 def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
     """The model file's top-level object, with its states and transitions
     left as :class:`_Rows` for the caller to expand or render."""
     label, states, transitions = _file_order(model)
+    # each label's JSON text, rendered once for all the rows it appears in
+    quoted = {name: encode_basestring(text) for name, text in label.items()}
     d: dict[str, Any] = {
         "hazards": [
             {
@@ -421,7 +476,14 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
             }
             for h in model.hazards
         ],
-        "states": _Rows(("name", "label"), lambda s: (s.name, label[s.name]), states),
+        "states": _Rows(
+            _STATE_FIELDS,
+            lambda s: (s.name, label[s.name]),
+            states,
+            lambda batch: [
+                _STATE_ROW % (encode_basestring(s.name), quoted[s.name]) for s in batch
+            ],
+        ),
         "initial": sorted(label[s.name] for s in model.initial),
         "actions": [
             {
@@ -433,7 +495,7 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
             for a in model.actions
         ],
         "transitions": _Rows(
-            ("source", "action", "target", "pr", "cs"),
+            _TRANSITION_FIELDS,
             lambda t: (
                 label[t.source.name],
                 t.action.name,
@@ -442,6 +504,7 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
                 t.cs,
             ),
             transitions,
+            partial(_transition_texts, quoted, {}),
         ),
         "sv": {
             label[s.name]: v.value
@@ -503,7 +566,7 @@ def model_chunks(
         head = f"{sep}\n  {encode_basestring(key)}: "
         if type(value) is _Rows:
             yield head
-            yield from value.chunks("\n  ")
+            yield from value.chunks()
         else:
             out = [head]
             _write(value, "\n  ", out)
@@ -606,14 +669,6 @@ def _flat_rows(items: list, newline: str) -> Optional[str]:
     return ("," + newline).join(texts)
 
 
-def _row_template(keys: tuple[str, ...], newline: str) -> str:
-    """A ``%``-template of a flat object with ``keys`` at ``newline``, taking
-    one JSON text per key."""
-    inner = newline + "  "
-    fields = (inner + encode_basestring(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + ",".join(fields) + newline + "}"
-
-
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
     """Rebuild a model and its log; raises :class:`RiskModelError` with one
     line on any malformed or missing entry."""
@@ -643,15 +698,21 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
         raise RiskModelError("; ".join(errors))
 
     parse = state_parser(hazards)
+    # every label and every name of a state refers to that state alone
     by_label: dict[str, RiskState] = {}
     labels: dict[RiskState, str] = {}
-    states = set()
-    for entry in data["states"]:
+    states = []
+    for i, entry in enumerate(data["states"]):
         state = parse(str(entry["name"]))
         label = str(entry.get("label", state.name))
-        states.add(state)
-        by_label[label] = state
-        by_label.setdefault(state.name, state)
+        for part, key in (("name", state.name), ("label", label)):
+            known = by_label.setdefault(key, state)
+            if known is not state:
+                j = next(j for j, s in enumerate(states) if s is known)
+                raise RiskModelError(
+                    f"states[{i}].{part}: {key!r} already names states[{j}]"
+                )
+        states.append(state)
         if label != state.name:
             labels[state] = label
 
@@ -667,21 +728,26 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
             domains=tuple(a.get("domains", ())),
         )
 
+    # reduced models carry class-level edges, so phase-legality is not
+    # re-imposed on load
+    row = Transition._row
     transitions = []
     for t in data.get("transitions", ()):
         source, target = by_label[str(t["source"])], by_label[str(t["target"])]
+        pr, cs = t.get("pr"), t.get("cs")
         transitions.append(
-            # reduced models carry class-level edges, so phase-legality is
-            # not re-imposed on load
-            Transition(
-                source=source,
-                action=actions[str(t["action"])],
-                target=target,
-                pr=float(t["pr"]) if t.get("pr") is not None else None,
-                cs=int(t["cs"]) if t.get("cs") is not None else None,
-                checked=False,
+            row(
+                source,
+                actions[str(t["action"])],
+                target,
+                None if pr is None else float(pr),
+                None if cs is None else int(cs),
             )
         )
+    ordered = sorted(transitions, key=transition_key)
+    repeated = _repeated_transition(transitions, ordered, labels)
+    if repeated is not None:
+        raise RiskModelError(repeated)
 
     sv = {by_label[str(k)]: Severity(str(v)) for k, v in data.get("sv", {}).items()}
     log = ConstructionLog(
@@ -702,7 +768,7 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
         hazards=hazards,
         states=frozenset(states),
         actions=tuple(sorted(actions.values(), key=lambda a: a.name)),
-        transitions=tuple(sorted(transitions, key=lambda t: t.key())),
+        transitions=tuple(ordered),
         initial=frozenset(by_label[str(n)] for n in data["initial"]),
         sv=sv,
         situation=situation,
@@ -711,6 +777,34 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
         labels=labels,
     )
     return model, log
+
+
+def _repeated_transition(
+    transitions: list[Transition], ordered: list[Transition], labels: dict
+) -> Optional[str]:
+    """One anchored line naming the first of ``transitions``, in file order,
+    whose key an earlier one has; None if no key repeats.
+
+    ``ordered`` holds ``transitions`` sorted by key.  Their states and
+    actions are shared objects, so a repeated key shows as two neighbours
+    with the same three objects.
+    """
+    for a, b in zip(ordered, islice(ordered, 1, None)):
+        if a.source is b.source and a.action is b.action and a.target is b.target:
+            break
+    else:
+        return None
+    first: dict[tuple[str, str, str], int] = {}
+    for i, t in enumerate(transitions):
+        j = first.setdefault(transition_key(t), i)
+        if j != i:
+            source = labels.get(t.source, t.source.name)
+            target = labels.get(t.target, t.target.name)
+            return (
+                f"transitions[{i}]: {source} -{t.action.name}-> {target} "
+                f"repeats transitions[{j}]"
+            )
+    raise AssertionError("a key repeats in order but not in the file")
 
 
 def load_model(path: str) -> tuple[RiskStructure, ConstructionLog]:
@@ -803,24 +897,32 @@ def dot_chunks(
                 for s in batch
             ]
         )
+    edge_labels: dict[tuple, str] = {}
     for batch in _batches(transitions):
-        yield "".join(
-            [
+        lines = []
+        for t in batch:
+            key = edge_text_key(t.action.name, t.pr, t.cs)
+            text = edge_labels.get(key)
+            if text is None:
+                text = _dot_quote(t.action.name + weights_text(t.pr, t.cs))
+                edge_labels[key] = text
+            lines.append(
                 f"  {_dot_quote(label[t.source.name])} -> "
-                f"{_dot_quote(label[t.target.name])} "
-                f"[label={_dot_quote(t.action.name + _dot_weights(t))}];\n"
-                for t in batch
-            ]
-        )
+                f"{_dot_quote(label[t.target.name])} [label={text}];\n"
+            )
+        yield "".join(lines)
     yield "}\n"
 
 
-def _dot_weights(t: Transition) -> str:
+def weights_text(pr: Optional[float], cs: Optional[int]) -> str:
+    """``(pr,cs)`` as DOT edge labels and ``diff`` lines write an edge's
+    weights: ``pr`` to six significant digits, each weight only if set, and
+    nothing if neither is."""
     weights = []
-    if t.pr is not None:
-        weights.append(f"{fmt_prob(t.pr):.6g}")
-    if t.cs is not None:
-        weights.append(str(t.cs))
+    if pr is not None:
+        weights.append(f"{fmt_prob(pr):.6g}")
+    if cs is not None:
+        weights.append(str(cs))
     return f"({','.join(weights)})" if weights else ""
 
 

@@ -38,7 +38,7 @@ from riskstruct import (
     state_from_phases,
 )
 from riskstruct.analysis import Region
-from riskstruct.core import StateSyntaxError
+from riskstruct.core import RiskModelError, StateSyntaxError
 from riskstruct.order import mitigation_lt, phase_lt
 
 
@@ -335,6 +335,99 @@ def random_catalog(rng: Random) -> Catalog:
 def random_states(rng: Random, hazards, count: int) -> list[RiskState]:
     space = enumerate_tuple_space(hazards)
     return [rng.choice(space) for _ in range(count)]
+
+
+# --- model files --------------------------------------------------------------
+
+
+@dataclass
+class LoadedModel:
+    """What :func:`brute_force_model_from_dict` reads from a model file."""
+
+    states: frozenset
+    labels: dict  # RiskState -> label, where it differs from the name
+    initial: frozenset
+    sv: dict  # RiskState -> Severity
+    transitions: tuple  # sorted by key
+
+
+def brute_force_model_from_dict(data) -> LoadedModel:
+    """A model file read row by row: each state name parsed token by token,
+    each transition built by ``Transition(..., checked=False)``, and the
+    structure checked on sets of states.  Raises ``RiskModelError`` with the
+    line ``model_from_dict`` gives.  The file is taken to be unambiguous (no
+    text naming two states, no state or transition listed twice): the later
+    row would silently win here."""
+    try:
+        return _brute_force_load(data)
+    except KeyError as exc:
+        raise RiskModelError(f"missing or unknown entry {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise RiskModelError(f"malformed model: {exc}") from None
+
+
+def _brute_force_load(data) -> LoadedModel:
+    hazards = tuple(
+        HazardPhaseModel(HazardId(str(h["id"])), int(h["n_mitigations"]))
+        for h in data["hazards"]
+    )
+    by_label: dict[str, RiskState] = {}
+    labels: dict[RiskState, str] = {}
+    states = set()
+    for entry in data["states"]:
+        state = brute_force_parse_state(str(entry["name"]), hazards)
+        label = str(entry.get("label", state.name))
+        states.add(state)
+        by_label[label] = state
+        by_label.setdefault(state.name, state)
+        if label != state.name:
+            labels[state] = label
+    actions = {}
+    for a in data.get("actions", ()):
+        effect = tuple(
+            (str(h), Phase.parse(str(p))) for h, p in a.get("effect", {}).items()
+        )
+        actions[str(a["name"])] = Action(
+            str(a["name"]),
+            ActionClass(str(a["class"])),
+            effect,
+            tuple(a.get("domains", ())),
+        )
+    transitions = []
+    for t in data.get("transitions", ()):
+        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
+        transitions.append(
+            Transition(
+                source=source,
+                action=actions[str(t["action"])],
+                target=target,
+                pr=float(t["pr"]) if t.get("pr") is not None else None,
+                cs=int(t["cs"]) if t.get("cs") is not None else None,
+                checked=False,
+            )
+        )
+    sv = {by_label[str(k)]: Severity(str(v)) for k, v in data.get("sv", {}).items()}
+    initial = frozenset(by_label[str(n)] for n in data["initial"])
+
+    if not initial or not initial <= states:
+        raise ValueError("initial states must be a nonempty subset of states")
+    mishaps = {s for s in states if brute_force_is_mishap(s)}
+    for t in transitions:
+        if t.source not in states or t.target not in states:
+            raise ValueError(f"transition endpoints outside state set: {t.key()}")
+        if t.source in mishaps:
+            raise ValueError(
+                f"mishap state {labels.get(t.source, t.source.name)!r} must be final"
+            )
+    if set(sv) != mishaps:
+        raise ValueError("severity must be assigned exactly on mishap states")
+    return LoadedModel(
+        states=frozenset(states),
+        labels=labels,
+        initial=initial,
+        sv=sv,
+        transitions=tuple(sorted(transitions, key=lambda t: t.key())),
+    )
 
 
 # --- construction -----------------------------------------------------------

@@ -428,3 +428,58 @@ class TestMalformedModel:
         assert captured.err.startswith(f"riskstruct: invalid model {str(bad)!r}: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+class TestAmbiguousModel:
+    """A model file in which one text names two states, or one state or
+    transition is listed twice, is refused: reading it would silently
+    re-attach rows to another state or keep a transition twice."""
+
+    def _assert_refused(self, data, tmp_path, capsys, anchor) -> None:
+        bad = tmp_path / "ambiguous.model.json"
+        bad.write_text(json.dumps(data))
+        for command in (["regions", str(bad)], ["reduce", str(bad)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"riskstruct: invalid model {str(bad)!r}: {anchor}"
+            )
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
+    def test_label_of_another_state(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        assert data["states"][0]["label"] == "A:0,L:0" == data["initial"][0]
+        data["states"][1]["label"] = data["states"][0]["label"]
+        self._assert_refused(
+            data, tmp_path, capsys, "states[1].label: 'A:0,L:0' already names states[0]"
+        )
+
+    def test_label_equal_to_another_states_name(self, built_r2, tmp_path, capsys):
+        reduced = tmp_path / "reduced.json"
+        assert main(["reduce", built_r2, "--equiv", "m", "-o", str(reduced)]) == 0
+        capsys.readouterr()
+        data = json.loads(reduced.read_text())
+        merged = data["states"][10]
+        assert merged == {"name": "A:m2,L:0", "label": "A:m2,L:0|A:m3,L:0"}
+        data["states"][3]["label"] = merged["name"]
+        self._assert_refused(
+            data, tmp_path, capsys, "states[10].name: 'A:m2,L:0' already names states[3]"
+        )
+
+    def test_state_listed_twice(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        assert len(data["states"]) == 12
+        data["states"].append(dict(data["states"][2]))
+        self._assert_refused(
+            data, tmp_path, capsys, "states[12].name: 'A:0,L:m1' already names states[2]"
+        )
+
+    def test_transition_listed_twice(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        assert len(data["transitions"]) == 12
+        data["transitions"].append({**data["transitions"][3], "pr": 0.5})
+        self._assert_refused(
+            data, tmp_path, capsys,
+            "transitions[12]: A:0,L:e -m1_L-> A:0,L:m1 repeats transitions[3]",
+        )

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from random import Random
 
 import pytest
@@ -314,6 +317,50 @@ class TestTransition:
             Transition(src, act, dst, pr=1.5)
         with pytest.raises(ValueError):
             Transition(src, act, dst, pr=0.5, cs=-1)
+
+
+    def test_trusted_row_is_the_unchecked_transition(self):
+        act = Action("m1_A", ActionClass.MITIGATION, (("A", Phase.mitigated(1)),))
+        src, dst = parse_state("A:e,L:0", AB), parse_state("A:m1,L:e", AB)
+        row = Transition._row(src, act, dst, 0.5, 3)
+        built = Transition(src, act, dst, pr=0.5, cs=3, checked=False)
+        assert (row, row.checked, repr(row)) == (built, False, repr(built))
+        other = parse_state("A:e", (AB[0],))
+        for args, message in (
+            ((src, act, other, 0.5, 3), "hazard set"),
+            ((src, act, dst, 1.5, 3), "pr must be"),
+            ((src, act, dst, 0.5, -1), "cs must be"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Transition._row(*args)
+            with pytest.raises(ValueError, match=message):
+                Transition(*args, checked=False)
+
+
+class TestCopies:
+    """States and transitions are slotted frozen dataclasses: copies,
+    pickles and ``replace`` give equal values of the same layout."""
+
+    def test_copy_pickle_replace(self):
+        act = Action("f_A", ActionClass.ENDANGERMENT, (("A", Phase.active()),))
+        src, dst = parse_state("A:0,L:0", AB), parse_state("A:e,L:0", AB)
+        loaded = state_parser(AB)("A:e,L:0")
+        edges = (
+            Transition(src, act, dst, pr=0.5),
+            Transition._row(src, act, dst, None, 2),
+        )
+        for value in (src, loaded, *edges):
+            for copied in (
+                copy.copy(value),
+                copy.deepcopy(value),
+                pickle.loads(pickle.dumps(value)),
+                dataclasses.replace(value),
+            ):
+                assert copied == value and copied is not value
+                assert not hasattr(copied, "__dict__")
+        assert dataclasses.replace(loaded, entries=src.entries).name == "A:0,L:0"
+        moved = dataclasses.replace(Transition._row(src, act, dst, None, 2), pr=0.25)
+        assert (moved.pr, moved.cs, moved.checked) == (0.25, 2, False)
 
 
 class TestHazardId:

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -19,9 +20,12 @@ from riskstruct import (
     HazardId,
     OperationalSituation,
     RiskModelError,
+    RiskState,
+    Transition,
     cli,
     construct_rs,
     load_catalog,
+    load_model,
     model_from_dict,
     model_to_dict,
     model_to_json,
@@ -32,7 +36,7 @@ from riskstruct import (
 from riskstruct.catalogs import catalog_path
 from riskstruct.serialize import catalog_from_dict, fmt_prob, json_text, save_dot
 
-from helpers import brute_force_dot, random_structure
+from helpers import brute_force_dot, brute_force_model_from_dict, random_structure
 
 _KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%s", "%%", "%(a)s", "{}", "{0}", ""]))
 _SCALARS = st.one_of(
@@ -163,6 +167,27 @@ class TestWriterOracle:
     def test_tunnel_models(self, fixture, request, tmp_path):
         assert_writers_agree(request.getfixturevalue(fixture), tmp_path)
 
+    def test_weights_equal_but_written_differently(self, r2_model):
+        # -0.0 == 0.0 and True == 1, so rows and edge labels rendered once
+        # per action and weights must still tell them apart
+        name = "f_L"
+        edges = [t for t in r2_model.transitions if t.action.name == name]
+        assert len(edges) >= 2
+        weights = {edges[0]: (-0.0, True), edges[1]: (0.0, 1)}
+        transitions = tuple(
+            dataclasses.replace(t, pr=weights[t][0], cs=weights[t][1], checked=False)
+            if t in weights
+            else t
+            for t in r2_model.transitions
+        )
+        model = dataclasses.replace(r2_model, transitions=transitions)
+        text = model_to_json(model)
+        assert text == _json_oracle(model)
+        assert '"pr": -0.0,' in text and '"cs": true' in text
+        dot = to_dot(model)
+        assert dot == brute_force_dot(model)
+        assert f'[label="{name}(-0,True)"]' in dot and f'[label="{name}(0,1)"]' in dot
+
     def test_log_and_batches(self, chain5, tmp_path):
         model, log = chain5
         path = tmp_path / "model.json"
@@ -171,6 +196,77 @@ class TestWriterOracle:
         dot = tmp_path / "model.dot"
         save_dot(str(dot), model)
         assert dot.read_bytes() == brute_force_dot(model).encode("utf-8")
+
+
+def assert_loads_agree(data) -> None:
+    """``model_from_dict`` reads what the row-by-row oracle reads."""
+    model, _ = model_from_dict(data)
+    expected = brute_force_model_from_dict(data)
+    assert model.states == expected.states
+    assert model.labels == expected.labels
+    assert model.initial == expected.initial
+    assert model.sv == expected.sv
+    assert model.transitions == expected.transitions  # weights included
+
+
+def _file_data(model, log=ConstructionLog()):
+    return json.loads(model_to_json(model, log))
+
+
+#: Row mutations that a load must refuse, each with a part of its message.
+_BAD_ROWS = {
+    "pr-above-one": (
+        lambda d: d["transitions"][0].update(pr=1.5),
+        "pr must be in [0,1]",
+    ),
+    "negative-cs": (
+        lambda d: d["transitions"][-1].update(cs=-1),
+        "cs must be nonnegative",
+    ),
+    "unknown-label": (
+        lambda d: d["transitions"][0].update(target="nowhere"),
+        "'nowhere'",
+    ),
+    "mishap-not-final": (
+        lambda d: d["transitions"].append(
+            {**d["transitions"][0], "source": max(d["sv"])}
+        ),
+        "must be final",
+    ),
+    "sv-off-mishap": (
+        lambda d: d["sv"].update({d["initial"][0]: "m"}),
+        "severity must be assigned exactly on mishap states",
+    ),
+}
+
+
+class TestLoadOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_writer_models())
+    def test_random_structures(self, model):
+        assert_loads_agree(_file_data(model))
+
+    @pytest.mark.parametrize("fixture", ["r2_model", "r3_model", "r2_reduced"])
+    def test_tunnel_models(self, fixture, request):
+        assert_loads_agree(_file_data(request.getfixturevalue(fixture)))
+
+    def test_chain_and_its_quotient(self, chain5):
+        model, log = chain5
+        assert_loads_agree(_file_data(model, log))
+        assert_loads_agree(_file_data(quotient(model, "m")))
+
+    @pytest.mark.parametrize("mutation", sorted(_BAD_ROWS))
+    @pytest.mark.parametrize("fixture", ["r2_model", "r2_reduced"])
+    def test_bad_rows_give_the_oracles_line(self, fixture, mutation, request):
+        data = _file_data(request.getfixturevalue(fixture))
+        mutate, part = _BAD_ROWS[mutation]
+        mutate(data)
+        with pytest.raises(RiskModelError) as loaded:
+            model_from_dict(data)
+        with pytest.raises(RiskModelError) as expected:
+            brute_force_model_from_dict(data)
+        assert str(loaded.value) == str(expected.value)
+        assert part in str(loaded.value) and "\n" not in str(loaded.value)
 
 
 def _traced_peak(fn) -> int:
@@ -210,6 +306,27 @@ class TestBoundedMemory:
         )
         assert path.read_bytes() == to_dot(model).encode("utf-8")
         assert peak < 1.5 * path.stat().st_size
+
+
+def _footprint(obj) -> int:
+    """Bytes of ``obj`` and of its instance dict, if it has one."""
+    own = getattr(obj, "__dict__", None)
+    return sys.getsizeof(obj) + (0 if own is None else sys.getsizeof(own))
+
+
+class TestLoadedLayout:
+    """A loaded state or transition is laid out as one built by ``__init__``:
+    a model holds tens of thousands of them."""
+
+    def test_no_larger_than_built(self, r2_reduced, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(str(path), r2_reduced)
+        model, _ = load_model(str(path))
+        for t in model.transitions:
+            built = Transition(t.source, t.action, t.target, t.pr, t.cs, checked=False)
+            assert _footprint(t) <= _footprint(built)
+        for s in model.states:
+            assert _footprint(s) <= _footprint(RiskState(s.entries))
 
 
 class TestCatalogIO:
