@@ -261,36 +261,33 @@ def cmd_diff(args) -> int:
     states_a = set(map_a.values())
     states_b = set(map_b.values())
 
-    # Per edge_text_key, made once: the edge's (action, rounded pr, cs), a
-    # tuple shared by every transition key that holds it, and the text of
-    # its line around the source and target.
+    # Each (action, pr, cs), by its edge_text_key, is rounded and written
+    # once: the edge that transitions compare by, and the text of their line
+    # around the source and target.
     edges: dict[tuple, tuple] = {}
-    texts: dict[tuple, tuple[str, str]] = {}
 
-    def transition_keys(model, mapping):
-        keys = set()
+    def transition_edges(model, mapping) -> dict[tuple, tuple]:
+        # each transition's key, by embedded labels, mapped to its edge
+        keyed = {}
         for t in model.transitions:
-            key = edge_text_key(t.action.name, t.pr, t.cs)
-            edge = edges.get(key)
+            text_key = edge_text_key(t.action.name, t.pr, t.cs)
+            edge = edges.get(text_key)
             if edge is None:
-                edge = edges[key] = (
-                    t.action.name,
-                    None if t.pr is None else fmt_prob(t.pr),
-                    t.cs,
-                )
-                weights = weights_text(t.pr, t.cs)
-                texts[edge_text_key(*edge)] = (
+                pr = None if t.pr is None else fmt_prob(t.pr)
+                weights = weights_text(pr, t.cs)
+                edge = edges[text_key] = (
+                    (t.action.name, pr, t.cs),
                     f" -{t.action.name}-> ",
                     f" {weights}" if weights else "",
                 )
-            keys.add((mapping[t.source.name], edge, mapping[t.target.name]))
-        return keys
+            keyed[(mapping[t.source.name], edge[0], mapping[t.target.name])] = edge
+        return keyed
 
-    trans_a, trans_b = transition_keys(model_a, map_a), transition_keys(model_b, map_b)
+    trans_a, trans_b = transition_edges(model_a, map_a), transition_edges(model_b, map_b)
 
-    def fmt_key(key) -> str:
-        source, edge, target = key
-        arrow, suffix = texts[edge_text_key(*edge)]
+    def fmt_key(key, keyed) -> str:
+        source, _, target = key
+        _, arrow, suffix = keyed[key]
         return f"{source}{arrow}{target}{suffix}"
 
     # Each key is formatted once; keys that format alike print the same line,
@@ -298,8 +295,9 @@ def cmd_diff(args) -> int:
     # call replaces a print per line without also holding the whole text.
     lines = [f"- state {name}" for name in sorted(states_a - states_b)]
     lines += [f"+ state {name}" for name in sorted(states_b - states_a)]
-    lines += sorted(f"- transition {fmt_key(key)}" for key in trans_a - trans_b)
-    lines += sorted(f"+ transition {fmt_key(key)}" for key in trans_b - trans_a)
+    removed, added = trans_a.keys() - trans_b.keys(), trans_b.keys() - trans_a.keys()
+    lines += sorted(f"- transition {fmt_key(key, trans_a)}" for key in removed)
+    lines += sorted(f"+ transition {fmt_key(key, trans_b)}" for key in added)
     sys.stdout.writelines(f"{line}\n" for line in lines)
     return EXIT_DIFFERENT if lines else EXIT_OK
 

@@ -14,7 +14,6 @@ import re
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring
-from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
@@ -365,9 +364,6 @@ def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
     transitions sorted by source label, action name and target label: the
     order of the model file and of the DOT export."""
     label = {s.name: s.name for s in model.states}
-    if not model.labels:  # label order is name order, the order of the keys
-        states = sorted(model.states, key=attrgetter("name"))
-        return label, states, sorted(model.transitions, key=transition_key)
     label.update((s.name, text) for s, text in model.labels.items())
     states = sorted(model.states, key=lambda s: label[s.name])
     transitions = sorted(
@@ -744,10 +740,7 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
                 None if cs is None else int(cs),
             )
         )
-    ordered = sorted(transitions, key=transition_key)
-    repeated = _repeated_transition(transitions, ordered, labels)
-    if repeated is not None:
-        raise RiskModelError(repeated)
+    ordered = _key_order(transitions, labels)
 
     sv = {by_label[str(k)]: Severity(str(v)) for k, v in data.get("sv", {}).items()}
     log = ConstructionLog(
@@ -779,32 +772,27 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
     return model, log
 
 
-def _repeated_transition(
-    transitions: list[Transition], ordered: list[Transition], labels: dict
-) -> Optional[str]:
-    """One anchored line naming the first of ``transitions``, in file order,
-    whose key an earlier one has; None if no key repeats.
-
-    ``ordered`` holds ``transitions`` sorted by key.  Their states and
-    actions are shared objects, so a repeated key shows as two neighbours
-    with the same three objects.
-    """
-    for a, b in zip(ordered, islice(ordered, 1, None)):
-        if a.source is b.source and a.action is b.action and a.target is b.target:
-            break
-    else:
-        return None
-    first: dict[tuple[str, str, str], int] = {}
-    for i, t in enumerate(transitions):
-        j = first.setdefault(transition_key(t), i)
-        if j != i:
-            source = labels.get(t.source, t.source.name)
-            target = labels.get(t.target, t.target.name)
-            return (
-                f"transitions[{i}]: {source} -{t.action.name}-> {target} "
-                f"repeats transitions[{j}]"
-            )
-    raise AssertionError("a key repeats in order but not in the file")
+def _key_order(transitions: list[Transition], labels: dict) -> list[Transition]:
+    """``transitions`` sorted by key.  Raises :class:`RiskModelError` naming
+    the first of them, in file order, whose key an earlier one has."""
+    keys = list(map(transition_key, transitions))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # the sort is stable, so the rows of one key stand in file order: each
+    # key's second row follows its first, and the least such index is the
+    # first repeat in the file
+    repeats = [
+        (j, i) for i, j in zip(order, islice(order, 1, None)) if keys[i] == keys[j]
+    ]
+    if repeats:
+        j, i = min(repeats)
+        t = transitions[j]
+        source = labels.get(t.source, t.source.name)
+        target = labels.get(t.target, t.target.name)
+        raise RiskModelError(
+            f"transitions[{j}]: {source} -{t.action.name}-> {target} "
+            f"repeats transitions[{i}]"
+        )
+    return [transitions[i] for i in order]
 
 
 def load_model(path: str) -> tuple[RiskStructure, ConstructionLog]:

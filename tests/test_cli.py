@@ -483,3 +483,19 @@ class TestAmbiguousModel:
             data, tmp_path, capsys,
             "transitions[12]: A:0,L:e -m1_L-> A:0,L:m1 repeats transitions[3]",
         )
+
+    def test_first_repeat_in_file_order(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        rows = data["transitions"]
+        first, seventh = rows[0], rows[7]
+        line = "{source} -{action}-> {target} repeats transitions[{i}]"
+        # a row listed three times is named at its second listing
+        rows += [dict(first), dict(first)]
+        self._assert_refused(
+            data, tmp_path, capsys, "transitions[12]: " + line.format(**first, i=0)
+        )
+        # an earlier second listing of another row is named first
+        rows.insert(1, dict(seventh))
+        self._assert_refused(
+            data, tmp_path, capsys, "transitions[8]: " + line.format(**seventh, i=1)
+        )

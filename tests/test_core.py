@@ -318,7 +318,6 @@ class TestTransition:
         with pytest.raises(ValueError):
             Transition(src, act, dst, pr=0.5, cs=-1)
 
-
     def test_trusted_row_is_the_unchecked_transition(self):
         act = Action("m1_A", ActionClass.MITIGATION, (("A", Phase.mitigated(1)),))
         src, dst = parse_state("A:e,L:0", AB), parse_state("A:m1,L:e", AB)
@@ -359,7 +358,7 @@ class TestCopies:
                 assert copied == value and copied is not value
                 assert not hasattr(copied, "__dict__")
         assert dataclasses.replace(loaded, entries=src.entries).name == "A:0,L:0"
-        moved = dataclasses.replace(Transition._row(src, act, dst, None, 2), pr=0.25)
+        moved = dataclasses.replace(edges[1], pr=0.25)
         assert (moved.pr, moved.cs, moved.checked) == (0.25, 2, False)
 
 
