@@ -96,15 +96,6 @@ class Phase:
             return cls.mitigated(int(m.group(1)))
         raise StateSyntaxError(f"not a phase: {text!r}")
 
-    def sort_key(self) -> tuple[int, int]:
-        order = {
-            PhaseKind.INACTIVE: 0,
-            PhaseKind.ACTIVE: 1,
-            PhaseKind.MISHAP: 2,
-            PhaseKind.MITIGATED: 3,
-        }
-        return (order[self.kind], self.index)
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
@@ -432,9 +423,6 @@ class Action:
                     f"action {self.name!r} ({self.kind.value}) cannot target "
                     f"phase {target.render()!r} of hazard {hid!r}"
                 )
-
-    def effect_map(self) -> Mapping[str, Phase]:
-        return dict(self.effect)
 
 
 def apply_action(state: RiskState, action: Action) -> RiskState:

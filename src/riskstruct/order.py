@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Phase,
@@ -71,6 +71,29 @@ def mitigation_leq(s: RiskState, t: RiskState) -> bool:
 
 def mitigation_lt(s: RiskState, t: RiskState) -> bool:
     return s != t and mitigation_leq(s, t)
+
+
+def maxima(members: Iterable[RiskState]) -> list[RiskState]:
+    """The members that no member strictly dominates in mitigation order.
+
+    A strictly better state has a strictly larger :func:`level_sum`, so the
+    members are visited by descending level sum and each is tested only
+    against the maxima kept from higher sums: whatever dominates it is, or is
+    dominated by, one of those (Kung, Luccio & Preparata, "On finding the
+    maxima of a set of vectors", JACM 1975).  Members of one level sum never
+    dominate each other; a class of the ``m`` quotient (equal
+    :func:`mitigation_key` and :func:`mishap_key`) has one level vector, so
+    it costs no comparison at all.
+    """
+    by_level: dict[int, list[RiskState]] = {}
+    for s in members:
+        by_level.setdefault(level_sum(s), []).append(s)
+    found: list[RiskState] = []
+    for level in sorted(by_level, reverse=True):
+        found += [
+            s for s in by_level[level] if not any(mitigation_lt(s, t) for t in found)
+        ]
+    return found
 
 
 class OrderClass(Enum):
@@ -244,9 +267,6 @@ class FeatureModel:
                     f"feature {eff.feature!r} (effect of hazard {hid!r}) "
                     "is not declared in the feature universe"
                 )
-
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.universe)
 
     def fallback_features(self) -> frozenset[str]:
         return frozenset(f.name for f in self.universe if f.fallback)

@@ -8,6 +8,7 @@ the ranking is a total, reproducible order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -25,7 +26,7 @@ from .analysis import (
     reach,
     risk_priorities,
 )
-from .order import mitigation_lt, sv_max
+from .order import maxima, sv_max
 
 
 @dataclass(frozen=True)
@@ -78,24 +79,16 @@ def make_plan(
         path=path,
         total_cost=sum(t.cs or 0 for t in path),
         max_rp=sv_max([_rps[s] for s in states]),
-        attainment=_product(t.pr if t.pr is not None else 1.0 for t in path),
+        attainment=math.prod(
+            (t.pr if t.pr is not None else 1.0 for t in path), start=1.0
+        ),
     )
-
-
-def _product(values) -> float:
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
 
 
 def safest_possible_states(model: RiskStructure, state: RiskState) -> frozenset[RiskState]:
     """Maximal elements, in the mitigation order, of the mitigation-only
     reachability closure of ``state``."""
-    closure = reach(model, state, DELTA_M)
-    return frozenset(
-        t for t in closure if not any(mitigation_lt(t, u) for u in closure)
-    )
+    return frozenset(maxima(reach(model, state, DELTA_M)))
 
 
 def plan_mitigations(

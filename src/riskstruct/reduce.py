@@ -16,6 +16,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import (
+    Action,
     ActionClass,
     RiskModelError,
     RiskState,
@@ -36,10 +37,9 @@ from .order import (
     degradation_key,
     feature_key,
     hazard_key,
-    level_sum,
+    maxima,
     mishap_key,
     mitigation_key,
-    mitigation_lt,
     sv_max,
 )
 
@@ -78,10 +78,10 @@ def quotient(
 ) -> RiskStructure:
     """Merge equivalent states that share a region (and risk priority, if
     required).  Each class is represented by the label-least of its maximal
-    members in the mitigation order, found by level sum (see
-    :func:`_maxima`).  Parallel merged transitions with one action name keep
-    the maximum probability and minimum cost; self-loops induced by merging
-    are dropped."""
+    members in the mitigation order (:func:`riskstruct.order.maxima`).
+    Parallel merged transitions with one action name keep the maximum
+    probability and minimum cost; self-loops induced by merging are
+    dropped."""
     key_fn = _equivalence_key(model, equivalence)
     if regions is None:
         regions = assign_regions(model)
@@ -109,7 +109,7 @@ def quotient(
                 "a class would span mishap and non-mishap states: "
                 + ", ".join(sorted(model.label(s) for s in members))
             )
-        representative = min(_maxima(members), key=model.label)
+        representative = min(maxima(members), key=model.label)
         representatives.append(representative)
         for s in members:
             rep_of[s.name] = representative
@@ -146,7 +146,7 @@ def quotient(
     return replace(
         model,
         states=frozenset(representatives),
-        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
+        actions=_actions_of(transitions),
         transitions=transitions,
         initial=frozenset(rep_of[s.name] for s in model.initial),
         sv=sv,
@@ -154,26 +154,9 @@ def quotient(
     )
 
 
-def _maxima(members: Sequence[RiskState]) -> list[RiskState]:
-    """The members that no member strictly dominates in mitigation order.
-
-    A strictly better state has a strictly larger :func:`level_sum`, so the
-    members are visited by descending level sum and each is tested only
-    against the maxima kept from higher sums: whatever dominates it is, or is
-    dominated by, one of those (Kung, Luccio & Preparata, "On finding the
-    maxima of a set of vectors", JACM 1975).  Members of one level sum never
-    dominate each other; a class of the ``m`` equivalence has one level
-    vector, so it costs no comparison at all.
-    """
-    by_level: dict[int, list[RiskState]] = {}
-    for s in members:
-        by_level.setdefault(level_sum(s), []).append(s)
-    maxima: list[RiskState] = []
-    for level in sorted(by_level, reverse=True):
-        maxima += [
-            s for s in by_level[level] if not any(mitigation_lt(s, t) for t in maxima)
-        ]
-    return maxima
+def _actions_of(transitions: Sequence[Transition]) -> tuple[Action, ...]:
+    """The actions of ``transitions``, each once, ordered by name."""
+    return tuple(sorted({t.action for t in transitions}, key=lambda a: a.name))
 
 
 def _merge_max(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -230,7 +213,7 @@ def _prune_unreachable(model: RiskStructure) -> RiskStructure:
     return replace(
         model,
         states=reachable,
-        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
+        actions=_actions_of(transitions),
         transitions=transitions,
         sv={s: v for s, v in model.sv.items() if s in reachable},
         labels={s: l for s, l in model.labels.items() if s in reachable},
@@ -301,9 +284,7 @@ def _collapse_once(
         return replace(
             model,
             states=frozenset(model.states - {mid}),
-            actions=tuple(
-                sorted({t.action for t in transitions}, key=lambda a: a.name)
-            ),
+            actions=_actions_of(transitions),
             transitions=transitions,
             sv={s: v for s, v in model.sv.items() if s != mid},
             labels={s: l for s, l in model.labels.items() if s != mid},

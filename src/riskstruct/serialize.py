@@ -118,6 +118,16 @@ def _bool(raw: Any, anchor: str, errors: list[str]) -> bool:
     return False
 
 
+def _int(raw: Any, anchor: str, errors: list[str]) -> int:
+    """``raw`` if it is a JSON integer; anything else (``1.5`` would otherwise
+    be read as 1, and ``true`` as 1) is reported at ``anchor``.  The stand-in
+    1 is in range for every integer field, so the defect is reported once."""
+    if type(raw) is int:
+        return raw
+    errors.append(f"{anchor}: must be an integer, got {type(raw).__name__}")
+    return 1
+
+
 def _str_list(raw: Any, anchor: str, errors: list[str]) -> tuple[str, ...]:
     return tuple(str(x) for x in _list(raw, anchor, errors))
 
@@ -146,7 +156,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
             hazards.append(
                 HazardPhaseModel(
                     HazardId(str(h["id"]), str(h.get("description", ""))),
-                    int(h["n_mitigations"]),
+                    _int(h["n_mitigations"], f"hazards[{i}].n_mitigations", errors),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -211,7 +221,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     name=str(r["name"]),
                     mitigates=tuple(sorted(mitigates)),
                     pr=float(r["pr"]),
-                    cs=int(r["cs"]),
+                    cs=_int(r["cs"], f"{anchor}.cs", errors),
                     guard=_guard(r.get("guard"), anchor, errors),
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
                     description=str(r.get("description", "")),
@@ -272,7 +282,7 @@ def _features_from_dict(raw: Any, errors: list[str]) -> Optional[FeatureModel]:
         return FeatureModel(
             universe=universe,
             effects=tuple(effects),
-            priority=tuple(str(h) for h in raw.get("priority", ())),
+            priority=_str_list(raw.get("priority", []), "features.priority", errors),
         )
     except (AttributeError, KeyError, TypeError, ValueError, RiskModelError) as exc:
         errors.append(f"features: {exc}")
@@ -289,8 +299,10 @@ def _situation_from_dict(raw: Any, errors: list[str]) -> OperationalSituation:
         return OperationalSituation(
             name=str(raw.get("name", "")),
             initial=initial or None,
-            invariant_predicates=tuple(
-                str(p) for p in raw.get("invariant_predicates", ())
+            invariant_predicates=_str_list(
+                raw.get("invariant_predicates", []),
+                "situation.invariant_predicates",
+                errors,
             ),
             notes=str(raw.get("notes", "")),
         )
@@ -305,7 +317,9 @@ def _options_from_dict(raw: Any, errors: list[str]) -> ModelOptions:
     try:
         bands = raw.get("bands", {})
         return ModelOptions(
-            max_subset_size=int(raw.get("max_subset_size", 2)),
+            max_subset_size=_int(
+                raw.get("max_subset_size", 2), "options.max_subset_size", errors
+            ),
             band_l_below=float(bands.get("l_below", 0.01)),
             band_h_at_least=float(bands.get("h_at_least", 0.1)),
             region_policy=str(raw.get("region_policy", "no_active")),
@@ -388,18 +402,18 @@ def _batches(items: list) -> Iterator[list]:
 _ROW_NEWLINE = "\n    "
 
 
-def _row_template(keys: tuple[str, ...], newline: str) -> str:
-    """A ``%``-template of a flat object with ``keys`` at ``newline``, taking
-    one JSON text per key."""
-    inner = newline + "  "
+def _row_template(keys: tuple[str, ...]) -> str:
+    """A ``%``-template of a flat object with ``keys`` as a row of the model
+    file, taking one JSON text per key."""
+    inner = _ROW_NEWLINE + "  "
     fields = (inner + encode_basestring(key).replace("%", "%%") + ": %s" for key in keys)
-    return "{" + ",".join(fields) + newline + "}"
+    return "{" + ",".join(fields) + _ROW_NEWLINE + "}"
 
 
 _STATE_FIELDS = ("name", "label")
 _TRANSITION_FIELDS = ("source", "action", "target", "pr", "cs")
-_STATE_ROW = _row_template(_STATE_FIELDS, _ROW_NEWLINE)
-_TRANSITION_ROW = _row_template(_TRANSITION_FIELDS, _ROW_NEWLINE)
+_STATE_ROW = _row_template(_STATE_FIELDS)
+_TRANSITION_ROW = _row_template(_TRANSITION_FIELDS)
 
 
 class _Rows(NamedTuple):
@@ -451,7 +465,7 @@ def _transition_texts(
             pr = None if t.pr is None else fmt_prob(t.pr)
             action = encode_basestring(t.action.name).replace("%", "%%")
             template = templates[key] = _TRANSITION_ROW % (
-                "%s", action, "%s", _scalar_text(pr), _scalar_text(t.cs)
+                "%s", action, "%s", json.dumps(pr), json.dumps(t.cs)
             )
         texts.append(template % (quoted[t.source.name], quoted[t.target.name]))
     return texts
@@ -564,105 +578,14 @@ def model_chunks(
             yield head
             yield from value.chunks()
         else:
-            out = [head]
-            _write(value, "\n  ", out)
-            yield "".join(out)
+            text = json.dumps(value, indent=2, ensure_ascii=False)
+            yield head + text.replace("\n", "\n  ")
         sep = ","
     yield "\n}\n"
 
 
 def model_to_json(model: RiskStructure, log: ConstructionLog = ConstructionLog()) -> str:
     return "".join(model_chunks(model, log))
-
-
-_INFINITIES = (float("inf"), float("-inf"))
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in _INFINITIES:
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-_SCALAR_TEXT = {
-    str: encode_basestring,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _scalar_text(value: Any) -> str:
-    text = _SCALAR_TEXT.get(type(value))
-    return text(value) if text is not None else json.dumps(value, ensure_ascii=False)
-
-
-def json_text(value: Any) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte.
-
-    With ``indent`` the standard library encodes in pure Python; this writer
-    renders a list of flat objects that share one key order, such as a
-    model's construction log, from one ``%``-template per list.  A value
-    of any other type is handed to ``json.dumps`` and re-indented.
-    """
-    out: list[str] = []
-    _write(value, "\n", out)
-    return "".join(out)
-
-
-def _write(value: Any, newline: str, out: list[str]) -> None:
-    # ``newline`` is a line break plus the indentation of ``value``'s line
-    kind = type(value)
-    scalar = _SCALAR_TEXT.get(kind)
-    if scalar is not None:
-        out.append(scalar(value))
-    elif (kind is dict or kind is list) and not value:
-        out.append("{}" if kind is dict else "[]")
-    elif kind is dict and all(type(key) is str for key in value):
-        inner, sep = newline + "  ", "{"
-        for key, item in value.items():
-            out.append(f"{sep}{inner}{encode_basestring(key)}: ")
-            _write(item, inner, out)
-            sep = ","
-        out.append(newline + "}")
-    elif kind is list:
-        inner = newline + "  "
-        rows = _flat_rows(value, inner)
-        if rows is not None:
-            out.append(f"[{inner}{rows}{newline}]")
-            return
-        sep = "["
-        for item in value:
-            out.append(sep + inner)
-            _write(item, inner, out)
-            sep = ","
-        out.append(newline + "]")
-    else:
-        text = json.dumps(value, indent=2, ensure_ascii=False)
-        out.append(text.replace("\n", newline))
-
-
-def _flat_rows(items: list, newline: str) -> Optional[str]:
-    """The objects of ``items`` joined at ``newline``, when all are objects
-    with the same keys in the same order and scalar values; else None."""
-    first = items[0]
-    if type(first) is not dict or not first or not all(type(k) is str for k in first):
-        return None
-    keys = tuple(first)
-    template = _row_template(keys, newline)
-    texts = []
-    for row in items:
-        if type(row) is not dict or tuple(row) != keys:
-            return None
-        try:
-            values = tuple([_SCALAR_TEXT[type(v)](v) for v in row.values()])
-        except KeyError:  # a nested value, or a type json.dumps must handle
-            return None
-        texts.append(template % values)
-    return ("," + newline).join(texts)
 
 
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
@@ -683,9 +606,9 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
     hazards = tuple(
         HazardPhaseModel(
             HazardId(str(h["id"]), str(h.get("description", ""))),
-            int(h["n_mitigations"]),
+            _int(h["n_mitigations"], f"hazards[{i}].n_mitigations", errors),
         )
-        for h in data["hazards"]
+        for i, h in enumerate(data["hazards"])
     )
     features = _features_from_dict(data.get("features"), errors)
     situation = _situation_from_dict(data.get("situation"), errors)
@@ -728,16 +651,19 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
     # re-imposed on load
     row = Transition._row
     transitions = []
-    for t in data.get("transitions", ()):
+    for i, t in enumerate(data.get("transitions", ())):
         source, target = by_label[str(t["source"])], by_label[str(t["target"])]
         pr, cs = t.get("pr"), t.get("cs")
+        if cs is not None and type(cs) is not int:
+            _int(cs, f"transitions[{i}].cs", errors)
+            raise RiskModelError("; ".join(errors))
         transitions.append(
             row(
                 source,
                 actions[str(t["action"])],
                 target,
                 None if pr is None else float(pr),
-                None if cs is None else int(cs),
+                cs,
             )
         )
     ordered = _key_order(transitions, labels)

@@ -58,11 +58,37 @@ class TestValidate:
             ("mishaps", 0, "requires", "AL", "requires: must be a list"),
             ("mishaps", 0, "sets", "AL", "sets: must be a list"),
             ("situation", None, "initial", "A:0,L:0", "initial: must be a list"),
+            (
+                "situation",
+                None,
+                "invariant_predicates",
+                "abc",
+                "situation.invariant_predicates: must be a list",
+            ),
+            ("features", None, "priority", "AL", "features.priority: must be a list"),
             # bool("false") is True: a string must not be read as a boolean
             ("endangerments", 1, "enabled", "false", "enabled: must be true or false"),
             ("endangerments", 1, "absorbed", "false", "absorbed: must be true or false"),
             ("mishaps", 0, "enabled", "false", "enabled: must be true or false"),
             ("mitigations", 0, "enabled", "false", "enabled: must be true or false"),
+            # int(1.5) is 1: a fraction, string or boolean is not an integer
+            ("mitigations", 0, "cs", 1.5, "mitigations[0].cs: must be an integer, got float"),
+            ("mitigations", 0, "cs", "10", "mitigations[0].cs: must be an integer, got str"),
+            ("mitigations", 0, "cs", True, "mitigations[0].cs: must be an integer, got bool"),
+            (
+                "hazards",
+                0,
+                "n_mitigations",
+                3.9,
+                "hazards[0].n_mitigations: must be an integer, got float",
+            ),
+            (
+                "options",
+                None,
+                "max_subset_size",
+                1.7,
+                "options.max_subset_size: must be an integer, got float",
+            ),
         ],
     )
     def test_rejected_field_exits_2_on_validate_and_build(
@@ -428,6 +454,22 @@ class TestMalformedModel:
         assert captured.err.startswith(f"riskstruct: invalid model {str(bad)!r}: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("cs, kind", [(2.5, "float"), (True, "bool")])
+    def test_non_integer_cost_exits_2(self, built_r2, tmp_path, capsys, cs, kind):
+        # read as int(cs), the cost would be written back as 2 or 1
+        data = json.loads(open(built_r2).read())
+        assert type(data["transitions"][3]["cs"]) is int
+        data["transitions"][3]["cs"] = cs
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["reduce", str(bad), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"riskstruct: invalid model {str(bad)!r}: "
+            f"transitions[3].cs: must be an integer, got {kind}\n"
+        )
+        assert not out.exists()
 
 
 class TestAmbiguousModel:

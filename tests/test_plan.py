@@ -16,7 +16,7 @@ from riskstruct import (
     safest_possible_states,
 )
 
-from helpers import brute_force_reach, random_structure
+from helpers import brute_force_maxima, brute_force_reach, random_structure
 from riskstruct.analysis import DELTA_M
 
 
@@ -49,13 +49,15 @@ class TestSafestPossibleStates:
                     assert not mitigation_lt(a, b)
 
     def test_antichain_on_random_structures(self):
+        # the all-pairs maxima of the scanned closure: the antichain of all
+        # undominated states, not just some antichain (an empty one would do)
         rng = Random(31)
         for _ in range(20):
             model = random_structure(rng)
             for s in model.sorted_states():
-                result = safest_possible_states(model, s)
-                for a, b in itertools.permutations(result, 2):
-                    assert not mitigation_lt(a, b)
+                closure = brute_force_reach(model, s, DELTA_M)
+                expected = frozenset(brute_force_maxima(closure))
+                assert safest_possible_states(model, s) == expected
 
 
 class TestPlanMitigations:
