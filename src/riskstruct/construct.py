@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     DOMAINS,
+    MISHAP_MARK,
     Action,
     ActionClass,
     HazardPhaseModel,
@@ -358,8 +360,9 @@ class _Builder:
                     f"hazards {', '.join(self.ids)} in declaration order"
                 )
             self.states[s.name] = s
-        self.transitions: dict[tuple[str, str, str], Transition] = {}
-        self.sv: dict[RiskState, Severity] = {}
+        # each transition's key, mapped to the first rule that declares it
+        self.transitions: dict[tuple[str, str, str], _Rule] = {}
+        self.sv: dict[str, Severity] = {}  # by state name
         self.records: list[SweepRecord] = []
         # Each sweep applies every rule to every state it processes, so a
         # state (by name) is either processed by a kind of sweep or not at all.
@@ -404,6 +407,7 @@ class _Builder:
 
         for h, phases in rule.guard.constraints:
             require(h, phases.__contains__)
+        action = self.catalog.action_for(rule)
         cs = sv = None
         must_move = False
         if isinstance(rule, EndangermentRule):
@@ -416,22 +420,24 @@ class _Builder:
             moves = tuple((h, Phase.mishap()) for h in rule.sets)
             sv = rule.sv
         else:
-            for h, goal in rule.mitigates:
-                require(
-                    h,
-                    lambda p, goal=goal: p == goal
-                    or legal_phase_step(p, ActionClass.MITIGATION, goal),
-                )
             moves = rule.mitigates
             cs = rule.cs
             must_move = True
+        # Each move is checked against the phase graph here, once per rule:
+        # a hazard is accepted only at its target or one legal step from it,
+        # so every edge the rule makes is legal and is built unchecked.
+        for h, goal in moves:
+            require(
+                h,
+                lambda p, goal=goal: p == goal or legal_phase_step(p, action.kind, goal),
+            )
         position = self.ids.index
         return _Rule(
             checks=tuple(
                 sorted((position(h), frozenset(ok)) for h, ok in accepted.items())
             ),
             moves=tuple((position(h), f"{h}:{p.render()}") for h, p in moves),
-            action=self.catalog.action_for(rule),
+            action=action,
             pr=rule.pr,
             cs=cs,
             sv=sv,
@@ -460,31 +466,26 @@ class _Builder:
         if not self.ids:
             return False  # no hazard subsets, so nothing to process
         done_e, done_m = (self.processed[kind] for kind in SWEEPS)
-        return any(
-            not is_mishap(s) and (name not in done_e or name not in done_m)
-            for name, s in self.states.items()
-        )
+        return any(MISHAP_MARK not in name for name in self.states.keys() - (done_e & done_m))
 
     def _sweep(self, increment: int, kind: str) -> None:
         done = self.processed[kind]
-        snapshot = sorted(
-            (s for name, s in self.states.items() if name not in done and not is_mishap(s)),
-            key=lambda s: s.name,
-        )
+        # states are selected by name, in set operations on the names
+        names = sorted(name for name in self.states.keys() - done if MISHAP_MARK not in name)
         states_before = len(self.states)
         transitions_before = len(self.transitions)
-        self._apply(kind, snapshot)
-        done.update(s.name for s in snapshot)
+        self._apply(kind, list(map(self.states.__getitem__, names)))
+        done.update(names)
         self.records.append(self._record(increment, kind, states_before, transitions_before))
 
     def _apply(self, kind: str, states: Sequence[RiskState]) -> None:
         """Try every rule of one kind of sweep on each state, in order."""
-        rules = self.rules[kind]
         stored, transitions, severities = self.states, self.transitions, self.sv
         for source in states:
             name = source.name
             tokens = name.split(",")
-            for checks, moves, action, pr, cs, sv, must_move in rules:
+            for rule in self.rules[kind]:
+                checks, moves, action, pr, cs, sv, must_move = rule
                 for i, accepted in checks:
                     if tokens[i] not in accepted:
                         break
@@ -502,14 +503,14 @@ class _Builder:
                         stored[target_name] = target
                     key = (name, action.name, target_name)
                     if key not in transitions:  # first declaring rule wins
-                        transitions[key] = Transition(source, action, target, pr=pr, cs=cs)
-                    if sv is not None and target not in severities:
-                        severities[target] = sv
+                        transitions[key] = rule
+                    if sv is not None and target_name not in severities:
+                        severities[target_name] = sv
 
     def _record(
         self, increment: int, sweep: str, states_before: int, transitions_before: int
     ) -> SweepRecord:
-        non_mishap = sum(1 for s in self.states.values() if not is_mishap(s))
+        non_mishap = sum(MISHAP_MARK not in name for name in self.states)
         return SweepRecord(
             increment=increment,
             sweep=sweep,
@@ -521,7 +522,24 @@ class _Builder:
         )
 
     def _freeze(self) -> RiskStructure:
-        transitions = tuple(self.transitions[key] for key in sorted(self.transitions))
+        # every edge is made here, from its key and its rule's action and
+        # weights; a compiled rule's moves are legal and a validated
+        # catalog's weights in range, so the edges are made unchecked
+        keys = sorted(self.transitions)
+        rules = list(map(self.transitions.__getitem__, keys))
+        state = self.states.__getitem__
+        transitions = tuple(
+            Transition._columns(
+                len(keys),
+                (
+                    map(state, map(itemgetter(0), keys)),
+                    map(attrgetter("action"), rules),
+                    map(state, map(itemgetter(2), keys)),
+                    map(attrgetter("pr"), rules),
+                    map(attrgetter("cs"), rules),
+                ),
+            )
+        )
         # a validated catalog gives each action name one meaning
         by_name = {t.action.name: t.action for t in transitions}
         actions = tuple(by_name[name] for name in sorted(by_name))
@@ -531,7 +549,7 @@ class _Builder:
             actions=actions,
             transitions=transitions,
             initial=self.initial,
-            sv=dict(sorted(self.sv.items(), key=lambda kv: kv[0].name)),
+            sv={state(name): severity for name, severity in sorted(self.sv.items())},
             situation=self.catalog.situation,
             features=self.catalog.features,
             options=self.catalog.options,

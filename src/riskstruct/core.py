@@ -9,11 +9,13 @@ result into a :class:`RiskStructure`.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 DOMAINS = ("drv", "veh", "renv")
 
@@ -363,6 +365,11 @@ def embed_state(state: RiskState, hazards: Sequence[HazardPhaseModel]) -> RiskSt
     )
 
 
+#: The text that a canonical state name holds exactly when the state is a
+#: mishap state (see :func:`is_mishap`).
+MISHAP_MARK = ":em"
+
+
 def is_mishap(state: RiskState) -> bool:
     """True iff some hazard is in its mishap phase.
 
@@ -371,7 +378,7 @@ def is_mishap(state: RiskState) -> bool:
     phase whose text starts with ``em``.  So ``:em`` occurs in the name
     exactly when some phase is the mishap phase.
     """
-    return ":em" in state.name
+    return MISHAP_MARK in state.name
 
 
 def full_state_space_size(hazards: Sequence[HazardPhaseModel]) -> int:
@@ -495,6 +502,18 @@ class Transition:
         set_checked(edge, False)
         return edge
 
+    @classmethod
+    def _columns(cls, count: int, columns: Iterable[Iterable]) -> list["Transition"]:
+        """``count`` edges, as :meth:`_row` makes them but without its checks,
+        from one column per field but ``checked``: sources, actions, targets,
+        ``pr`` and ``cs``.  Each column is stored by one C-level pass, and may
+        be an iterator, so that only one is read at a time.  For a caller that
+        has checked each column as a whole."""
+        edges = list(map(object.__new__, repeat(cls, count)))
+        for set_field, column in zip(_EDGE_SLOTS, (*columns, repeat(False))):
+            deque(map(set_field, edges, column), maxlen=0)
+        return edges
+
     def key(self) -> tuple[str, str, str]:
         return (self.source.name, self.action.name, self.target.name)
 
@@ -594,7 +613,7 @@ class RiskStructure:
         names = {s.name for s in self.states}
         if not self.initial or not all(s.name in names for s in self.initial):
             raise ValueError("initial states must be a nonempty subset of states")
-        mishaps = {s.name for s in self.states if is_mishap(s)}
+        mishaps = {name for name in names if MISHAP_MARK in name}
         for t in self.transitions:
             source = t.source.name
             if source not in names or t.target.name not in names:
@@ -648,14 +667,16 @@ class RiskStructure:
         return self._memo("adjacency", self._adjacency)[1]
 
     def _adjacency(self) -> tuple[Mapping, Mapping]:
-        out: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
-        inc: dict[RiskState, list[Transition]] = {s: [] for s in self.states}
+        # edges are grouped by state name, whose hash is cached, and each
+        # state is hashed once, when its group is stored under it
+        out: dict[str, list[Transition]] = {s.name: [] for s in self.states}
+        inc: dict[str, list[Transition]] = {s.name: [] for s in self.states}
         for t in sorted(self.transitions, key=transition_key):
-            out[t.source].append(t)
-            inc[t.target].append(t)
+            out[t.source.name].append(t)
+            inc[t.target.name].append(t)
         return (
-            MappingProxyType({s: tuple(ts) for s, ts in out.items()}),
-            MappingProxyType({s: tuple(ts) for s, ts in inc.items()}),
+            MappingProxyType({s: tuple(out[s.name]) for s in self.states}),
+            MappingProxyType({s: tuple(inc[s.name]) for s in self.states}),
         )
 
     def _memo(self, key, compute):

@@ -10,10 +10,12 @@ and about one file's bytes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring
+from operator import itemgetter, lt
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
@@ -128,6 +130,20 @@ def _int(raw: Any, anchor: str, errors: list[str]) -> int:
     return 1
 
 
+def _number(raw: Any, anchor: str, errors: list[str]) -> float:
+    """``raw`` as a float if it is a JSON number; anything else (``float()``
+    would read the string ``"0.5"`` as 0.5, and ``true`` as 1.0) is reported
+    at ``anchor``.  The stand-in 0.0 is in range for every probability, so
+    the defect is reported once."""
+    if type(raw) is float or type(raw) is int:
+        try:
+            return float(raw)
+        except OverflowError:  # an integer beyond every float is out of range
+            return math.inf
+    errors.append(f"{anchor}: must be a number, got {type(raw).__name__}")
+    return 0.0
+
+
 def _str_list(raw: Any, anchor: str, errors: list[str]) -> tuple[str, ...]:
     return tuple(str(x) for x in _list(raw, anchor, errors))
 
@@ -177,7 +193,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                 EndangermentRule(
                     name=str(r["name"]),
                     activates=_str_list(r["activates"], f"{anchor}.activates", errors),
-                    pr=float(r["pr"]),
+                    pr=_number(r["pr"], f"{anchor}.pr", errors),
                     guard=_guard(r.get("guard"), anchor, errors),
                     from_phases=from_phases,
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
@@ -197,7 +213,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                     name=str(r["name"]),
                     requires=_str_list(r["requires"], f"{anchor}.requires", errors),
                     sets=_str_list(r["sets"], f"{anchor}.sets", errors),
-                    pr=float(r["pr"]),
+                    pr=_number(r["pr"], f"{anchor}.pr", errors),
                     sv=Severity(str(r["sv"])),
                     guard=_guard(r.get("guard"), anchor, errors),
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
@@ -220,7 +236,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
                 MitigationRule(
                     name=str(r["name"]),
                     mitigates=tuple(sorted(mitigates)),
-                    pr=float(r["pr"]),
+                    pr=_number(r["pr"], f"{anchor}.pr", errors),
                     cs=_int(r["cs"], f"{anchor}.cs", errors),
                     guard=_guard(r.get("guard"), anchor, errors),
                     domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
@@ -385,6 +401,7 @@ def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
         key=lambda t: (label[t.source.name], t.action.name, label[t.target.name]),
     )
     return label, states, transitions
+
 
 
 #: Rows rendered per chunk of a model or DOT file: a chunk of a chain model
@@ -636,7 +653,7 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
             labels[state] = label
 
     actions: dict[str, Action] = {}
-    for a in data.get("actions", ()):
+    for i, a in enumerate(data.get("actions", ())):
         effect = tuple(
             (str(h), Phase.parse(str(p))) for h, p in dict(a.get("effect", {})).items()
         )
@@ -644,45 +661,27 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
             name=str(a["name"]),
             kind=ActionClass(str(a["class"])),
             effect=effect,
-            domains=tuple(a.get("domains", ())),
+            domains=_str_list(a.get("domains", []), f"actions[{i}].domains", errors),
         )
+    if errors:
+        raise RiskModelError("; ".join(errors))
 
     # reduced models carry class-level edges, so phase-legality is not
     # re-imposed on load
-    row = Transition._row
-    transitions = []
-    for i, t in enumerate(data.get("transitions", ())):
-        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
-        pr, cs = t.get("pr"), t.get("cs")
-        if cs is not None and type(cs) is not int:
-            _int(cs, f"transitions[{i}].cs", errors)
-            raise RiskModelError("; ".join(errors))
-        transitions.append(
-            row(
-                source,
-                actions[str(t["action"])],
-                target,
-                None if pr is None else float(pr),
-                cs,
-            )
-        )
+    rows = data.get("transitions", ())
+    transitions = _transitions_by_column(rows, by_label, actions)
+    if transitions is None:
+        transitions = _transitions_by_row(rows, by_label, actions)
     ordered = _key_order(transitions, labels)
 
     sv = {by_label[str(k)]: Severity(str(v)) for k, v in data.get("sv", {}).items()}
-    log = ConstructionLog(
-        tuple(
-            SweepRecord(
-                increment=int(r["increment"]),
-                sweep=str(r["sweep"]),
-                states_added=int(r["states_added"]),
-                transitions_added=int(r["transitions_added"]),
-                states_total=int(r["states_total"]),
-                non_mishap_total=int(r["non_mishap_total"]),
-                transitions_total=int(r["transitions_total"]),
-            )
-            for r in data.get("log", ())
-        )
-    )
+    records = []
+    for i, r in enumerate(data.get("log", ())):
+        counts = {key: _int(r[key], f"log[{i}].{key}", errors) for key in _LOG_COUNTS}
+        records.append(SweepRecord(sweep=str(r["sweep"]), **counts))
+    if errors:
+        raise RiskModelError("; ".join(errors))
+    log = ConstructionLog(tuple(records))
     model = RiskStructure(
         hazards=hazards,
         states=frozenset(states),
@@ -698,10 +697,96 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
     return model, log
 
 
+#: The counts of a :class:`SweepRecord`, each a row of the model file's log.
+_LOG_COUNTS = (
+    "increment",
+    "states_added",
+    "transitions_added",
+    "states_total",
+    "non_mishap_total",
+    "transitions_total",
+)
+
+#: The types of a transition row's ``pr`` and ``cs`` that the column pass
+#: reads as they are; any other value is left to the row loop.
+_PR_TYPES = frozenset({float, type(None)})
+_CS_TYPES = frozenset({int, type(None)})
+
+
+def _pr_in_range(pr: Optional[float]) -> bool:
+    return pr is None or 0.0 <= pr <= 1.0
+
+
+def _cs_in_range(cs: Optional[int]) -> bool:
+    return cs is None or cs >= 0
+
+
+def _transitions_by_column(
+    rows: Any, by_label: dict[str, RiskState], actions: dict[str, Action]
+) -> Optional[list[Transition]]:
+    """The transition rows as edges, in file order, read a column at a time:
+    each column is checked or looked up as a whole, and one edge is made per
+    row.  None if some row fails a check or holds a value the row loop
+    converts (an integer ``pr``, a label that is not a string): the row loop
+    then reads the rows and reports the first bad one."""
+
+    def column(key: str) -> Iterator:
+        return map(dict.get, rows, repeat(key))
+
+    try:
+        # types are read per row, as True == 1 == 1.0; ranges are checked
+        # once per distinct value
+        if not (
+            _PR_TYPES.issuperset(map(type, column("pr")))
+            and _CS_TYPES.issuperset(map(type, column("cs")))
+            and all(map(_pr_in_range, set(column("pr"))))
+            and all(map(_cs_in_range, set(column("cs"))))
+        ):
+            return None
+        # one parser over the model's hazards read every state, so the two
+        # ends of each edge range over the same hazards
+        return Transition._columns(
+            len(rows),
+            (
+                map(by_label.__getitem__, map(itemgetter("source"), rows)),
+                map(actions.__getitem__, map(itemgetter("action"), rows)),
+                map(by_label.__getitem__, map(itemgetter("target"), rows)),
+                column("pr"),
+                column("cs"),
+            ),
+        )
+    except (KeyError, TypeError):
+        return None
+
+
+def _transitions_by_row(
+    rows: Any, by_label: dict[str, RiskState], actions: dict[str, Action]
+) -> list[Transition]:
+    """The transition rows as edges, in file order, read one row at a time;
+    raises at the first bad row."""
+    transitions = []
+    for i, t in enumerate(rows):
+        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
+        action = actions[str(t["action"])]
+        pr, cs = t.get("pr"), t.get("cs")
+        errors: list[str] = []
+        if pr is not None:
+            pr = _number(pr, f"transitions[{i}].pr", errors)
+        if cs is not None:
+            _int(cs, f"transitions[{i}].cs", errors)
+        if errors:
+            raise RiskModelError(errors[0])
+        transitions.append(Transition._row(source, action, target, pr, cs))
+    return transitions
+
+
 def _key_order(transitions: list[Transition], labels: dict) -> list[Transition]:
     """``transitions`` sorted by key.  Raises :class:`RiskModelError` naming
     the first of them, in file order, whose key an earlier one has."""
     keys = list(map(transition_key, transitions))
+    # the rows of a model file without labels stand in strict key order
+    if all(map(lt, keys, islice(keys, 1, None))):
+        return transitions
     order = sorted(range(len(keys)), key=keys.__getitem__)
     # the sort is stable, so the rows of one key stand in file order: each
     # key's second row follows its first, and the least such index is the

@@ -7,8 +7,10 @@ implementations are checked against a second, independent route.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 from random import Random
 
 
@@ -40,6 +42,16 @@ from riskstruct import (
 from riskstruct.analysis import Region
 from riskstruct.core import RiskModelError, StateSyntaxError
 from riskstruct.order import mitigation_lt, phase_lt
+
+
+def chain_catalog(n: int, k: int = 2, seed: int = 0) -> dict:
+    """The benchmark's chain catalog (``bench/chain.py``) with ``n`` hazards,
+    as the JSON value of a catalog file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "chain.py"
+    spec = importlib.util.spec_from_file_location("chain", path)
+    chain = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(chain)
+    return chain.chain_catalog(n, k, seed)
 
 
 def enumerate_tuple_space(hazards) -> list[RiskState]:
@@ -394,14 +406,19 @@ def _brute_force_load(data) -> LoadedModel:
             tuple(a.get("domains", ())),
         )
     transitions = []
-    for t in data.get("transitions", ()):
+    for i, t in enumerate(data.get("transitions", ())):
         source, target = by_label[str(t["source"])], by_label[str(t["target"])]
+        action, pr = actions[str(t["action"])], t.get("pr")
+        if pr is not None and type(pr) not in (int, float):
+            raise RiskModelError(
+                f"transitions[{i}].pr: must be a number, got {type(pr).__name__}"
+            )
         transitions.append(
             Transition(
                 source=source,
-                action=actions[str(t["action"])],
+                action=action,
                 target=target,
-                pr=float(t["pr"]) if t.get("pr") is not None else None,
+                pr=None if pr is None else float(pr),
                 cs=int(t["cs"]) if t.get("cs") is not None else None,
                 checked=False,
             )

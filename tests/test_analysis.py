@@ -11,7 +11,11 @@ from riskstruct import (
     DELTA_M,
     Band,
     BandThresholds,
+    HazardId,
+    HazardPhaseModel,
+    PhaseKind,
     Region,
+    RiskStructure,
     Severity,
     Transition,
     UnknownState,
@@ -27,8 +31,10 @@ from riskstruct import (
 from riskstruct.order import sv_min, sv_scale
 
 from helpers import (
+    brute_force_is_mishap,
     brute_force_max_path_product,
     brute_force_reach,
+    enumerate_tuple_space,
     random_structure,
 )
 
@@ -78,6 +84,31 @@ class TestRegions:
             r2_model.label(s) for s, r in regions.items() if r is Region.SAFE
         }
         assert safe == {"A:0,L:0", "A:m2,L:0", "A:m3,L:0", "A:m1,L:m2"}
+
+    def test_no_active_policy_on_a_whole_tuple_space(self):
+        # the policy reads a state's name; its entries decide the region
+        hazards = tuple(
+            HazardPhaseModel(HazardId(hid), n) for hid, n in (("e", 1), ("em", 11), ("Ae", 2))
+        )
+        states = enumerate_tuple_space(hazards)
+        model = RiskStructure(
+            hazards=hazards,
+            states=frozenset(states),
+            actions=(),
+            transitions=(),
+            initial=frozenset(states[:1]),
+            sv={s: Severity.MARGINAL for s in states if brute_force_is_mishap(s)},
+        )
+        regions = assign_regions(model, "no_active")
+        for s in states:
+            kinds = {p.kind for _, p in s.entries}
+            if PhaseKind.MISHAP in kinds:
+                expected = Region.MISHAP
+            elif PhaseKind.ACTIVE in kinds:
+                expected = Region.HAZARDOUS
+            else:
+                expected = Region.SAFE
+            assert regions[s] is expected, s.name
 
     def test_custom_policy_callable(self, r2_model):
         regions = assign_regions(r2_model, lambda s, m: False)

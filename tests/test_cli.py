@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
+from riskstruct import cli
 from riskstruct.catalogs import catalog_path
 from riskstruct.cli import main
+
+from helpers import chain_catalog
 
 
 @pytest.fixture()
@@ -71,6 +75,10 @@ class TestValidate:
             ("endangerments", 1, "absorbed", "false", "absorbed: must be true or false"),
             ("mishaps", 0, "enabled", "false", "enabled: must be true or false"),
             ("mitigations", 0, "enabled", "false", "enabled: must be true or false"),
+            # float("0.01") is 0.01: a string or boolean is not a probability
+            ("endangerments", 0, "pr", "0.01", "endangerments[0].pr: must be a number, got str"),
+            ("mishaps", 0, "pr", True, "mishaps[0].pr: must be a number, got bool"),
+            ("mitigations", 0, "pr", "0.5", "mitigations[0].pr: must be a number, got str"),
             # int(1.5) is 1: a fraction, string or boolean is not an integer
             ("mitigations", 0, "cs", 1.5, "mitigations[0].cs: must be an integer, got float"),
             ("mitigations", 0, "cs", "10", "mitigations[0].cs: must be an integer, got str"),
@@ -104,6 +112,15 @@ class TestValidate:
         assert main(["build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_probability_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # float() of this integer raises OverflowError, not a ValueError
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        data["mitigations"][0]["pr"] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert "mitigations[0] ('m1_A'): pr inf outside [0,1]" in capsys.readouterr().err
 
     def test_string_fallback_exits_2(self, tmp_path, capsys):
         data = json.loads(catalog_path("tunnel-exit-r2").read_text())
@@ -472,6 +489,64 @@ class TestMalformedModel:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("pr, kind", [("0.5", "str"), (True, "bool")])
+    def test_non_number_probability_exits_2(self, built_r2, tmp_path, capsys, pr, kind):
+        # read as float(pr), "0.5" would load and true be written back as 1.0
+        data = json.loads(open(built_r2).read())
+        data["transitions"][0]["pr"] = pr
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["reduce", str(bad), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"riskstruct: invalid model {str(bad)!r}: "
+            f"transitions[0].pr: must be a number, got {kind}\n"
+        )
+        assert not out.exists()
+
+    def test_integer_probability_loads_as_a_float(self, built_r2, tmp_path):
+        data = json.loads(open(built_r2).read())
+        data["transitions"][0]["pr"] = 1
+        edited = tmp_path / "edited.model.json"
+        edited.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["reduce", str(edited), "-o", str(out)]) == 0
+        written = json.loads(out.read_text())["transitions"][0]["pr"]
+        assert (written, type(written)) == (1.0, float)
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("increment", 1.5, "float"), ("states_total", "4", "str"), ("states_added", True, "bool")],
+    )
+    def test_non_integer_log_count_exits_2(
+        self, built_r2, tmp_path, capsys, key, value, kind
+    ):
+        # read as int(value), 1.5 would be written back as 1
+        data = json.loads(open(built_r2).read())
+        data["log"][1][key] = value
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["reduce", str(bad), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"riskstruct: invalid model {str(bad)!r}: "
+            f"log[1].{key}: must be an integer, got {kind}\n"
+        )
+        assert not out.exists()
+
+    def test_string_domains_exit_2(self, built_r2, tmp_path, capsys):
+        # read as its characters, "veh" would fail as an unknown domain 'e'
+        data = json.loads(open(built_r2).read())
+        data["actions"][1]["domains"] = "veh"
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        assert main(["regions", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"riskstruct: invalid model {str(bad)!r}: "
+            "actions[1].domains: must be a list, got str\n"
+        )
+
+
 class TestAmbiguousModel:
     """A model file in which one text names two states, or one state or
     transition is listed twice, is refused: reading it would silently
@@ -541,3 +616,57 @@ class TestAmbiguousModel:
         self._assert_refused(
             data, tmp_path, capsys, "transitions[8]: " + line.format(**seventh, i=1)
         )
+
+
+class TestCyclicCollector:
+    """A command runs with the cyclic collector off and leaves it as it found
+    it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (lambda r2, r3, tmp: ["regions", r2], 0),
+            (lambda r2, r3, tmp: ["export-dot", str(tmp / "missing.json")], 1),
+            (lambda r2, r3, tmp: ["plan", r2, "--from", "nowhere"], 2),
+            (lambda r2, r3, tmp: ["diff", r2, r3], 3),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-3"],
+    )
+    def test_exit_codes(self, collecting, built_r2, built_r3, tmp_path, capsys, argv, code):
+        assert main(argv(built_r2, built_r3, tmp_path)) == code
+        assert gc.isenabled() is collecting
+
+    def test_usage_error(self, collecting, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["regions"])
+        assert exited.value.code == 2
+        assert gc.isenabled() is collecting
+
+    def test_escaping_exception(self, collecting, built_r2, monkeypatch):
+        seen = []
+
+        def failing(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_regions", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["regions", built_r2])
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    def test_a_command_leaves_little_cyclic_garbage(self, tmp_path, capsys):
+        catalog, model = tmp_path / "chain.json", tmp_path / "model.json"
+        catalog.write_text(json.dumps(chain_catalog(4)))
+        assert main(["build", str(catalog), "-o", str(model)]) == 0
+        gc.collect()
+        out = tmp_path / "collapsed.json"
+        assert main(["reduce", str(model), "--collapse-chains", "-o", str(out)]) == 0
+        assert gc.collect() < 2000

@@ -25,12 +25,14 @@ from riskstruct import (
     construct_rs,
     embed_state,
     full_state_space_size,
+    legal_phase_step,
     mitigation_equiv,
     verify_complete,
 )
 from riskstruct.construct import SWEEPS
+from riskstruct.serialize import catalog_from_dict
 
-from helpers import brute_force_construct, random_catalog, random_rule_catalog
+from helpers import brute_force_construct, chain_catalog, random_catalog, random_rule_catalog
 
 # The eleven expected transitions of the second-increment scenario, plus
 # the mishap edge, frozen as (source, action, target, pr, cs).
@@ -382,3 +384,30 @@ class TestConstructionOracle:
         rng = Random(31)
         for _ in range(20):
             assert_matches_oracle(random_catalog(rng))
+
+
+def assert_edges_legal(catalog):
+    """Every built edge moves each hazard whose phase changes along an edge
+    of the phase graph for its action's class."""
+    model, _ = construct_rs(catalog)
+    for t in model.transitions:
+        for (hid, before), (_, after) in zip(t.source.entries, t.target.entries):
+            if before != after:
+                assert legal_phase_step(before, t.action.kind, after), (t.key(), hid)
+
+
+class TestEdgeLegality:
+    """Construction checks phase legality once per rule, not per edge; the
+    edges it builds are checked here one by one."""
+
+    def test_tunnel_catalogs(self, r2_catalog, r3_catalog, r2_variant_catalog):
+        for catalog in (r2_catalog, r3_catalog, r2_variant_catalog):
+            assert_edges_legal(catalog)
+
+    def test_chain_catalog(self):
+        assert_edges_legal(catalog_from_dict(chain_catalog(4)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_rule_catalogs(self, seed):
+        assert_edges_legal(random_rule_catalog(Random(seed)))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import importlib.util
 import io
 import json
 import sys
@@ -36,22 +35,19 @@ from riskstruct import (
 from riskstruct.catalogs import catalog_path
 from riskstruct.serialize import catalog_from_dict, fmt_prob, save_dot
 
-from helpers import brute_force_dot, brute_force_model_from_dict, random_structure
-
-def _chain_catalog(n: int):
-    """The benchmark's chain catalog with n hazards, k=2, seed 0."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "chain.py"
-    spec = importlib.util.spec_from_file_location("chain", path)
-    chain = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(chain)
-    return catalog_from_dict(chain.chain_catalog(n, 2, 0))
+from helpers import (
+    brute_force_dot,
+    brute_force_model_from_dict,
+    chain_catalog,
+    random_structure,
+)
 
 
 @pytest.fixture(scope="module")
 def chain5():
     """The built chain model with 5 hazards: 1,280 states, 5,376 transitions,
     so its states and transitions each fill many write batches."""
-    return construct_rs(_chain_catalog(5))
+    return construct_rs(catalog_from_dict(chain_catalog(5)))
 
 
 def _json_oracle(model, log=ConstructionLog()) -> str:
@@ -215,6 +211,15 @@ _BAD_ROWS = {
     "sv-off-mishap": (
         lambda d: d["sv"].update({d["initial"][0]: "m"}),
         "severity must be assigned exactly on mishap states",
+    ),
+    # float() would read "0.5" as 0.5 and true as 1.0
+    "pr-string": (
+        lambda d: d["transitions"][0].update(pr="0.5"),
+        "transitions[0].pr: must be a number, got str",
+    ),
+    "pr-bool": (
+        lambda d: d["transitions"][-1].update(pr=True),
+        "must be a number, got bool",
     ),
 }
 
