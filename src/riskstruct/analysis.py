@@ -41,6 +41,7 @@ from .core import (
     RiskStructure,
     Severity,
     Transition,
+    has_active,
     is_mishap,
 )
 from .order import (
@@ -117,23 +118,14 @@ def reach(
     return frozenset(seen)
 
 
-def _has_active(state: RiskState) -> bool:
-    """True iff some hazard is in its active phase, read from the canonical
-    name as :func:`~riskstruct.core.is_mishap` reads it: ``e`` is the only
-    phase text that is ``e`` alone, so a hazard is active exactly where
-    ``:e`` ends the name or is followed by ``,``."""
-    name = state.name
-    return name.endswith(":e") or ":e," in name
-
-
 def _no_active_safe(state: RiskState, model: RiskStructure) -> bool:
-    return not _has_active(state)
+    return not has_active(state)
 
 
 def _handover_safe(state: RiskState, model: RiskStructure) -> bool:
     """Safe when nothing is active and control is either nominal or handed
     over to a declared fallback feature (e.g. the driver)."""
-    if _has_active(state):
+    if has_active(state):
         return False
     if all(p.kind is PhaseKind.INACTIVE for _, p in state.entries):
         return True

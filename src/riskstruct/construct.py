@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -425,7 +424,8 @@ class _Builder:
             must_move = True
         # Each move is checked against the phase graph here, once per rule:
         # a hazard is accepted only at its target or one legal step from it,
-        # so every edge the rule makes is legal and is built unchecked.
+        # so every edge the rule makes is legal and is built without a
+        # per-edge check.
         for h, goal in moves:
             require(
                 h,
@@ -523,23 +523,15 @@ class _Builder:
 
     def _freeze(self) -> RiskStructure:
         # every edge is made here, from its key and its rule's action and
-        # weights; a compiled rule's moves are legal and a validated
-        # catalog's weights in range, so the edges are made unchecked
-        keys = sorted(self.transitions)
-        rules = list(map(self.transitions.__getitem__, keys))
-        state = self.states.__getitem__
-        transitions = tuple(
-            Transition._columns(
-                len(keys),
-                (
-                    map(state, map(itemgetter(0), keys)),
-                    map(attrgetter("action"), rules),
-                    map(state, map(itemgetter(2), keys)),
-                    map(attrgetter("pr"), rules),
-                    map(attrgetter("cs"), rules),
-                ),
-            )
-        )
+        # weights; a compiled rule's moves are legal, so the edges are made
+        # without the phase-graph check and marked as checked
+        row, state, rules = Transition._row, self.states.__getitem__, self.transitions
+
+        def edge(key: tuple[str, str, str]) -> Transition:
+            rule = rules[key]
+            return row(state(key[0]), rule.action, state(key[2]), rule.pr, rule.cs, True)
+
+        transitions = tuple(map(edge, sorted(rules)))
         # a validated catalog gives each action name one meaning
         by_name = {t.action.name: t.action for t in transitions}
         actions = tuple(by_name[name] for name in sorted(by_name))

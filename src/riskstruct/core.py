@@ -9,13 +9,11 @@ result into a :class:`RiskStructure`.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import repeat
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 DOMAINS = ("drv", "veh", "renv")
 
@@ -365,20 +363,27 @@ def embed_state(state: RiskState, hazards: Sequence[HazardPhaseModel]) -> RiskSt
     )
 
 
+# The two predicates below read a state's canonical name.  A ``:`` only ever
+# separates an id from its phase and a ``,`` ends a phase, since ids contain
+# neither; ``em`` is the only phase text that starts with ``em``, and ``e``
+# the only one that is ``e`` alone.
+
 #: The text that a canonical state name holds exactly when the state is a
 #: mishap state (see :func:`is_mishap`).
 MISHAP_MARK = ":em"
 
 
 def is_mishap(state: RiskState) -> bool:
-    """True iff some hazard is in its mishap phase.
-
-    Read from the canonical name: a ``:`` only ever separates an id from its
-    phase, since ids contain neither ``:`` nor ``,``, and ``em`` is the only
-    phase whose text starts with ``em``.  So ``:em`` occurs in the name
-    exactly when some phase is the mishap phase.
-    """
+    """True iff some hazard is in its mishap phase: ``:em`` occurs in the
+    name exactly then."""
     return MISHAP_MARK in state.name
+
+
+def has_active(state: RiskState) -> bool:
+    """True iff some hazard is in its active phase: ``:e`` then ends the
+    name or is followed by ``,``."""
+    name = state.name
+    return name.endswith(":e") or ":e," in name
 
 
 def full_state_space_size(hazards: Sequence[HazardPhaseModel]) -> int:
@@ -487,10 +492,15 @@ class Transition:
         target: RiskState,
         pr: Optional[float],
         cs: Optional[int],
+        checked: bool = False,
     ) -> "Transition":
         """``Transition(source, action, target, pr, cs, checked=False)``, with
         the same checks but without the dataclass ``__init__``, for a caller
-        that makes many edges at once: it takes about half the time."""
+        that makes many edges at once: it takes about half the time.
+        ``checked`` is only stored, and the phase graph is not consulted: a
+        caller passes True for an edge whose moves it has already found
+        legal, so that the edge is marked as a checked one and a
+        ``dataclasses.replace`` of it is checked again."""
         _check_edge(source, action, target, pr, cs, False)
         edge = object.__new__(cls)
         set_source, set_action, set_target, set_pr, set_cs, set_checked = _EDGE_SLOTS
@@ -499,20 +509,8 @@ class Transition:
         set_target(edge, target)
         set_pr(edge, pr)
         set_cs(edge, cs)
-        set_checked(edge, False)
+        set_checked(edge, checked)
         return edge
-
-    @classmethod
-    def _columns(cls, count: int, columns: Iterable[Iterable]) -> list["Transition"]:
-        """``count`` edges, as :meth:`_row` makes them but without its checks,
-        from one column per field but ``checked``: sources, actions, targets,
-        ``pr`` and ``cs``.  Each column is stored by one C-level pass, and may
-        be an iterator, so that only one is read at a time.  For a caller that
-        has checked each column as a whole."""
-        edges = list(map(object.__new__, repeat(cls, count)))
-        for set_field, column in zip(_EDGE_SLOTS, (*columns, repeat(False))):
-            deque(map(set_field, edges, column), maxlen=0)
-        return edges
 
     def key(self) -> tuple[str, str, str]:
         return (self.source.name, self.action.name, self.target.name)

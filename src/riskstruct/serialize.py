@@ -13,9 +13,9 @@ import json
 import math
 import re
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from json.encoder import encode_basestring
-from operator import itemgetter, lt
+from operator import lt
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
@@ -403,7 +403,6 @@ def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
     return label, states, transitions
 
 
-
 #: Rows rendered per chunk of a model or DOT file: a chunk of a chain model
 #: file is about 25 KB, so a save holds the encoded file and little more.
 _BATCH_ROWS = 128
@@ -668,10 +667,19 @@ def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructi
 
     # reduced models carry class-level edges, so phase-legality is not
     # re-imposed on load
-    rows = data.get("transitions", ())
-    transitions = _transitions_by_column(rows, by_label, actions)
-    if transitions is None:
-        transitions = _transitions_by_row(rows, by_label, actions)
+    row = Transition._row
+    transitions = []
+    for i, t in enumerate(data.get("transitions", ())):
+        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
+        action = actions[str(t["action"])]
+        pr, cs = t.get("pr"), t.get("cs")
+        if pr is not None and type(pr) is not float:
+            pr = _number(pr, f"transitions[{i}].pr", errors)
+        if cs is not None and type(cs) is not int:
+            _int(cs, f"transitions[{i}].cs", errors)
+        if errors:
+            raise RiskModelError(errors[0])
+        transitions.append(row(source, action, target, pr, cs))
     ordered = _key_order(transitions, labels)
 
     sv = {by_label[str(k)]: Severity(str(v)) for k, v in data.get("sv", {}).items()}
@@ -706,79 +714,6 @@ _LOG_COUNTS = (
     "non_mishap_total",
     "transitions_total",
 )
-
-#: The types of a transition row's ``pr`` and ``cs`` that the column pass
-#: reads as they are; any other value is left to the row loop.
-_PR_TYPES = frozenset({float, type(None)})
-_CS_TYPES = frozenset({int, type(None)})
-
-
-def _pr_in_range(pr: Optional[float]) -> bool:
-    return pr is None or 0.0 <= pr <= 1.0
-
-
-def _cs_in_range(cs: Optional[int]) -> bool:
-    return cs is None or cs >= 0
-
-
-def _transitions_by_column(
-    rows: Any, by_label: dict[str, RiskState], actions: dict[str, Action]
-) -> Optional[list[Transition]]:
-    """The transition rows as edges, in file order, read a column at a time:
-    each column is checked or looked up as a whole, and one edge is made per
-    row.  None if some row fails a check or holds a value the row loop
-    converts (an integer ``pr``, a label that is not a string): the row loop
-    then reads the rows and reports the first bad one."""
-
-    def column(key: str) -> Iterator:
-        return map(dict.get, rows, repeat(key))
-
-    try:
-        # types are read per row, as True == 1 == 1.0; ranges are checked
-        # once per distinct value
-        if not (
-            _PR_TYPES.issuperset(map(type, column("pr")))
-            and _CS_TYPES.issuperset(map(type, column("cs")))
-            and all(map(_pr_in_range, set(column("pr"))))
-            and all(map(_cs_in_range, set(column("cs"))))
-        ):
-            return None
-        # one parser over the model's hazards read every state, so the two
-        # ends of each edge range over the same hazards
-        return Transition._columns(
-            len(rows),
-            (
-                map(by_label.__getitem__, map(itemgetter("source"), rows)),
-                map(actions.__getitem__, map(itemgetter("action"), rows)),
-                map(by_label.__getitem__, map(itemgetter("target"), rows)),
-                column("pr"),
-                column("cs"),
-            ),
-        )
-    except (KeyError, TypeError):
-        return None
-
-
-def _transitions_by_row(
-    rows: Any, by_label: dict[str, RiskState], actions: dict[str, Action]
-) -> list[Transition]:
-    """The transition rows as edges, in file order, read one row at a time;
-    raises at the first bad row."""
-    transitions = []
-    for i, t in enumerate(rows):
-        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
-        action = actions[str(t["action"])]
-        pr, cs = t.get("pr"), t.get("cs")
-        errors: list[str] = []
-        if pr is not None:
-            pr = _number(pr, f"transitions[{i}].pr", errors)
-        if cs is not None:
-            _int(cs, f"transitions[{i}].cs", errors)
-        if errors:
-            raise RiskModelError(errors[0])
-        transitions.append(Transition._row(source, action, target, pr, cs))
-    return transitions
-
 
 def _key_order(transitions: list[Transition], labels: dict) -> list[Transition]:
     """``transitions`` sorted by key.  Raises :class:`RiskModelError` naming

@@ -13,6 +13,7 @@ from riskstruct import (
     EndangermentRule,
     HazardId,
     HazardPhaseModel,
+    IllegalPhaseTransition,
     MitigationRule,
     OperationalSituation,
     OrderClass,
@@ -406,6 +407,15 @@ class TestEdgeLegality:
 
     def test_chain_catalog(self):
         assert_edges_legal(catalog_from_dict(chain_catalog(4)))
+
+    def test_built_edges_are_marked_checked(self, r2_catalog):
+        # as edges made by Transition(...): a copy with another target is
+        # checked against the phase graph again
+        model, _ = construct_rs(r2_catalog)
+        assert all(t.checked for t in model.transitions)
+        edge = next(t for t in model.transitions if t.action.kind is ActionClass.MITIGATION)
+        with pytest.raises(IllegalPhaseTransition):
+            replace(edge, target=edge.source.with_phases({edge.source.hazard_ids[0]: Phase.mishap()}))
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -335,6 +335,16 @@ class TestTransition:
             with pytest.raises(ValueError, match=message):
                 Transition(*args, checked=False)
 
+    def test_checked_row_is_the_checked_transition(self):
+        # the caller vouches for the move; copies are checked again
+        act = Action("m1_A", ActionClass.MITIGATION, (("A", Phase.mitigated(1)),))
+        src, dst = parse_state("A:e,L:0", AB), parse_state("A:m1,L:0", AB)
+        row = Transition._row(src, act, dst, 0.5, 3, True)
+        built = Transition(src, act, dst, pr=0.5, cs=3)
+        assert (row, row.checked, repr(row)) == (built, True, repr(built))
+        with pytest.raises(IllegalPhaseTransition):
+            dataclasses.replace(row, target=parse_state("A:m1,L:e", AB))
+
 
 class TestCopies:
     """States and transitions are slotted frozen dataclasses: copies,
