@@ -146,6 +146,14 @@ REGION_POLICIES: dict[str, Callable[[RiskState, RiskStructure], bool]] = {
 PolicyLike = Union[str, Callable[[RiskState, RiskStructure], bool], None]
 
 
+def region_policy(name: str) -> str:
+    """``name`` if it names a region policy; raises RiskModelError if not."""
+    if name not in REGION_POLICIES:
+        choices = ", ".join(REGION_POLICIES)
+        raise RiskModelError(f"unknown region policy {name!r}; pick one of {choices}")
+    return name
+
+
 def assign_regions(model: RiskStructure, policy: PolicyLike = None) -> RegionAssignment:
     """Partition the states into safe, hazardous, and mishap regions.
 
@@ -156,17 +164,12 @@ def assign_regions(model: RiskStructure, policy: PolicyLike = None) -> RegionAss
     if policy is None:
         policy = model.options.region_policy
     if isinstance(policy, str):
-        try:
-            predicate = REGION_POLICIES[policy]
-        except KeyError:
-            raise RiskModelError(f"unknown region policy {policy!r}") from None
-    else:
-        predicate = policy
+        policy = REGION_POLICIES[region_policy(policy)]
     regions: RegionAssignment = {}
     for s in model.states:
         if is_mishap(s):
             regions[s] = Region.MISHAP
-        elif predicate(s, model):
+        elif policy(s, model):
             regions[s] = Region.SAFE
         else:
             regions[s] = Region.HAZARDOUS

@@ -5,7 +5,8 @@ All output is deterministic for a given input.
 
 Exit codes: 0 success (diff: identical), 1 I/O failure, 2 invalid input or
 usage, 3 (diff only) differences found.  Failures print one
-``riskstruct: ...`` line to stderr.
+``riskstruct: ...`` line to stderr; an invalid catalog prints one
+``<path>: ...`` line per defect.
 
 A command runs with the cyclic garbage collector off: the rows it builds
 hold no reference cycles, so reference counting frees them, and the few
@@ -94,13 +95,23 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_model(path: str):
+def _load(load, what: str, path: str):
+    """``load(path)``.  A file that cannot be read is a ``_CliError`` with
+    exit code 1 and an invalid one with exit code 2, naming the file; an
+    invalid catalog stays a :class:`CatalogInvalid`, with the file's name
+    before each of its lines."""
     try:
-        return load_model(path)
+        return load(path)
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read model {path!r}: {exc}") from None
-    except (RiskModelError, ValueError) as exc:  # ValueError: not JSON
-        raise _CliError(EXIT_INVALID, f"invalid model {path!r}: {exc}") from None
+        raise _CliError(EXIT_IO, f"cannot read {what} {path!r}: {exc}") from None
+    except CatalogInvalid as exc:
+        raise CatalogInvalid([f"{path}: {message}" for message in exc.errors]) from None
+    except RiskModelError as exc:
+        raise _CliError(EXIT_INVALID, f"invalid {what} {path!r}: {exc}") from None
+
+
+def _load_model(path: str):
+    return _load(load_model, "model", path)
 
 
 def _fail(code: int, message: str) -> int:
@@ -109,27 +120,13 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_catalog(args.catalog)
-    except CatalogInvalid as exc:
-        for message in exc.errors:
-            print(f"{args.catalog}: {message}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read catalog {args.catalog!r}: {exc}")
+    _load(load_catalog, "catalog", args.catalog)
     print(f"{args.catalog}: valid")
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
-    try:
-        catalog = load_catalog(args.catalog)
-    except CatalogInvalid as exc:
-        for message in exc.errors:
-            print(f"{args.catalog}: {message}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read catalog {args.catalog!r}: {exc}")
+    catalog = _load(load_catalog, "catalog", args.catalog)
     if args.max_subset is not None:
         catalog = replace(
             catalog, options=replace(catalog.options, max_subset_size=args.max_subset)
@@ -212,7 +209,7 @@ def cmd_reduce(args) -> int:
         if args.equiv is not None:
             model = quotient(model, args.equiv, require_equal_rp=args.require_equal_rp)
         if args.drop is not None:
-            rules = load_drop_rules(args.drop)
+            rules = _load(load_drop_rules, "drop-rule file", args.drop)
             model = drop_irrelevant(model, rules)
         if args.collapse_chains:
             model = collapse_safe_chains(model)
@@ -401,6 +398,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return args.func(args)
     except _CliError as exc:
         return _fail(exc.code, str(exc))
+    except CatalogInvalid as exc:
+        sys.stderr.writelines(f"{line}\n" for line in exc.errors)
+        return EXIT_INVALID
     except RiskModelError as exc:
         return _fail(EXIT_INVALID, str(exc))
     except OSError as exc:

@@ -34,7 +34,7 @@ from .core import (
     state_parser,
     transition_key,
 )
-from .analysis import Region, RegionAssignment, assign_regions
+from .analysis import Region, RegionAssignment, assign_regions, region_policy
 from .construct import (
     Catalog,
     CatalogInvalid,
@@ -65,302 +65,292 @@ def fmt_prob(p: float) -> float:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _unencodable(text: str, data: Any) -> Optional[str]:
-    """One anchored line naming the first string of ``data``, parsed from the
-    JSON ``text``, that cannot be encoded as UTF-8; None if there is none."""
-    if _SURROGATE_ESCAPE.search(text) is None:
-        return None
-    return _unencodable_at(data, "")
-
-
-def _unencodable_at(value: Any, anchor: str) -> Optional[str]:
+def _unencodable(value: Any, anchor: str) -> Optional[str]:
+    """One line naming the first string of ``value``, at ``anchor``, that
+    cannot be encoded as UTF-8; None if there is none."""
     if isinstance(value, str):
         try:
             value.encode("utf-8")
         except UnicodeEncodeError as exc:
             return f"{anchor or 'top level'}: {exc}"
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            found = _unencodable_at(key, anchor) or _unencodable_at(
-                item, f"{anchor}.{key}" if anchor else key
-            )
-            if found:
-                return found
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            found = _unencodable_at(item, f"{anchor}[{i}]")
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if type(key) is int:
+                at = f"{anchor}[{key}]"
+            else:
+                at = f"{anchor}.{key}" if anchor else key
+            found = _unencodable(key, anchor) or _unencodable(item, at)
             if found:
                 return found
     return None
 
 
-def _phase(text: Any, anchor: str, errors: list[str]) -> Optional[Phase]:
+def _read_json(path: str) -> Any:
+    """The JSON value in the UTF-8 file ``path``.  Raises
+    :class:`RiskModelError` with one line, without the path, if the file is
+    not UTF-8 text or not JSON, or holds a string that UTF-8 cannot
+    encode."""
     try:
-        return Phase.parse(str(text))
-    except RiskModelError as exc:
-        errors.append(f"{anchor}: {exc}")
-        return None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        data = json.loads(text)
+        found = _SURROGATE_ESCAPE.search(text) and _unencodable(data, "")
+    except UnicodeDecodeError as exc:
+        raise RiskModelError(f"not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise RiskModelError(f"{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise RiskModelError("nested too deeply to be read") from None
+    if found:
+        raise RiskModelError(found)
+    return data
 
 
-def _list(raw: Any, anchor: str, errors: list[str]) -> list:
-    """``raw`` if it is a JSON list; anything else (a string would otherwise
-    be read as its characters) is reported at ``anchor``."""
-    if isinstance(raw, list):
-        return raw
-    errors.append(f"{anchor}: must be a list, got {type(raw).__name__}")
-    return []
+#: What a type error says a field of each JSON type must be.
+_JSON_TYPES = {
+    list: "a list",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object",
+}
+
+#: A field or record with a defect, which is reported where it is read; as
+#: a field's default, it makes the field one that must be present.
+_BAD = object()
 
 
-def _bool(raw: Any, anchor: str, errors: list[str]) -> bool:
-    """``raw`` if it is a JSON boolean; anything else (the string ``"false"``
-    would otherwise be read as true) is reported at ``anchor``."""
-    if isinstance(raw, bool):
-        return raw
-    errors.append(f"{anchor}: must be true or false, got {type(raw).__name__}")
-    return False
+def _bad(value: Any) -> bool:
+    """Whether ``value`` is ``_BAD`` or a list or tuple that holds it."""
+    if type(value) is list or type(value) is tuple:
+        return any(map(_bad, value))
+    return value is _BAD
 
 
-def _int(raw: Any, anchor: str, errors: list[str]) -> int:
-    """``raw`` if it is a JSON integer; anything else (``1.5`` would otherwise
-    be read as 1, and ``true`` as 1) is reported at ``anchor``.  The stand-in
-    1 is in range for every integer field, so the defect is reported once."""
-    if type(raw) is int:
-        return raw
-    errors.append(f"{anchor}: must be an integer, got {type(raw).__name__}")
-    return 1
+class _Reader:
+    """Typed fields of a decoded JSON file.
 
+    Each field has one kind: a JSON type (``float`` takes any number, as a
+    float), ``[kind]`` for a list of that kind, ``{str: kind}`` for an object
+    whose values are of that kind, read as its (key, value) pairs in key
+    order, or a function or Enum that parses a string, such as
+    ``Phase.parse`` or ``Severity``.  Each defect is collected in ``errors``
+    as one line anchored at its path, and what has it reads as ``_BAD``;
+    :meth:`make` makes no record of a ``_BAD`` field, so a file's other
+    defects are still found and each is reported once.
+    """
 
-def _number(raw: Any, anchor: str, errors: list[str]) -> float:
-    """``raw`` as a float if it is a JSON number; anything else (``float()``
-    would read the string ``"0.5"`` as 0.5, and ``true`` as 1.0) is reported
-    at ``anchor``.  The stand-in 0.0 is in range for every probability, so
-    the defect is reported once."""
-    if type(raw) is float or type(raw) is int:
+    def __init__(self) -> None:
+        self.errors: list[str] = []
+
+    def fail(self, anchor: str, message: str) -> Any:
+        self.errors.append(f"{anchor}: {message}")
+        return _BAD
+
+    def get(self, obj: Any, path: str, key: str, kind: Any, default: Any = _BAD) -> Any:
+        """The field ``key`` of the object ``obj`` at ``path``, of ``kind``.
+        ``default`` stands for a missing field, and also for null where it is
+        None; a field left with the default ``_BAD`` must be present."""
+        if obj is _BAD:
+            return _BAD
+        value = obj.get(key, default)
+        anchor = f"{path}.{key}" if path else key
+        if value is _BAD:
+            return self.fail(anchor, "missing")
+        if value is default:
+            return value
+        return self.check(value, anchor, kind)
+
+    def check(self, value: Any, anchor: str, kind: Any) -> Any:
+        """``value`` read as ``kind``, or ``_BAD``, reported at ``anchor``."""
+        json_type = type(kind) if type(kind) in (list, dict) else kind
+        if json_type not in _JSON_TYPES:  # a function or Enum parses a string
+            json_type = str
+        if type(value) is not json_type:
+            if json_type is float and type(value) is int:
+                try:
+                    return float(value)
+                except OverflowError:  # an integer beyond every float is out of range
+                    return math.inf
+            got = type(value).__name__
+            return self.fail(anchor, f"must be {_JSON_TYPES[json_type]}, got {got}")
+        if type(kind) is list:
+            items = tuple(
+                self.check(item, f"{anchor}[{i}]", kind[0]) for i, item in enumerate(value)
+            )
+        elif type(kind) is dict:
+            items = tuple(
+                (key, self.check(value[key], f"{anchor}.{key}", kind[str]))
+                for key in sorted(value)
+            )
+        else:
+            return value if json_type is kind else self.make(anchor, kind, value)
+        return _BAD if _bad(items) else items
+
+    def each(self, obj: Any, path: str, key: str, default: Any = ()) -> list:
+        """The anchor and object of each entry of the list at ``key``, read
+        as :meth:`get` reads it; a list or entry with a defect reads as a
+        ``_BAD`` entry."""
+        anchor = f"{path}.{key}" if path else key
+        items = self.get(obj, path, key, list, default)
+        if items is _BAD:
+            return [(anchor, _BAD)]
+        return [
+            (f"{anchor}[{i}]", self.check(item, f"{anchor}[{i}]", dict))
+            for i, item in enumerate(items)
+        ]
+
+    def make(self, anchor: str, make: Callable, *args: Any, **kwargs: Any) -> Any:
+        """``make(*args, **kwargs)``; ``_BAD`` if an argument holds a defect,
+        or if ``make`` raises ValueError or RiskModelError, which is reported
+        at ``anchor``."""
+        if _bad(args) or _bad(tuple(kwargs.values())):
+            return _BAD
         try:
-            return float(raw)
-        except OverflowError:  # an integer beyond every float is out of range
-            return math.inf
-    errors.append(f"{anchor}: must be a number, got {type(raw).__name__}")
-    return 0.0
+            return make(*args, **kwargs)
+        except (ValueError, RiskModelError) as exc:
+            return self.fail(anchor, str(exc))
 
 
-def _str_list(raw: Any, anchor: str, errors: list[str]) -> tuple[str, ...]:
-    return tuple(str(x) for x in _list(raw, anchor, errors))
+def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
+    """The hazards, features, situation and options that a catalog and a
+    model file share."""
+    hazards = tuple(
+        r.make(
+            path,
+            HazardPhaseModel,
+            r.make(
+                path,
+                HazardId,
+                r.get(h, path, "id", str),
+                r.get(h, path, "description", str, ""),
+            ),
+            r.get(h, path, "n_mitigations", int),
+        )
+        for path, h in r.each(data, "", "hazards", _BAD)
+    )
+
+    features = r.get(data, "", "features", dict, None)
+    if features is not None:
+        universe = tuple(
+            r.make(
+                path,
+                FeatureBaseline,
+                name=r.get(f, path, "name", str),
+                variant=r.get(f, path, "variant", FeatureVariant, FeatureVariant.PRIMARY),
+                status=r.get(
+                    f, path, "status", FeatureStatus, FeatureStatus.IN_LOOP_OPERATIONAL
+                ),
+                fallback=r.get(f, path, "fallback", bool, False),
+            )
+            for path, f in r.each(features, "features", "universe")
+        )
+        effects = tuple(
+            (
+                r.get(e, path, "hazard", str),
+                r.get(e, path, "phase", Phase.parse),
+                r.make(
+                    path,
+                    FeatureEffect,
+                    r.get(e, path, "feature", str),
+                    r.get(e, path, "variant", FeatureVariant),
+                    r.get(e, path, "status", FeatureStatus),
+                ),
+            )
+            for path, e in r.each(features, "features", "effects")
+        )
+        priority = r.get(features, "features", "priority", [str], ())
+        features = r.make("features", FeatureModel, universe, effects, priority)
+
+    s = r.get(data, "", "situation", dict, None) or {}
+    situation = r.make(
+        "situation",
+        OperationalSituation,
+        name=r.get(s, "situation", "name", str, ""),
+        initial=r.get(s, "situation", "initial", [str], None) or None,
+        invariant_predicates=r.get(s, "situation", "invariant_predicates", [str], ()),
+        notes=r.get(s, "situation", "notes", str, ""),
+    )
+
+    o = r.get(data, "", "options", dict, None) or {}
+    bands = r.get(o, "options", "bands", dict, None) or {}
+    options = r.make(
+        "options",
+        ModelOptions,
+        max_subset_size=r.get(o, "options", "max_subset_size", int, 2),
+        band_l_below=r.get(bands, "options.bands", "l_below", float, 0.01),
+        band_h_at_least=r.get(bands, "options.bands", "h_at_least", float, 0.1),
+        region_policy=r.get(o, "options", "region_policy", region_policy, "no_active"),
+    )
+    return hazards, features, situation, options
 
 
-def _guard(raw: Any, anchor: str, errors: list[str]) -> PhaseGuard:
-    if raw is None:
-        return PhaseGuard()
-    if not isinstance(raw, dict):
-        errors.append(f"{anchor}: guard must be an object")
-        return PhaseGuard()
-    constraints = {}
-    for hid, phases in raw.items():
-        phases = _list(phases, f"{anchor}.guard.{hid}", errors)
-        parsed = [_phase(p, f"{anchor}.{hid}", errors) for p in phases]
-        constraints[hid] = tuple(p for p in parsed if p is not None)
-    return PhaseGuard.of(constraints)
+def _rule_fields(r: _Reader, rule: Any, path: str) -> dict[str, Any]:
+    """The fields that every catalog rule has besides its effect and weights."""
+    guard = r.get(rule, path, "guard", {str: [Phase.parse]}, None) or ()
+    return dict(
+        name=r.get(rule, path, "name", str),
+        pr=r.get(rule, path, "pr", float),
+        guard=r.make(path, PhaseGuard, guard),
+        domains=r.get(rule, path, "domains", [str], ()),
+        description=r.get(rule, path, "description", str, ""),
+        enabled=r.get(rule, path, "enabled", bool, True),
+    )
 
 
 def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
-    """Build and validate a catalog; raises CatalogInvalid with anchored
-    messages on any defect."""
-    errors: list[str] = []
-    hazards = []
-    for i, h in enumerate(_list(data.get("hazards", []), "hazards", errors)):
-        try:
-            hazards.append(
-                HazardPhaseModel(
-                    HazardId(str(h["id"]), str(h.get("description", ""))),
-                    _int(h["n_mitigations"], f"hazards[{i}].n_mitigations", errors),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"hazards[{i}]: {exc}")
-    features = _features_from_dict(data.get("features"), errors)
-
-    endangerments = []
-    for i, r in enumerate(_list(data.get("endangerments", []), "endangerments", errors)):
-        anchor = f"endangerments[{i}]"
-        try:
-            from_raw = _list(r.get("from_phases", ["0"]), f"{anchor}.from_phases", errors)
-            from_phases = tuple(
-                p
-                for p in (_phase(t, f"{anchor}.from_phases", errors) for t in from_raw)
-                if p is not None
-            )
-            endangerments.append(
-                EndangermentRule(
-                    name=str(r["name"]),
-                    activates=_str_list(r["activates"], f"{anchor}.activates", errors),
-                    pr=_number(r["pr"], f"{anchor}.pr", errors),
-                    guard=_guard(r.get("guard"), anchor, errors),
-                    from_phases=from_phases,
-                    domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
-                    description=str(r.get("description", "")),
-                    enabled=_bool(r.get("enabled", True), f"{anchor}.enabled", errors),
-                    absorbed=_bool(r.get("absorbed", False), f"{anchor}.absorbed", errors),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{anchor}: {exc}")
-    mishaps = []
-    for i, r in enumerate(_list(data.get("mishaps", []), "mishaps", errors)):
-        anchor = f"mishaps[{i}]"
-        try:
-            mishaps.append(
-                MishapRule(
-                    name=str(r["name"]),
-                    requires=_str_list(r["requires"], f"{anchor}.requires", errors),
-                    sets=_str_list(r["sets"], f"{anchor}.sets", errors),
-                    pr=_number(r["pr"], f"{anchor}.pr", errors),
-                    sv=Severity(str(r["sv"])),
-                    guard=_guard(r.get("guard"), anchor, errors),
-                    domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
-                    description=str(r.get("description", "")),
-                    enabled=_bool(r.get("enabled", True), f"{anchor}.enabled", errors),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{anchor}: {exc}")
-    mitigations = []
-    for i, r in enumerate(_list(data.get("mitigations", []), "mitigations", errors)):
-        anchor = f"mitigations[{i}]"
-        try:
-            mitigates = []
-            for hid, target in dict(r["mitigates"]).items():
-                parsed = _phase(target, f"{anchor}.mitigates.{hid}", errors)
-                if parsed is not None:
-                    mitigates.append((str(hid), parsed))
-            mitigations.append(
-                MitigationRule(
-                    name=str(r["name"]),
-                    mitigates=tuple(sorted(mitigates)),
-                    pr=_number(r["pr"], f"{anchor}.pr", errors),
-                    cs=_int(r["cs"], f"{anchor}.cs", errors),
-                    guard=_guard(r.get("guard"), anchor, errors),
-                    domains=_str_list(r.get("domains", []), f"{anchor}.domains", errors),
-                    description=str(r.get("description", "")),
-                    enabled=_bool(r.get("enabled", True), f"{anchor}.enabled", errors),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{anchor}: {exc}")
-
-    situation = _situation_from_dict(data.get("situation"), errors)
-    options = _options_from_dict(data.get("options"), errors)
-    if errors:
-        raise CatalogInvalid(errors)
+    """Build and validate a catalog from a catalog file's JSON object; raises
+    CatalogInvalid with anchored messages on any defect."""
+    r = _Reader()
+    data = r.check(data, "top level", dict)
+    hazards, features, situation, options = _shared_fields(r, data)
+    endangerments = tuple(
+        r.make(
+            path,
+            EndangermentRule,
+            activates=r.get(rule, path, "activates", [str]),
+            from_phases=r.get(rule, path, "from_phases", [Phase.parse], (Phase.inactive(),)),
+            absorbed=r.get(rule, path, "absorbed", bool, False),
+            **_rule_fields(r, rule, path),
+        )
+        for path, rule in r.each(data, "", "endangerments")
+    )
+    mishaps = tuple(
+        r.make(
+            path,
+            MishapRule,
+            requires=r.get(rule, path, "requires", [str]),
+            sets=r.get(rule, path, "sets", [str]),
+            sv=r.get(rule, path, "sv", Severity),
+            **_rule_fields(r, rule, path),
+        )
+        for path, rule in r.each(data, "", "mishaps")
+    )
+    mitigations = tuple(
+        r.make(
+            path,
+            MitigationRule,
+            mitigates=r.get(rule, path, "mitigates", {str: Phase.parse}),
+            cs=r.get(rule, path, "cs", int),
+            **_rule_fields(r, rule, path),
+        )
+        for path, rule in r.each(data, "", "mitigations")
+    )
+    if r.errors:
+        raise CatalogInvalid(r.errors)
     catalog = Catalog(
-        hazards=tuple(hazards),
-        endangerments=tuple(endangerments),
-        mishaps=tuple(mishaps),
-        mitigations=tuple(mitigations),
-        features=features,
-        situation=situation,
-        options=options,
+        hazards, endangerments, mishaps, mitigations, features, situation, options
     )
     catalog.validate()
     return catalog
 
 
-def _features_from_dict(raw: Any, errors: list[str]) -> Optional[FeatureModel]:
-    if raw is None:
-        return None
-    try:
-        universe = tuple(
-            FeatureBaseline(
-                name=str(f["name"]),
-                variant=FeatureVariant(str(f.get("variant", "primary"))),
-                status=FeatureStatus(str(f.get("status", "in_loop_operational"))),
-                fallback=_bool(
-                    f.get("fallback", False), f"features.universe[{i}].fallback", errors
-                ),
-            )
-            for i, f in enumerate(raw.get("universe", ()))
-        )
-        effects = []
-        for i, e in enumerate(raw.get("effects", ())):
-            phase = _phase(e["phase"], f"features.effects[{i}]", errors)
-            if phase is None:
-                continue
-            effects.append(
-                (
-                    str(e["hazard"]),
-                    phase,
-                    FeatureEffect(
-                        str(e["feature"]),
-                        FeatureVariant(str(e["variant"])),
-                        FeatureStatus(str(e["status"])),
-                    ),
-                )
-            )
-        return FeatureModel(
-            universe=universe,
-            effects=tuple(effects),
-            priority=_str_list(raw.get("priority", []), "features.priority", errors),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, RiskModelError) as exc:
-        errors.append(f"features: {exc}")
-        return None
-
-
-def _situation_from_dict(raw: Any, errors: list[str]) -> OperationalSituation:
-    if raw is None:
-        return OperationalSituation()
-    try:
-        initial = raw.get("initial")
-        if initial is not None:
-            initial = _str_list(initial, "situation.initial", errors)
-        return OperationalSituation(
-            name=str(raw.get("name", "")),
-            initial=initial or None,
-            invariant_predicates=_str_list(
-                raw.get("invariant_predicates", []),
-                "situation.invariant_predicates",
-                errors,
-            ),
-            notes=str(raw.get("notes", "")),
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        errors.append(f"situation: {exc}")
-        return OperationalSituation()
-
-
-def _options_from_dict(raw: Any, errors: list[str]) -> ModelOptions:
-    if raw is None:
-        return ModelOptions()
-    try:
-        bands = raw.get("bands", {})
-        return ModelOptions(
-            max_subset_size=_int(
-                raw.get("max_subset_size", 2), "options.max_subset_size", errors
-            ),
-            band_l_below=float(bands.get("l_below", 0.01)),
-            band_h_at_least=float(bands.get("h_at_least", 0.1)),
-            region_policy=str(raw.get("region_policy", "no_active")),
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        errors.append(f"options: {exc}")
-        return ModelOptions()
-
-
 def load_catalog(path: str) -> Catalog:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        data = json.loads(text)
-    except UnicodeDecodeError as exc:
-        raise CatalogInvalid([f"{path}: not UTF-8 text: {exc}"]) from None
-    except json.JSONDecodeError as exc:
-        raise CatalogInvalid(
-            [f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]
-        ) from None
-    if not isinstance(data, dict):
-        raise CatalogInvalid([f"{path}: catalog must be a JSON object"])
-    found = _unencodable(text, data)
-    if found is not None:
-        raise CatalogInvalid([found])
+        data = _read_json(path)
+    except RiskModelError as exc:
+        raise CatalogInvalid([str(exc)]) from None
     return catalog_from_dict(data)
 
 
@@ -605,115 +595,100 @@ def model_to_json(model: RiskStructure, log: ConstructionLog = ConstructionLog()
 
 
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
-    """Rebuild a model and its log; raises :class:`RiskModelError` with one
-    line on any malformed or missing entry."""
-    if not isinstance(data, Mapping):
-        raise RiskModelError(f"a model must be a JSON object, got {type(data).__name__}")
+    """Rebuild a model and its log from a model file's JSON object; raises
+    :class:`RiskModelError` with one line on any malformed or missing entry."""
+    r = _Reader()
+    data = r.check(data, "top level", dict)
+    hazards, features, situation, options = _shared_fields(r, data)
+    actions = [
+        r.make(
+            path,
+            Action,
+            name=r.get(a, path, "name", str),
+            kind=r.get(a, path, "class", ActionClass),
+            effect=r.get(a, path, "effect", {str: Phase.parse}, ()),
+            domains=r.get(a, path, "domains", [str], ()),
+        )
+        for path, a in r.each(data, "", "actions")
+    ]
+    state_rows = r.get(data, "", "states", list)
+    transition_rows = r.get(data, "", "transitions", list, ())
+    initial = r.get(data, "", "initial", [str])
+    severities = r.get(data, "", "sv", {str: Severity}, ())
+    records = [
+        r.make(
+            path,
+            SweepRecord,
+            increment=r.get(row, path, "increment", int),
+            sweep=r.get(row, path, "sweep", str),
+            states_added=r.get(row, path, "states_added", int),
+            transitions_added=r.get(row, path, "transitions_added", int),
+            states_total=r.get(row, path, "states_total", int),
+            non_mishap_total=r.get(row, path, "non_mishap_total", int),
+            transitions_total=r.get(row, path, "transitions_total", int),
+        )
+        for path, row in r.each(data, "", "log")
+    ]
+    if r.errors:
+        raise RiskModelError("; ".join(r.errors))
+    by_name = {a.name: a for a in actions}
+
+    # The rows are read without the reader, since there are tens of
+    # thousands of them, and give the lines of the tests' row-by-row oracle.
     try:
-        return _model_from_dict(data)
+        parse = state_parser(hazards)
+        # every label and every name of a state refers to that state alone
+        by_label: dict[str, RiskState] = {}
+        labels: dict[RiskState, str] = {}
+        states = []
+        for i, entry in enumerate(state_rows):
+            state = parse(str(entry["name"]))
+            label = str(entry.get("label", state.name))
+            for part, key in (("name", state.name), ("label", label)):
+                known = by_label.setdefault(key, state)
+                if known is not state:
+                    j = next(j for j, s in enumerate(states) if s is known)
+                    raise RiskModelError(
+                        f"states[{i}].{part}: {key!r} already names states[{j}]"
+                    )
+            states.append(state)
+            if label != state.name:
+                labels[state] = label
+
+        # reduced models carry class-level edges, so phase-legality is not
+        # re-imposed on load
+        row = Transition._row
+        transitions = []
+        for i, t in enumerate(transition_rows):
+            source, target = by_label[str(t["source"])], by_label[str(t["target"])]
+            action = by_name[str(t["action"])]
+            pr, cs = t.get("pr"), t.get("cs")
+            if pr is not None and type(pr) is not float:
+                pr = r.check(pr, f"transitions[{i}].pr", float)
+            if cs is not None and type(cs) is not int:
+                r.check(cs, f"transitions[{i}].cs", int)
+            if r.errors:
+                raise RiskModelError(r.errors[0])
+            transitions.append(row(source, action, target, pr, cs))
+
+        model = RiskStructure(
+            hazards=hazards,
+            states=frozenset(states),
+            actions=tuple(sorted(by_name.values(), key=lambda a: a.name)),
+            transitions=tuple(_key_order(transitions, labels)),
+            initial=frozenset(by_label[n] for n in initial),
+            sv={by_label[label]: v for label, v in severities},
+            situation=situation,
+            features=features,
+            options=options,
+            labels=labels,
+        )
     except KeyError as exc:
         raise RiskModelError(f"missing or unknown entry {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise RiskModelError(f"malformed model: {exc}") from None
+    return model, ConstructionLog(tuple(records))
 
-
-def _model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
-    errors: list[str] = []
-    hazards = tuple(
-        HazardPhaseModel(
-            HazardId(str(h["id"]), str(h.get("description", ""))),
-            _int(h["n_mitigations"], f"hazards[{i}].n_mitigations", errors),
-        )
-        for i, h in enumerate(data["hazards"])
-    )
-    features = _features_from_dict(data.get("features"), errors)
-    situation = _situation_from_dict(data.get("situation"), errors)
-    options = _options_from_dict(data.get("options"), errors)
-    if errors:
-        raise RiskModelError("; ".join(errors))
-
-    parse = state_parser(hazards)
-    # every label and every name of a state refers to that state alone
-    by_label: dict[str, RiskState] = {}
-    labels: dict[RiskState, str] = {}
-    states = []
-    for i, entry in enumerate(data["states"]):
-        state = parse(str(entry["name"]))
-        label = str(entry.get("label", state.name))
-        for part, key in (("name", state.name), ("label", label)):
-            known = by_label.setdefault(key, state)
-            if known is not state:
-                j = next(j for j, s in enumerate(states) if s is known)
-                raise RiskModelError(
-                    f"states[{i}].{part}: {key!r} already names states[{j}]"
-                )
-        states.append(state)
-        if label != state.name:
-            labels[state] = label
-
-    actions: dict[str, Action] = {}
-    for i, a in enumerate(data.get("actions", ())):
-        effect = tuple(
-            (str(h), Phase.parse(str(p))) for h, p in dict(a.get("effect", {})).items()
-        )
-        actions[str(a["name"])] = Action(
-            name=str(a["name"]),
-            kind=ActionClass(str(a["class"])),
-            effect=effect,
-            domains=_str_list(a.get("domains", []), f"actions[{i}].domains", errors),
-        )
-    if errors:
-        raise RiskModelError("; ".join(errors))
-
-    # reduced models carry class-level edges, so phase-legality is not
-    # re-imposed on load
-    row = Transition._row
-    transitions = []
-    for i, t in enumerate(data.get("transitions", ())):
-        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
-        action = actions[str(t["action"])]
-        pr, cs = t.get("pr"), t.get("cs")
-        if pr is not None and type(pr) is not float:
-            pr = _number(pr, f"transitions[{i}].pr", errors)
-        if cs is not None and type(cs) is not int:
-            _int(cs, f"transitions[{i}].cs", errors)
-        if errors:
-            raise RiskModelError(errors[0])
-        transitions.append(row(source, action, target, pr, cs))
-    ordered = _key_order(transitions, labels)
-
-    sv = {by_label[str(k)]: Severity(str(v)) for k, v in data.get("sv", {}).items()}
-    records = []
-    for i, r in enumerate(data.get("log", ())):
-        counts = {key: _int(r[key], f"log[{i}].{key}", errors) for key in _LOG_COUNTS}
-        records.append(SweepRecord(sweep=str(r["sweep"]), **counts))
-    if errors:
-        raise RiskModelError("; ".join(errors))
-    log = ConstructionLog(tuple(records))
-    model = RiskStructure(
-        hazards=hazards,
-        states=frozenset(states),
-        actions=tuple(sorted(actions.values(), key=lambda a: a.name)),
-        transitions=tuple(ordered),
-        initial=frozenset(by_label[str(n)] for n in data["initial"]),
-        sv=sv,
-        situation=situation,
-        features=features,
-        options=options,
-        labels=labels,
-    )
-    return model, log
-
-
-#: The counts of a :class:`SweepRecord`, each a row of the model file's log.
-_LOG_COUNTS = (
-    "increment",
-    "states_added",
-    "transitions_added",
-    "states_total",
-    "non_mishap_total",
-    "transitions_total",
-)
 
 def _key_order(transitions: list[Transition], labels: dict) -> list[Transition]:
     """``transitions`` sorted by key.  Raises :class:`RiskModelError` naming
@@ -742,14 +717,7 @@ def _key_order(transitions: list[Transition], labels: dict) -> list[Transition]:
 
 
 def load_model(path: str) -> tuple[RiskStructure, ConstructionLog]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    data = json.loads(text)
-    found = _unencodable(text, data)
-    del text  # the model is built from ``data`` alone
-    if found is not None:
-        raise RiskModelError(found)
-    return model_from_dict(data)
+    return model_from_dict(_read_json(path))
 
 
 def _write_utf8(path: str, chunks: Iterator[str], what: str) -> None:
@@ -772,35 +740,20 @@ def save_model(
 
 def load_drop_rules(path: str) -> tuple[DropRule, ...]:
     """Read a drop-rule file: {"drop": [{"action", "source_region"?, "self_loop"?}]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise RiskModelError(f"drop-rule file {path!r} is not JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise RiskModelError(f"drop-rule file {path!r} must hold a JSON object")
-    entries = data.get("drop", [])
-    if not isinstance(entries, list):
-        raise RiskModelError(f"drop-rule file {path!r}: 'drop' must be a list")
-    rules = []
-    for i, r in enumerate(entries):
-        try:
-            action = str(r["action"])  # raises on a non-object entry first
-            region, self_loop = r.get("source_region"), r.get("self_loop")
-            if self_loop is not None and not isinstance(self_loop, bool):
-                raise ValueError(
-                    f"self_loop must be true or false, got {type(self_loop).__name__}"
-                )
-            rules.append(
-                DropRule(
-                    action=action,
-                    source_region=None if region is None else Region(region),
-                    self_loop=self_loop,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RiskModelError(f"drop[{i}]: {exc}") from None
-    return tuple(rules)
+    r = _Reader()
+    rules = tuple(
+        r.make(
+            anchor,
+            DropRule,
+            action=r.get(rule, anchor, "action", str),
+            source_region=r.get(rule, anchor, "source_region", Region, None),
+            self_loop=r.get(rule, anchor, "self_loop", bool, None),
+        )
+        for anchor, rule in r.each(r.check(_read_json(path), "top level", dict), "", "drop")
+    )
+    if r.errors:
+        raise RiskModelError("; ".join(r.errors))
+    return rules
 
 
 _REGION_STYLE = {

@@ -34,6 +34,7 @@ from riskstruct import (
     Transition,
     all_inactive,
     assign_regions,
+    construct_rs,
     is_mishap,
     legal_phase_step,
     phase_leq,
@@ -602,6 +603,28 @@ def brute_force_construct(catalog: Catalog) -> BuiltModel:
     return BuiltModel(set(states), initial, transitions, sv, log)
 
 
+def assert_matches_oracle(catalog: Catalog) -> None:
+    """``construct_rs(catalog)`` builds what :func:`brute_force_construct` builds."""
+    model, log = construct_rs(catalog)
+    expected = brute_force_construct(catalog)
+    assert {s.name for s in model.states} == expected.states
+    assert {s.name for s in model.initial} == expected.initial
+    assert {t.key(): (t.pr, t.cs) for t in model.transitions} == expected.transitions
+    assert {s.name: v for s, v in model.sv.items()} == expected.sv
+    assert [
+        (
+            r.increment,
+            r.sweep,
+            r.states_added,
+            r.transitions_added,
+            r.states_total,
+            r.non_mishap_total,
+            r.transitions_total,
+        )
+        for r in log.records
+    ] == expected.log
+
+
 def random_rule_catalog(rng: Random) -> Catalog:
     """A random small catalog exercising every construction rule feature.
 
@@ -758,3 +781,61 @@ def random_rule_catalog(rng: Random) -> Catalog:
         situation=OperationalSituation(initial=initial),
         options=ModelOptions(max_subset_size=rng.randint(1, 3)),
     )
+
+
+def catalog_to_dict(catalog: Catalog) -> dict:
+    """The JSON value of a catalog file that reads as ``catalog``.  Features
+    and hazard descriptions are not written: the random catalogs have none."""
+    assert catalog.features is None
+    assert not any(h.hazard.description for h in catalog.hazards)
+
+    def rule(r, **fields) -> dict:
+        return {
+            "name": r.name,
+            **fields,
+            "pr": r.pr,
+            "guard": {h: [p.render() for p in ps] for h, ps in r.guard.constraints},
+            "domains": list(r.domains),
+            "description": r.description,
+            "enabled": r.enabled,
+        }
+
+    return {
+        "hazards": [
+            {"id": h.id, "description": "", "n_mitigations": h.n_mitigations}
+            for h in catalog.hazards
+        ],
+        "endangerments": [
+            rule(
+                r,
+                activates=list(r.activates),
+                from_phases=[p.render() for p in r.from_phases],
+                absorbed=r.absorbed,
+            )
+            for r in catalog.endangerments
+        ],
+        "mishaps": [
+            rule(r, requires=list(r.requires), sets=list(r.sets), sv=r.sv.value)
+            for r in catalog.mishaps
+        ],
+        "mitigations": [
+            rule(r, mitigates={h: p.render() for h, p in r.mitigates}, cs=r.cs)
+            for r in catalog.mitigations
+        ],
+        "situation": {
+            "name": catalog.situation.name,
+            "initial": None
+            if catalog.situation.initial is None
+            else list(catalog.situation.initial),
+            "invariant_predicates": list(catalog.situation.invariant_predicates),
+            "notes": catalog.situation.notes,
+        },
+        "options": {
+            "max_subset_size": catalog.options.max_subset_size,
+            "bands": {
+                "l_below": catalog.options.band_l_below,
+                "h_at_least": catalog.options.band_h_at_least,
+            },
+            "region_policy": catalog.options.region_policy,
+        },
+    }

@@ -97,6 +97,16 @@ class TestValidate:
                 1.7,
                 "options.max_subset_size: must be an integer, got float",
             ),
+            # analyze, regions, reduce and export-dot could not read the model
+            (
+                "options",
+                None,
+                "region_policy",
+                "bogus",
+                "options.region_policy: unknown region policy 'bogus'; "
+                "pick one of no_active, handover",
+            ),
+            ("options", "bands", "l_below", "0.02", "options.bands.l_below: must be a number, got str"),
         ],
     )
     def test_rejected_field_exits_2_on_validate_and_build(
@@ -228,6 +238,10 @@ class TestBuild:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["build", str(bad)]) == 2
+        # the file is named once, before the line and column
+        assert capsys.readouterr().err == (
+            f"{bad}: 1:2: Expecting property name enclosed in double quotes\n"
+        )
 
     def test_unwritable_output_exits_1(self, tmp_path, r2_path):
         assert main(["build", r2_path, "-o", str(tmp_path / "no" / "dir.json")]) == 1
@@ -396,6 +410,105 @@ class TestMalformedDropRules:
         captured = capsys.readouterr()
         assert captured.err.startswith("riskstruct: ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+class TestOneAnchoredLine:
+    """A malformed file that Python would otherwise report with its own
+    exception text, or read without complaint, is refused with one line
+    naming the part at fault."""
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (lambda d: d["hazards"][0].pop("n_mitigations"), "hazards[0].n_mitigations: missing"),
+            (lambda d: d.update(features=[]), "features: must be an object, got list"),
+            (lambda d: d.update(situation="x"), "situation: must be an object, got str"),
+            (
+                lambda d: d["mitigations"][0].update(mitigates=[["A", "m1"]]),
+                "mitigations[0].mitigates: must be an object, got list",
+            ),
+            (lambda d: d["hazards"][1].update(description=None),
+             "hazards[1].description: must be a string, got NoneType"),
+            (lambda d: d["mishaps"][0].update(name=5), "mishaps[0].name: must be a string, got int"),
+            (lambda d: d.pop("hazards"), "hazards: missing"),
+        ],
+        ids=["no-n-mitigations", "features-list", "situation-str", "mitigates-pairs",
+             "description-null", "name-int", "no-hazards"],
+    )
+    def test_catalog(self, tmp_path, capsys, mutate, line):
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"{bad}: {line}\n"
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (lambda d: d.update(initial="A:0,L:0"), "initial: must be a list, got str"),
+            (lambda d: d["actions"][0].update(effect=["A"]),
+             "actions[0].effect: must be an object, got list"),
+            (lambda d: d.update(sv=[]), "sv: must be an object, got list"),
+            (lambda d: d.update(log={}), "log: must be a list, got dict"),
+            (lambda d: d["sv"].update({"A:em,L:em": "x"}),
+             "sv.A:em,L:em: 'x' is not a valid Severity"),
+            (lambda d: d.pop("hazards"), "hazards: missing"),
+        ],
+        ids=["initial-str", "effect-list", "sv-list", "log-object", "sv-value", "no-hazards"],
+    )
+    def test_model_file(self, built_r2, tmp_path, capsys, mutate, line):
+        self._assert_refused(built_r2, tmp_path, capsys, mutate, ["regions"], line)
+
+    # plan, which does not assign regions, ran on such a model
+    @pytest.mark.parametrize(
+        "command",
+        [["regions"], ["analyze"], ["plan", "--from", "A:e,L:0"], ["reduce"], ["export-dot"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_region_policy_in_a_model_file(self, built_r2, tmp_path, capsys, command):
+        self._assert_refused(
+            built_r2,
+            tmp_path,
+            capsys,
+            lambda d: d["options"].update(region_policy="bogus"),
+            command,
+            "options.region_policy: unknown region policy 'bogus'; "
+            "pick one of no_active, handover",
+        )
+
+    @staticmethod
+    def _assert_refused(built_r2, tmp_path, capsys, mutate, command, line) -> None:
+        data = json.loads(open(built_r2).read())
+        mutate(data)
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(data))
+        assert main([command[0], str(bad), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"riskstruct: invalid model {str(bad)!r}: {line}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('{"drop": 5}', "drop: must be a list, got int"),
+            ("[]", "top level: must be an object, got list"),
+            ('{"drop": [{"action": "f_L", "source_region": "bogus"}]}',
+             "drop[0].source_region: 'bogus' is not a valid Region"),
+            ('{"drop": [{"source_region": "safe"}]}', "drop[0].action: missing"),
+            ('{"drop": [', "1:11: Expecting value"),
+            # the decoder raises RecursionError, not a ValueError
+            ('{"drop": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply to be read"),
+        ],
+        ids=["drop-int", "top-level-list", "region", "no-action", "truncated", "deep"],
+    )
+    def test_drop_rule_file(self, built_r2, tmp_path, capsys, text, line):
+        rulefile = tmp_path / "drops.json"
+        rulefile.write_text(text)
+        assert main(["reduce", built_r2, "--drop", str(rulefile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"riskstruct: invalid drop-rule file {str(rulefile)!r}: {line}\n"
         assert captured.out == ""
 
 

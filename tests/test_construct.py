@@ -33,7 +33,7 @@ from riskstruct import (
 from riskstruct.construct import SWEEPS
 from riskstruct.serialize import catalog_from_dict
 
-from helpers import brute_force_construct, chain_catalog, random_catalog, random_rule_catalog
+from helpers import assert_matches_oracle, chain_catalog, random_catalog, random_rule_catalog
 
 # The eleven expected transitions of the second-increment scenario, plus
 # the mishap edge, frozen as (source, action, target, pr, cs).
@@ -348,27 +348,6 @@ class TestRandomCatalogs:
         for _ in range(10):
             catalog = random_catalog(rng)
             assert construct_rs(catalog) == construct_rs(catalog)
-
-
-def assert_matches_oracle(catalog):
-    model, log = construct_rs(catalog)
-    expected = brute_force_construct(catalog)
-    assert {s.name for s in model.states} == expected.states
-    assert {s.name for s in model.initial} == expected.initial
-    assert {t.key(): (t.pr, t.cs) for t in model.transitions} == expected.transitions
-    assert {s.name: v for s, v in model.sv.items()} == expected.sv
-    assert [
-        (
-            r.increment,
-            r.sweep,
-            r.states_added,
-            r.transitions_added,
-            r.states_total,
-            r.non_mishap_total,
-            r.transitions_total,
-        )
-        for r in log.records
-    ] == expected.log
 
 
 class TestConstructionOracle:

@@ -323,7 +323,8 @@ class TestCatalogIO:
         path.write_text('{"hazards": [,]}')
         with pytest.raises(CatalogInvalid) as err:
             load_catalog(str(path))
-        assert ":1:" in str(err.value)
+        # the line and column, not the path: the command line names the file
+        assert str(err.value) == "1:14: Expecting value"
 
     def test_semantic_error_names_entity(self, tmp_path):
         data = json.loads(catalog_path("tunnel-exit-r2").read_text())
