@@ -18,18 +18,18 @@ it accepts (its guard intersected with ``from_phases``, with the active
 phase, or with the phases at or one legal step from the mitigation target)
 and the tokens it writes.  Applying it to a state tests a few tokens of the
 split name and joins the moved ones into the target's name; a new target is
-made from the :func:`~riskstruct.core.phase_tokens` table, a known one is
-looked up by name.
+made from a table of the tokens a built state can hold (the
+:func:`~riskstruct.core.phase_tokens` of the hazards, the phases of the
+initial states and the rules' targets), a known one is looked up by name.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
-    DOMAINS,
     MISHAP_MARK,
     Action,
     ActionClass,
@@ -76,9 +76,6 @@ class PhaseGuard:
             tuple(sorted((h, tuple(ps)) for h, ps in mapping.items()))
         )
 
-    def hazards(self) -> tuple[str, ...]:
-        return tuple(h for h, _ in self.constraints)
-
 
 @dataclass(frozen=True)
 class EndangermentRule:
@@ -89,6 +86,7 @@ class EndangermentRule:
     moving any phase (the event occurs but is modeled as absorbed).
     """
 
+    kind: ClassVar[ActionClass] = ActionClass.ENDANGERMENT
     name: str
     activates: tuple[str, ...]
     pr: float
@@ -99,6 +97,9 @@ class EndangermentRule:
     enabled: bool = True
     absorbed: bool = False
 
+    def effect(self) -> tuple[tuple[str, Phase], ...]:
+        return tuple((h, Phase.active()) for h in self.activates)
+
 
 @dataclass(frozen=True)
 class MishapRule:
@@ -108,6 +109,7 @@ class MishapRule:
     phase constraints on the remaining hazards.
     """
 
+    kind: ClassVar[ActionClass] = ActionClass.MISHAP_ACTION
     name: str
     requires: tuple[str, ...]
     sets: tuple[str, ...]
@@ -118,6 +120,9 @@ class MishapRule:
     description: str = ""
     enabled: bool = True
 
+    def effect(self) -> tuple[tuple[str, Phase], ...]:
+        return tuple((h, Phase.mishap()) for h in self.sets)
+
 
 @dataclass(frozen=True)
 class MitigationRule:
@@ -127,6 +132,7 @@ class MitigationRule:
     when at least one hazard actually moves.
     """
 
+    kind: ClassVar[ActionClass] = ActionClass.MITIGATION
     name: str
     mitigates: tuple[tuple[str, Phase], ...]
     pr: float
@@ -136,8 +142,11 @@ class MitigationRule:
     description: str = ""
     enabled: bool = True
 
-    def hazard_set(self) -> frozenset[str]:
-        return frozenset(h for h, _ in self.mitigates)
+    def effect(self) -> tuple[tuple[str, Phase], ...]:
+        return self.mitigates
+
+
+Rule = EndangermentRule | MishapRule | MitigationRule
 
 
 @dataclass(frozen=True)
@@ -155,99 +164,77 @@ class Catalog:
     def hazard_ids(self) -> tuple[str, ...]:
         return tuple(h.id for h in self.hazards)
 
-    def hazard(self, hazard_id: str) -> HazardPhaseModel:
-        for h in self.hazards:
-            if h.id == hazard_id:
-                return h
-        raise KeyError(hazard_id)
+    def rules(self) -> Iterable[tuple[str, Rule]]:
+        """Every rule, enabled or not, with its anchor in the catalog file:
+        endangerments, then mishaps, then mitigations, each in declaration
+        order."""
+        for section in ("endangerments", "mishaps", "mitigations"):
+            for i, rule in enumerate(getattr(self, section)):
+                yield f"{section}[{i}] ({rule.name!r})", rule
+
+    @staticmethod
+    def action_for(rule: Rule) -> Action:
+        """The action that labels ``rule``'s transitions; raises ValueError
+        where :class:`Action` refuses it."""
+        return Action(rule.name, rule.kind, rule.effect(), rule.domains)
 
     def validate(self) -> None:
-        """Raise :class:`CatalogInvalid` with one anchored message per defect."""
+        """Raise :class:`CatalogInvalid` with one anchored message per defect.
+
+        Each rule's action is made by :meth:`action_for`, as construction
+        makes it, so a catalog that validates also builds.
+        """
         errors: list[str] = []
         ids = [h.id for h in self.hazards]
         for hid in ids:
             if ids.count(hid) > 1:
                 errors.append(f"hazards: duplicate id {hid!r}")
-        declared = set(ids)
+        models = {h.id: h for h in self.hazards}
 
-        def check_ref(anchor: str, hid: str) -> None:
-            if hid not in declared:
+        def check(anchor: str, hid: str, phases: Iterable[Phase] = ()) -> None:
+            model = models.get(hid)
+            if model is None:
                 errors.append(f"{anchor}: undeclared hazard {hid!r}")
+                return
+            for p in phases:
+                if not model.valid_phase(p):
+                    errors.append(f"{anchor}: hazard {hid!r} has no phase {p.render()!r}")
 
-        def check_domains(anchor: str, domains: tuple[str, ...]) -> None:
-            for d in domains:
-                if d not in DOMAINS:
-                    errors.append(
-                        f"{anchor}: unknown domain {d!r}; pick from {', '.join(DOMAINS)}"
-                    )
-
-        def check_guard(anchor: str, guard: PhaseGuard) -> None:
-            for hid, phases in guard.constraints:
-                check_ref(f"{anchor}.guard", hid)
-                if hid in declared:
-                    model = self.hazard(hid)
-                    for p in phases:
-                        if not model.valid_phase(p):
-                            errors.append(
-                                f"{anchor}.guard: hazard {hid!r} has no phase "
-                                f"{p.render()!r}"
-                            )
-
-        for i, rule in enumerate(self.endangerments):
-            anchor = f"endangerments[{i}] ({rule.name!r})"
-            if not rule.activates:
-                errors.append(f"{anchor}: empty activation set")
-            for hid in rule.activates:
-                check_ref(anchor, hid)
-            check_guard(anchor, rule.guard)
-            check_domains(anchor, rule.domains)
+        actions: dict[str, Action] = {}
+        for anchor, rule in self.rules():
+            effect = rule.effect()
+            if not effect:
+                errors.append(f"{anchor}: moves no hazard")
+            for hid, target in effect:
+                check(anchor, hid, (target,))
+            for hid in rule.requires if isinstance(rule, MishapRule) else ():
+                check(anchor, hid)
+            for hid, phases in rule.guard.constraints:
+                check(f"{anchor}.guard", hid, phases)
             if not 0.0 <= rule.pr <= 1.0:
                 errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
-        for i, rule in enumerate(self.mishaps):
-            anchor = f"mishaps[{i}] ({rule.name!r})"
-            if not rule.sets:
-                errors.append(f"{anchor}: empty mishap set")
-            for hid in (*rule.requires, *rule.sets):
-                check_ref(anchor, hid)
-            check_guard(anchor, rule.guard)
-            check_domains(anchor, rule.domains)
-            if not 0.0 <= rule.pr <= 1.0:
-                errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
-        for i, rule in enumerate(self.mitigations):
-            anchor = f"mitigations[{i}] ({rule.name!r})"
-            if not rule.mitigates:
-                errors.append(f"{anchor}: empty mitigation map")
-            for hid, target in rule.mitigates:
-                check_ref(anchor, hid)
-                if hid in declared and not self.hazard(hid).valid_phase(target):
-                    errors.append(
-                        f"{anchor}: target phase {target.render()!r} exceeds "
-                        f"n_mitigations of hazard {hid!r}"
-                    )
-            check_guard(anchor, rule.guard)
-            check_domains(anchor, rule.domains)
-            if not 0.0 <= rule.pr <= 1.0:
-                errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
-            if rule.cs < 0:
+            if isinstance(rule, MitigationRule) and rule.cs < 0:
                 errors.append(f"{anchor}: cs {rule.cs} negative")
-
-        # One action name, one meaning: class, effect, and domains must agree.
-        seen: dict[str, tuple[ActionClass, tuple, tuple]] = {}
-        for rule, cls, effect in self._action_signatures():
-            sig = (cls, effect, rule.domains)
-            if rule.name in seen and seen[rule.name] != sig:
+            try:
+                action = self.action_for(rule)
+            except ValueError as exc:
+                errors.append(f"{anchor}: {exc}")
+                continue
+            # one action name, one meaning
+            if actions.setdefault(action.name, action) != action:
                 errors.append(
-                    f"action {rule.name!r} declared twice with different "
-                    "class, effect, or domains"
+                    f"{anchor}: action {action.name!r} declared twice with "
+                    "different class, effect, or domains"
                 )
-            seen.setdefault(rule.name, sig)
 
-        if self.situation.initial:
-            for name in self.situation.initial:
-                try:
-                    parse_state(name, self.hazards)
-                except RiskModelError as exc:
-                    errors.append(f"situation.initial: {exc}")
+        for name in self.situation.initial or ():
+            try:
+                state = parse_state(name, self.hazards)
+            except RiskModelError as exc:
+                errors.append(f"situation.initial: {exc}")
+                continue
+            if is_mishap(state):
+                errors.append(f"situation.initial: {name!r} is a mishap state")
         if self.options.region_policy == "handover":
             if self.features is None or not self.features.fallback_features():
                 errors.append(
@@ -256,27 +243,6 @@ class Catalog:
                 )
         if errors:
             raise CatalogInvalid(errors)
-
-    def _action_signatures(self):
-        for rule in self.endangerments:
-            effect = tuple(sorted((h, Phase.active()) for h in rule.activates))
-            yield rule, ActionClass.ENDANGERMENT, effect
-        for rule in self.mishaps:
-            effect = tuple(sorted((h, Phase.mishap()) for h in rule.sets))
-            yield rule, ActionClass.MISHAP_ACTION, effect
-        for rule in self.mitigations:
-            yield rule, ActionClass.MITIGATION, tuple(sorted(rule.mitigates))
-
-    def action_for(self, rule) -> Action:
-        if isinstance(rule, EndangermentRule):
-            effect = tuple((h, Phase.active()) for h in rule.activates)
-            return Action(rule.name, ActionClass.ENDANGERMENT, effect, rule.domains)
-        if isinstance(rule, MishapRule):
-            effect = tuple((h, Phase.mishap()) for h in rule.sets)
-            return Action(rule.name, ActionClass.MISHAP_ACTION, effect, rule.domains)
-        if isinstance(rule, MitigationRule):
-            return Action(rule.name, ActionClass.MITIGATION, rule.mitigates, rule.domains)
-        raise TypeError(type(rule))
 
     def initial_states(self) -> frozenset[RiskState]:
         if self.situation.initial:
@@ -312,6 +278,13 @@ def _subsets(ids: Sequence[str], cap: int) -> list[frozenset[str]]:
 
 
 SWEEPS = ("endangerment", "mitigation")
+
+#: The kind of sweep that tries a rule, by its action's class.
+_SWEEP = {
+    ActionClass.ENDANGERMENT: "endangerment",
+    ActionClass.MISHAP_ACTION: "endangerment",
+    ActionClass.MITIGATION: "mitigation",
+}
 
 
 class _Rule(NamedTuple):
@@ -366,38 +339,32 @@ class _Builder:
         # Each sweep applies every rule to every state it processes, so a
         # state (by name) is either processed by a kind of sweep or not at all.
         self.processed: dict[str, set[str]] = {kind: set() for kind in SWEEPS}
-        self.entries = phase_tokens(catalog.hazards)  # token -> (id, phase)
+        enabled = [
+            (rule, catalog.action_for(rule)) for _, rule in catalog.rules() if rule.enabled
+        ]
+        # token -> (id, phase), for every phase a built state can hold: the
+        # phases of the states it starts from and the targets of the rules
+        self.entries = phase_tokens(catalog.hazards)
+        for h, p in itertools.chain(
+            (entry for s in self.states.values() for entry in s.entries),
+            (entry for _, action in enabled for entry in action.effect),
+        ):
+            self.entries[f"{h}:{p.render()}"] = (h, p)
         # Per kind of sweep, the compiled rules to try on a state, in subset
         # order and then declaration order: the first declaring rule of a
-        # transition wins, so this order is part of the output.
-        subsets = _subsets(self.ids, catalog.options.max_subset_size)
-        e_rules = self._index_endangerment_like()
-        m_rules = self._index_mitigations()
-        self.rules: dict[str, tuple[_Rule, ...]] = {
-            kind: tuple(
-                self._compile(rule) for subset in subsets for rule in index.get(subset, ())
+        # transition wins, so this order is part of the output.  A rule's
+        # subset is the set of hazards its action moves.
+        index: dict[frozenset[str], list[tuple[Rule, Action]]] = {}
+        for rule, action in enabled:
+            index.setdefault(frozenset(h for h, _ in action.effect), []).append(
+                (rule, action)
             )
-            for kind, index in zip(SWEEPS, (e_rules, m_rules))
-        }
+        self.rules: dict[str, list[_Rule]] = {kind: [] for kind in SWEEPS}
+        for subset in _subsets(self.ids, catalog.options.max_subset_size):
+            for rule, action in index.get(subset, ()):
+                self.rules[_SWEEP[action.kind]].append(self._compile(rule, action))
 
-    def _index_endangerment_like(self):
-        index: dict[frozenset[str], list] = {}
-        for rule in self.catalog.endangerments:
-            if rule.enabled:
-                index.setdefault(frozenset(rule.activates), []).append(rule)
-        for rule in self.catalog.mishaps:
-            if rule.enabled:
-                index.setdefault(frozenset(rule.sets), []).append(rule)
-        return index
-
-    def _index_mitigations(self):
-        index: dict[frozenset[str], list[MitigationRule]] = {}
-        for rule in self.catalog.mitigations:
-            if rule.enabled:
-                index.setdefault(rule.hazard_set(), []).append(rule)
-        return index
-
-    def _compile(self, rule) -> _Rule:
+    def _compile(self, rule: Rule, action: Action) -> _Rule:
         accepted: dict[str, set[str]] = {}
 
         def require(h: str, phase_ok: Callable[[Phase], bool]) -> None:
@@ -406,22 +373,19 @@ class _Builder:
 
         for h, phases in rule.guard.constraints:
             require(h, phases.__contains__)
-        action = self.catalog.action_for(rule)
+        moves = action.effect
         cs = sv = None
-        must_move = False
         if isinstance(rule, EndangermentRule):
             for h in rule.activates:
                 require(h, rule.from_phases.__contains__)
-            moves = () if rule.absorbed else tuple((h, Phase.active()) for h in rule.activates)
+            if rule.absorbed:
+                moves = ()
         elif isinstance(rule, MishapRule):
             for h in (*rule.requires, *rule.sets):
                 require(h, Phase.active().__eq__)
-            moves = tuple((h, Phase.mishap()) for h in rule.sets)
             sv = rule.sv
         else:
-            moves = rule.mitigates
             cs = rule.cs
-            must_move = True
         # Each move is checked against the phase graph here, once per rule:
         # a hazard is accepted only at its target or one legal step from it,
         # so every edge the rule makes is legal and is built without a
@@ -441,7 +405,7 @@ class _Builder:
             pr=rule.pr,
             cs=cs,
             sv=sv,
-            must_move=must_move,
+            must_move=action.kind is ActionClass.MITIGATION,
         )
 
     def run(self) -> tuple[RiskStructure, ConstructionLog]:

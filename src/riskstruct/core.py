@@ -295,12 +295,15 @@ def all_inactive(hazards: Sequence[HazardPhaseModel]) -> RiskState:
 def phase_tokens(
     hazards: Sequence[HazardPhaseModel],
 ) -> dict[str, tuple[str, Phase]]:
-    """Every valid ``id:phase`` token of ``hazards``, mapped to its entry.
+    """The ``id:phase`` token of each index-free phase of ``hazards``, mapped
+    to its entry.
 
-    A canonical state name is one such token per hazard, in declaration
-    order, joined by commas.
+    A canonical state name is one token per hazard, in declaration order,
+    joined by commas.  A hazard has ``n_mitigations`` mitigated phases,
+    however many of them are in use, so a caller adds the tokens of the
+    mitigated phases it meets.
     """
-    return {f"{h.id}:{p.render()}": (h.id, p) for h in hazards for p in h.phases()}
+    return {f"{h.id}:{text}": (h.id, p) for h in hazards for text, p in _FIXED_PHASES.items()}
 
 
 def state_parser(hazards: Sequence[HazardPhaseModel]) -> Callable[[str], RiskState]:
@@ -309,7 +312,9 @@ def state_parser(hazards: Sequence[HazardPhaseModel]) -> Callable[[str], RiskSta
     A :func:`phase_tokens` table per hazard is built once, so a canonical
     name is read by one lookup per token, in the table of the token's
     position, which also checks the declaration order.  Any other text
-    takes the token-by-token checks and gets their messages.
+    takes the token-by-token checks and gets their messages; the tokens of
+    the state it names are then added to the tables, so a mitigated phase
+    takes those checks once.
     """
     hazards = tuple(hazards)
     ids = tuple(h.id for h in hazards)
@@ -321,7 +326,10 @@ def state_parser(hazards: Sequence[HazardPhaseModel]) -> Callable[[str], RiskSta
             entries = tuple(map(dict.get, tables, tokens))
             if None not in entries:
                 return RiskState._parsed(entries, text, ids)
-        return _parse_state_checked(text, hazards)
+        state = _parse_state_checked(text, hazards)
+        for table, token, entry in zip(tables, state.name.split(","), state.entries):
+            table[token] = entry
+        return state
 
     return parse
 
@@ -416,7 +424,10 @@ class Action:
         object.__setattr__(self, "domains", tuple(sorted(set(self.domains))))
         for d in self.domains:
             if d not in DOMAINS:
-                raise ValueError(f"action {self.name!r}: unknown domain {d!r}")
+                raise ValueError(
+                    f"action {self.name!r}: unknown domain {d!r}; "
+                    f"pick from {', '.join(DOMAINS)}"
+                )
         seen: set[str] = set()
         for hid, target in self.effect:
             if hid in seen:

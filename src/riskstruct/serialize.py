@@ -635,6 +635,12 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
 
     # The rows are read without the reader, since there are tens of
     # thousands of them, and give the lines of the tests' row-by-row oracle.
+    def wrong(row: Mapping[str, Any], rows: str, i: int, *keys: str) -> RiskModelError:
+        """The line for the first of ``keys`` whose value is not a string."""
+        for key in keys:
+            r.check(row[key], f"{rows}[{i}].{key}", str)
+        return RiskModelError(r.errors[0])
+
     try:
         parse = state_parser(hazards)
         # every label and every name of a state refers to that state alone
@@ -642,8 +648,13 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
         labels: dict[RiskState, str] = {}
         states = []
         for i, entry in enumerate(state_rows):
-            state = parse(str(entry["name"]))
-            label = str(entry.get("label", state.name))
+            name = entry["name"]
+            if type(name) is not str:
+                raise wrong(entry, "states", i, "name")
+            state = parse(name)
+            label = entry.get("label", state.name)
+            if type(label) is not str:
+                raise wrong(entry, "states", i, "label")
             for part, key in (("name", state.name), ("label", label)):
                 known = by_label.setdefault(key, state)
                 if known is not state:
@@ -660,8 +671,10 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
         row = Transition._row
         transitions = []
         for i, t in enumerate(transition_rows):
-            source, target = by_label[str(t["source"])], by_label[str(t["target"])]
-            action = by_name[str(t["action"])]
+            source, target, name = t["source"], t["target"], t["action"]
+            if type(source) is not str or type(target) is not str or type(name) is not str:
+                raise wrong(t, "transitions", i, "source", "target", "action")
+            source, target, action = by_label[source], by_label[target], by_name[name]
             pr, cs = t.get("pr"), t.get("cs")
             if pr is not None and type(pr) is not float:
                 pr = r.check(pr, f"transitions[{i}].pr", float)

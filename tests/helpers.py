@@ -379,6 +379,13 @@ def brute_force_model_from_dict(data) -> LoadedModel:
         raise RiskModelError(f"malformed model: {exc}") from None
 
 
+def _text(value, anchor: str) -> str:
+    """A row's name or label, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise RiskModelError(f"{anchor}: must be a string, got {type(value).__name__}")
+    return value
+
+
 def _brute_force_load(data) -> LoadedModel:
     hazards = tuple(
         HazardPhaseModel(HazardId(str(h["id"])), int(h["n_mitigations"]))
@@ -387,9 +394,9 @@ def _brute_force_load(data) -> LoadedModel:
     by_label: dict[str, RiskState] = {}
     labels: dict[RiskState, str] = {}
     states = set()
-    for entry in data["states"]:
-        state = brute_force_parse_state(str(entry["name"]), hazards)
-        label = str(entry.get("label", state.name))
+    for i, entry in enumerate(data["states"]):
+        state = brute_force_parse_state(_text(entry["name"], f"states[{i}].name"), hazards)
+        label = _text(entry.get("label", state.name), f"states[{i}].label")
         states.add(state)
         by_label[label] = state
         by_label.setdefault(state.name, state)
@@ -408,8 +415,13 @@ def _brute_force_load(data) -> LoadedModel:
         )
     transitions = []
     for i, t in enumerate(data.get("transitions", ())):
-        source, target = by_label[str(t["source"])], by_label[str(t["target"])]
-        action, pr = actions[str(t["action"])], t.get("pr")
+        names = [t["source"], t["target"], t["action"]]
+        source, target, action = (
+            _text(name, f"transitions[{i}].{key}")
+            for name, key in zip(names, ("source", "target", "action"))
+        )
+        source, target, action = by_label[source], by_label[target], actions[action]
+        pr = t.get("pr")
         if pr is not None and type(pr) not in (int, float):
             raise RiskModelError(
                 f"transitions[{i}].pr: must be a number, got {type(pr).__name__}"

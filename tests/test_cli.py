@@ -107,6 +107,31 @@ class TestValidate:
                 "pick one of no_active, handover",
             ),
             ("options", "bands", "l_below", "0.02", "options.bands.l_below: must be a number, got str"),
+            # build could not make these actions or this initial state
+            (
+                "mitigations",
+                0,
+                "mitigates",
+                {"A": "e"},
+                "mitigations[0] ('m1_A'): action 'm1_A' (mitigation) cannot target "
+                "phase 'e' of hazard 'A'",
+            ),
+            (
+                "mitigations",
+                0,
+                "mitigates",
+                {"A": "em"},
+                "mitigations[0] ('m1_A'): action 'm1_A' (mitigation) cannot target "
+                "phase 'em' of hazard 'A'",
+            ),
+            ("endangerments", 0, "name", "", "endangerments[0] (''): action name must be non-empty"),
+            (
+                "situation",
+                None,
+                "initial",
+                ["A:em,L:0"],
+                "situation.initial: 'A:em,L:0' is a mishap state",
+            ),
         ],
     )
     def test_rejected_field_exits_2_on_validate_and_build(
@@ -118,9 +143,10 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
         assert main(["build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "m.json").exists()
 
     def test_probability_past_the_float_range_exits_2(self, tmp_path, capsys):

@@ -314,6 +314,46 @@ class TestCatalogValidation:
         with pytest.raises(CatalogInvalid):
             catalog.validate()
 
+    def test_disabled_rules_make_their_actions_too(self):
+        catalog = Catalog(
+            hazards=(HazardPhaseModel(HazardId("A"), 1),),
+            endangerments=(
+                EndangermentRule(name="f", activates=("A", "A"), pr=0.1, enabled=False),
+            ),
+            mitigations=(
+                MitigationRule(
+                    name="m", mitigates=(("A", Phase.active()),), pr=0.5, cs=1, enabled=False
+                ),
+            ),
+        )
+        with pytest.raises(CatalogInvalid) as err:
+            catalog.validate()
+        assert err.value.errors == [
+            "endangerments[0] ('f'): action 'f' moves hazard 'A' twice",
+            "mitigations[0] ('m'): action 'm' (mitigation) cannot target phase 'e' of hazard 'A'",
+        ]
+
+    def test_one_name_one_action(self):
+        def rule(domains):
+            return EndangermentRule(name="f", activates=("A",), pr=0.1, domains=domains)
+
+        hazards = (HazardPhaseModel(HazardId("A"), 1),)
+        # the same action, whatever the order of its domains
+        Catalog(hazards, endangerments=(rule(("veh", "drv")), rule(("drv", "veh")))).validate()
+        with pytest.raises(CatalogInvalid) as err:
+            Catalog(hazards, endangerments=(rule(("veh",)), rule(("drv",)))).validate()
+        assert err.value.errors == [
+            "endangerments[1] ('f'): action 'f' declared twice with different class, "
+            "effect, or domains"
+        ]
+
+    def test_cost_follows_the_phases_in_use(self, r2_catalog, r2_model):
+        # the table of a hazard's 10**9 + 3 phases could not be built
+        wide = replace(r2_catalog.hazards[0], n_mitigations=10**9)
+        model, _ = construct_rs(replace(r2_catalog, hazards=(wide, *r2_catalog.hazards[1:])))
+        assert {s.name for s in model.states} == {s.name for s in r2_model.states}
+        assert {t.key() for t in model.transitions} == {t.key() for t in r2_model.transitions}
+
 
 class TestRandomCatalogs:
     def test_construction_properties(self):

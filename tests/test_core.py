@@ -221,8 +221,20 @@ class TestRiskState:
             return s.name, s.entries, s.hazard_ids, hash(s)
 
         expected = outcome(lambda t: brute_force_parse_state(t, hazards))
-        assert outcome(state_parser(hazards)) == expected
+        parse = state_parser(hazards)
+        assert outcome(parse) == expected
+        # again, once the parser has learned the tokens of the name
+        assert outcome(parse) == expected
         assert outcome(lambda t: parse_state(t, hazards)) == expected
+
+    def test_a_parser_learns_the_mitigated_phases_it_meets(self):
+        hazards = (HazardPhaseModel(HazardId("A"), 10**9), HazardPhaseModel(HazardId("L"), 2))
+        parse = state_parser(hazards)
+        for text in ("L:m2,A:m999999999", "A:m999999999,L:m2", "A:m999999999,L:m2"):
+            assert parse(text) == brute_force_parse_state(text, hazards)
+        for text in ("A:m1000000001,L:0", "A:0,L:m3", "L:m2,A:m0"):
+            with pytest.raises(StateSyntaxError):
+                parse(text)
 
     def test_embed_into_the_same_hazards_is_the_identity(self):
         s = parse_state("A:m1,L:e", AB)

@@ -26,9 +26,11 @@ from riskstruct.catalogs import catalog_path
 from helpers import assert_matches_oracle, catalog_to_dict, random_rule_catalog
 
 #: Values a mutation puts in place of a part of a file: every JSON type,
-#: with empty, small, negative, fractional and phase- or state-like values.
+#: with empty, small, large, negative, fractional and phase- or state-like
+#: values.  A count of 10**9 (as ``n_mitigations``) must cost no more than 7.
 _VALUES = (
-    None, True, False, 0, -1, 7, 1.5, "", "x", "e", "m1", "A:e,L:0", [], ["x"], {}, {"x": 1}
+    None, True, False, 0, -1, 7, 10**9, 1.5, "", "x", "e", "m1", "A:e,L:0", [], ["x"], {},
+    {"x": 1},
 )
 
 
@@ -57,10 +59,14 @@ def _mutated_text(draw, value) -> str:
 
 
 def _run(argv) -> tuple[int, str]:
-    """``cli.main(argv)``'s exit code and stderr; it must raise nothing."""
+    """``cli.main(argv)``'s exit code and stderr; it must raise nothing but
+    the ``SystemExit`` of a usage error."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     return code, err.getvalue()
 
@@ -127,6 +133,50 @@ class TestMutatedFiles:
             model.write_text(_r2_model_text())
             drops.write_text(text)
             _assert_one_line_unless_ok(*_run(["reduce", str(model), "--drop", str(drops)]))
+
+
+#: Each command with a flag whose value is drawn, as ``{value}``.
+_FLAG_COMMANDS = (
+    ("build", "{catalog}", "-o", "{out}", "--max-subset={value}"),
+    ("build", "{catalog}", "-o", "{out}", "--bands={value}"),
+    ("analyze", "{model}", "--bands={value}"),
+    ("plan", "{model}", "--from={value}"),
+    ("plan", "{model}", "--from=A:e,L:0", "--bands={value}"),
+    ("plan", "{model}", "--from=A:e,L:0", "--slack={value}"),
+    ("reduce", "{model}", "--equiv={value}"),
+)
+
+#: Flag values: well-formed ones, near misses and any text.
+_FLAG_VALUES = st.one_of(
+    st.sampled_from(
+        (
+            "l=0.01,h=0.1", "h=0.1,l=0.01", "l=0.2,h=0.1", "l=0,h=1", "l=nan,h=0.1",
+            "l=1e-400,h=0.1", "l=0.01,h=1e400", "l=0.01", "l=0.01,h=0.1,x=1", "A:e,L:0",
+            "L:e,A:0", "A:em,L:0", "A:m1,L:m4", "A:m9,L:0", "A:e|L:0", "m", "h", "f", "0",
+            "-1", "2", " 3", str(10**9), "9" * 5000, "",
+        )
+    ),
+    st.text(max_size=24),
+)
+
+
+class TestFlags:
+    """Whatever a flag's value, a command exits 0 or 2, and a refusal is one
+    ``riskstruct: ...`` line."""
+
+    @_FUZZ
+    @given(st.sampled_from(_FLAG_COMMANDS), _FLAG_VALUES)
+    def test_flag_values(self, command, value):
+        with tempfile.TemporaryDirectory() as work:
+            model = Path(work) / "model.json"
+            model.write_text(_r2_model_text())
+            names = dict(
+                catalog=catalog_path("tunnel-exit-r2"), model=model, out=Path(work) / "m.json"
+            )
+            argv = [arg.format(value=value, **names) for arg in command]
+            code, err = _run(argv)
+            assert code in (0, 2)
+            _assert_one_line_unless_ok(code, err)
 
 
 class TestValidateImpliesBuild:

@@ -221,6 +221,23 @@ _BAD_ROWS = {
         lambda d: d["transitions"][-1].update(pr=True),
         "must be a number, got bool",
     ),
+    # str() would read 5 as "5" and null as "None"
+    "name-int": (
+        lambda d: d["states"][0].update(name=5),
+        "states[0].name: must be a string, got int",
+    ),
+    "label-int": (
+        lambda d: d["states"][1].update(label=5),
+        "states[1].label: must be a string, got int",
+    ),
+    "source-null": (
+        lambda d: d["transitions"][0].update(source=None),
+        "transitions[0].source: must be a string, got NoneType",
+    ),
+    "action-list": (
+        lambda d: d["transitions"][-1].update(action=["x"]),
+        "must be a string, got list",
+    ),
 }
 
 
