@@ -207,6 +207,8 @@ class Catalog:
                 errors.append(f"{anchor}: moves no hazard")
             for hid, target in effect:
                 check(anchor, hid, (target,))
+                if isinstance(rule, EndangermentRule) and hid in models:
+                    check(f"{anchor}.from_phases", hid, rule.from_phases)
             for hid in rule.requires if isinstance(rule, MishapRule) else ():
                 check(anchor, hid)
             for hid, phases in rule.guard.constraints:

@@ -2,15 +2,23 @@
 
 A plan is a chain of mitigation transitions (ordinary actions are admitted on
 request, endangerments never).  Plans to a target are ranked by worst risk
-priority along the way, then total cost, then length, then action names, so
-the ranking is a total, reproducible order.
+priority along the way, then total cost, length, action names and the names
+of the states passed, so the ranking is a total, reproducible order; of two
+plans equal on all but the state names, the first in transition-key order
+wins.  The planner runs one Dijkstra search per risk priority r at or above
+the start's, least first, so at most three: the search at level r follows
+only edges into states of risk priority at most r, and each target takes the
+path of the first level that reaches it.  Within a level, extending two paths
+by one edge keeps their order and makes both keys larger, so the search is
+exact and its paths are simple.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     ActionClass,
@@ -64,25 +72,31 @@ def make_plan(
     model: RiskStructure,
     path: Sequence[Transition],
     thresholds: Optional[BandThresholds] = None,
-    _rps: Optional[Mapping[RiskState, Severity]] = None,
 ) -> Plan:
-    """Compute a plan's metrics from its transition sequence.
-
-    ``_rps``, the risk priority of every state, spares a caller that makes
-    many plans from recomputing it.
-    """
+    """Compute a plan's metrics from its transition sequence."""
     path = tuple(path)
-    if _rps is None:
-        _rps = risk_priorities(model, thresholds)
     states = (path[0].source, *(t.target for t in path))
     return Plan(
         path=path,
         total_cost=sum(t.cs or 0 for t in path),
-        max_rp=sv_max([_rps[s] for s in states]),
+        max_rp=sv_max(_priorities(model, states, thresholds)),
         attainment=math.prod(
             (t.pr if t.pr is not None else 1.0 for t in path), start=1.0
         ),
     )
+
+
+def _priorities(
+    model: RiskStructure,
+    states: Sequence[RiskState],
+    thresholds: Optional[BandThresholds],
+) -> list[Severity]:
+    """Risk priority of each of ``states``, under the model's own band
+    thresholds when none are given."""
+    if thresholds is None:
+        thresholds = BandThresholds.from_model(model)
+    table = analysis_table(model)
+    return [table.risk_priority(s, thresholds) for s in states]
 
 
 def safest_possible_states(model: RiskStructure, state: RiskState) -> frozenset[RiskState]:
@@ -106,61 +120,43 @@ def plan_mitigations(
     for planning).
     """
     model.require_state(state)
-    classes = frozenset(
-        {ActionClass.MITIGATION, ActionClass.ORDINARY}
-        if allow_ordinary
-        else {ActionClass.MITIGATION}
-    )
-    targets = sorted(
-        safest_possible_states(model, state) - {state}, key=model.label
-    )
-    adjacency = model.outgoing()
+    classes = DELTA_M if allow_ordinary else {ActionClass.MITIGATION}
+    targets = safest_possible_states(model, state) - {state}
     rps = risk_priorities(model, thresholds)
-    plans = []
-    for target in targets:
-        best = _best_plan(model, adjacency, state, target, classes, rps)
-        if best is not None:
-            plans.append(best)
-    return plans
-
-
-def _plan_key(plan: Plan) -> tuple:
-    return (plan.max_rp.rank, plan.total_cost, len(plan.path), plan.action_names())
-
-
-def _best_plan(
-    model: RiskStructure,
-    adjacency,
-    start: RiskState,
-    target: RiskState,
-    classes: frozenset[ActionClass],
-    rps: Mapping[RiskState, Severity],
-) -> Optional[Plan]:
-    """Exhaustive simple-path search with monotone pruning.
-
-    Every ranking component only grows as a path is extended, so a prefix
-    already ranked at or above the best complete plan cannot improve on it.
-    """
-    best: Optional[Plan] = None
-
-    def extend(current: RiskState, path: list[Transition], visited: set[RiskState]):
-        nonlocal best
-        for t in adjacency[current]:
-            if t.action.kind not in classes or t.target in visited:
+    adjacency = model.outgoing()
+    paths: dict[RiskState, tuple[Transition, ...]] = {}
+    for level in sorted({rp.rank for rp in rps.values() if rp.rank >= rps[state].rank}):
+        if targets <= paths.keys():
+            break
+        # the key (cost, length, action names, state names) is unique per
+        # path, so the heap never compares the states or paths after it
+        settled: set[RiskState] = set()
+        heap = [(0, 0, (), (), state, ())]
+        while heap:
+            cost, length, names, stops, s, path = heapq.heappop(heap)
+            if s in settled:
                 continue
-            path.append(t)
-            candidate = make_plan(model, path, _rps=rps)
-            if best is None or _plan_key(candidate) < _plan_key(best):
-                if t.target == target:
-                    best = candidate
-                else:
-                    visited.add(t.target)
-                    extend(t.target, path, visited)
-                    visited.remove(t.target)
-            path.pop()
-
-    extend(start, [], {start})
-    return best
+            settled.add(s)
+            if s in targets:
+                paths.setdefault(s, path)
+            for t in adjacency[s]:
+                if (
+                    t.action.kind in classes
+                    and t.target not in settled
+                    and rps[t.target].rank <= level
+                ):
+                    heapq.heappush(heap, (
+                        cost + (t.cs or 0),
+                        length + 1,
+                        (*names, t.action.name),
+                        (*stops, t.target.name),
+                        t.target,
+                        (*path, t),
+                    ))
+    return [
+        make_plan(model, paths[target], thresholds)
+        for target in sorted(paths, key=model.label)
+    ]
 
 
 def is_mitigation_monotonous(
@@ -173,9 +169,6 @@ def is_mitigation_monotonous(
 
     ``slack`` tolerates that many increases, as a practical relaxation.
     """
-    if thresholds is None:
-        thresholds = BandThresholds.from_model(model)
-    table = analysis_table(model)
-    rps = [table.risk_priority(s, thresholds) for s in plan.states()]
+    rps = _priorities(model, plan.states(), thresholds)
     violations = sum(1 for a, b in zip(rps, rps[1:]) if b.rank > a.rank)
     return violations <= slack

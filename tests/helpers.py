@@ -37,10 +37,12 @@ from riskstruct import (
     construct_rs,
     is_mishap,
     legal_phase_step,
+    make_plan,
     phase_leq,
+    risk_priorities,
     state_from_phases,
 )
-from riskstruct.analysis import Region
+from riskstruct.analysis import DELTA_M, Region
 from riskstruct.core import RiskModelError, StateSyntaxError
 from riskstruct.order import mitigation_lt, phase_lt
 
@@ -188,6 +190,65 @@ def brute_force_max_path_product(model, start, targets) -> float:
     return best
 
 
+def brute_force_best_plan(model, start, target, classes, thresholds=None):
+    """Exhaustive simple-path search with monotone pruning: the best plan
+    from ``start`` to ``target`` over transitions of ``classes``, or None.
+
+    Plans rank by worst risk priority, total cost, length and action names.
+    Every component only grows as a path is extended, so a prefix ranked at
+    or above the best complete plan cannot improve on it.  Among plans of
+    equal rank the first in transition-key order wins.
+    """
+    rps = risk_priorities(model, thresholds)
+    adjacency: dict[RiskState, list[Transition]] = {}
+    for t in sorted(model.transitions, key=lambda t: t.key()):
+        adjacency.setdefault(t.source, []).append(t)
+    best = None
+
+    def key(path):
+        states = [start, *(t.target for t in path)]
+        return (
+            max(rps[s].rank for s in states),
+            sum(t.cs or 0 for t in path),
+            len(path),
+            tuple(t.action.name for t in path),
+        )
+
+    def extend(current, path, visited):
+        nonlocal best
+        for t in adjacency.get(current, ()):
+            if t.action.kind not in classes or t.target in visited:
+                continue
+            path.append(t)
+            if best is None or key(path) < key(best):
+                if t.target == target:
+                    best = tuple(path)
+                else:
+                    visited.add(t.target)
+                    extend(t.target, path, visited)
+                    visited.remove(t.target)
+            path.pop()
+
+    extend(start, [], {start})
+    return None if best is None else make_plan(model, best, thresholds)
+
+
+def brute_force_plans(model, start, thresholds=None, allow_ordinary=False) -> list:
+    """``plan_mitigations`` by :func:`brute_force_best_plan` to each maximal
+    state of the scanned mitigation closure, in label order."""
+    classes = {ActionClass.MITIGATION}
+    if allow_ordinary:
+        classes.add(ActionClass.ORDINARY)
+    closure = brute_force_reach(model, start, DELTA_M)
+    plans = []
+    for target in sorted(brute_force_maxima(closure), key=model.label):
+        if target != start:
+            plan = brute_force_best_plan(model, start, target, classes, thresholds)
+            if plan is not None:
+                plans.append(plan)
+    return plans
+
+
 def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:
     """A small hand-built structure with legal single-hazard transitions."""
     n_h = rng.randint(1, 3)
@@ -234,7 +295,7 @@ def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:
                 )
     sv = {
         s: rng.choice((Severity.MARGINAL, Severity.CRITICAL, Severity.FATAL))
-        for s in state_set
+        for s in order
         if is_mishap(s)
     }
     return RiskStructure(
@@ -244,6 +305,43 @@ def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:
         transitions=tuple(sorted(transitions, key=lambda t: t.key())),
         initial=frozenset({base}),
         sv=sv,
+    )
+
+
+def random_shared_name_structure(rng: Random) -> RiskStructure:
+    """:func:`random_structure` with few action names and costs, so that
+    plans tie on cost, length and action names: mitigations are renamed
+    ``a`` or ``b`` and cost 0 or 1, and ordinary edges ``o`` join random
+    pairs of states.  The renamed and added edges are unchecked, as a
+    quotient's edges are."""
+    model = random_structure(rng)
+    names = {
+        n: Action(n, ActionClass.MITIGATION, ()) for n in ("a", "b")
+    }
+    ordinary = Action("o", ActionClass.ORDINARY, ())
+    edges: dict[tuple[str, str, str], Transition] = {}
+    for t in model.transitions:
+        if t.action.kind is ActionClass.MITIGATION:
+            t = Transition(
+                t.source, names[rng.choice("ab")], t.target,
+                pr=t.pr, cs=rng.randint(0, 1), checked=False,
+            )
+        edges.setdefault(t.key(), t)
+    free = sorted((s for s in model.states if not is_mishap(s)), key=lambda s: s.name)
+    for _ in range(len(free)):
+        t = Transition(
+            rng.choice(free), ordinary, rng.choice(free),
+            cs=rng.randint(0, 1), checked=False,
+        )
+        edges.setdefault(t.key(), t)
+    transitions = sorted(edges.values(), key=lambda t: t.key())
+    return RiskStructure(
+        hazards=model.hazards,
+        states=model.states,
+        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
+        transitions=tuple(transitions),
+        initial=model.initial,
+        sv=model.sv,
     )
 
 
@@ -689,8 +787,9 @@ def random_rule_catalog(rng: Random) -> Catalog:
         from_phases = [Phase.inactive()]
         if rng.random() < 0.3:
             from_phases.append(Phase.active())
-        if rng.random() < 0.3:
-            from_phases.append(mitigated(activates[0]))
+        if rng.random() < 0.3:  # a phase every activated hazard has
+            low = min(activates, key=lambda h: by_id[h].n_mitigations)
+            from_phases.append(mitigated(low))
         rng.shuffle(from_phases)
         rule = EndangermentRule(
             name=f"e{next(counter)}",

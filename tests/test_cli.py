@@ -126,6 +126,13 @@ class TestValidate:
             ),
             ("endangerments", 0, "name", "", "endangerments[0] (''): action name must be non-empty"),
             (
+                "endangerments",
+                0,
+                "from_phases",
+                ["0", "m9"],
+                "endangerments[0] ('f_A').from_phases: hazard 'A' has no phase 'm9'",
+            ),
+            (
                 "situation",
                 None,
                 "initial",

@@ -4,19 +4,36 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
+    Action,
     ActionClass,
     BandThresholds,
+    HazardId,
+    HazardPhaseModel,
+    Phase,
+    RiskStructure,
+    Severity,
+    Transition,
     is_mitigation_monotonous,
     make_plan,
     mitigation_lt,
     plan_mitigations,
     risk_priority,
     safest_possible_states,
+    state_from_phases,
 )
 
-from helpers import brute_force_maxima, brute_force_reach, random_structure
+from helpers import (
+    brute_force_best_plan,
+    brute_force_maxima,
+    brute_force_plans,
+    brute_force_reach,
+    random_shared_name_structure,
+    random_structure,
+)
+from riskstruct import plan as plan_module
 from riskstruct.analysis import DELTA_M
 
 
@@ -136,6 +153,115 @@ class TestPlanMitigations:
         plans = plan_mitigations(r2_model, a)
         labels = [r2_model.label(p.end) for p in plans]
         assert labels == sorted(labels)
+
+
+class TestPlannerOracle:
+    """``plan_mitigations`` against the exhaustive simple-path search."""
+
+    @staticmethod
+    def _check(model, bands):
+        thresholds = BandThresholds(*bands)
+        for start in model.sorted_states():
+            for allow_ordinary in (False, True):
+                assert plan_mitigations(
+                    model, start, thresholds, allow_ordinary
+                ) == brute_force_plans(model, start, thresholds, allow_ordinary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bands=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(sorted),
+    )
+    def test_random_structures(self, seed, bands):
+        self._check(random_structure(Random(seed)), bands)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bands=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(sorted),
+    )
+    def test_shared_names_and_ordinary_edges(self, seed, bands):
+        # plans tie on cost, length and action names; the first in adjacency
+        # order must win, as it does in the exhaustive search
+        self._check(random_shared_name_structure(Random(seed)), bands)
+
+    def test_full_key_tie_goes_to_the_first_path_in_adjacency_order(self):
+        # S -a-> X -b-> Z -c-> T and S -a-> Y -b-> W -c-> T tie on cost,
+        # length and action names; X precedes Y by name but W precedes Z, so
+        # ranking ties by the last state alone would pick the second path
+        hazards = (HazardPhaseModel(HazardId("P"), 2), HazardPhaseModel(HazardId("Q"), 2))
+
+        def state(p, q):
+            return state_from_phases(hazards, {"P": Phase.parse(p), "Q": Phase.parse(q)})
+
+        s, x, y = state("e", "e"), state("m1", "e"), state("m2", "e")
+        z, w, t = state("m1", "m1"), state("0", "e"), state("0", "0")
+        assert x.name < y.name and w.name < z.name
+        a, b, c = (Action(n, ActionClass.MITIGATION, ()) for n in "abc")
+        edges = [(s, a, x), (s, a, y), (x, b, z), (y, b, w), (z, c, t), (w, c, t)]
+        model = RiskStructure(
+            hazards=hazards,
+            states=frozenset({s, x, y, z, w, t}),
+            actions=(a, b, c),
+            transitions=tuple(
+                Transition(u, act, v, pr=1.0, cs=1, checked=False) for u, act, v in edges
+            ),
+            initial=frozenset({t}),
+        )
+        (plan,) = plan_mitigations(model, s)
+        assert plan.states() == (s, x, z, t)
+        assert plan == brute_force_best_plan(model, s, t, {ActionClass.MITIGATION})
+
+    def test_binding_threshold_takes_the_dearer_path(self):
+        # the cheap route calm, fix passes a state one likely step from a
+        # fatal mishap; the plan pays 5 to stay at the start's risk priority
+        hazards = (HazardPhaseModel(HazardId("P"), 1), HazardPhaseModel(HazardId("Q"), 1))
+
+        def state(p, q):
+            return state_from_phases(hazards, {"P": Phase.parse(p), "Q": Phase.parse(q)})
+
+        start, middle, aside = state("e", "m1"), state("e", "0"), state("m1", "m1")
+        end, mishap = state("m1", "0"), state("em", "0")
+        calm = Action("calm", ActionClass.MITIGATION, (("Q", Phase.inactive()),))
+        fix = Action("fix", ActionClass.MITIGATION, (("P", Phase.mitigated(1)),))
+        boom = Action("boom", ActionClass.MISHAP_ACTION, (("P", Phase.mishap()),))
+        model = RiskStructure(
+            hazards=hazards,
+            states=frozenset({start, middle, aside, end, mishap}),
+            actions=(boom, calm, fix),
+            transitions=(
+                Transition(start, calm, middle, pr=0.001, cs=1),
+                Transition(middle, fix, end, pr=0.9, cs=1),
+                Transition(middle, boom, mishap, pr=0.9),
+                Transition(start, fix, aside, pr=0.9, cs=4),
+                Transition(aside, calm, end, pr=0.9, cs=1),
+            ),
+            initial=frozenset({end}),
+            sv={mishap: Severity.FATAL},
+        )
+        assert risk_priority(model, middle).rank > risk_priority(model, start).rank
+        (plan,) = plan_mitigations(model, start)
+        assert plan.states() == (start, aside, end)
+        assert plan.total_cost == 5
+        assert plan.max_rp == risk_priority(model, start)
+        assert plan == brute_force_best_plan(model, start, end, {ActionClass.MITIGATION})
+
+    def test_one_make_plan_per_returned_plan(self, monkeypatch, r2_model, r3_model):
+        calls = 0
+        make = plan_module.make_plan
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "make_plan", counting)
+        returned = 0
+        for model in (r2_model, r3_model):
+            for start in model.sorted_states():
+                returned += len(plan_mitigations(model, start, allow_ordinary=True))
+        assert returned > 0
+        assert calls == returned
 
 
 class TestOrdinaryActions:
