@@ -16,13 +16,16 @@ set, computed on first use by :func:`analysis_table` and cached on the model:
   in forward order, from the state towards the mishap;
 - the least severe reachable target comes from one backward breadth-first
   search per severity level, least severe first;
-- the risk priority is derived from both for any band thresholds on request.
+- the risk priority is derived from both under the model's band thresholds,
+  ``model.options.bands``.
 
 A table costs O((V + E) log V) once per model and target set, instead of once
 per queried state.  The adjacency it walks is built once per model and shared
 (:meth:`RiskStructure.outgoing`, :meth:`RiskStructure.incoming`), so it is
 read-only.  :func:`mishap_reach_probability` and :func:`risk_priority` are
-lookups in the table.
+lookups in the table; :func:`risk_priorities` is the risk priority of every
+state, cached on the model per band thresholds.  Regions follow the model's
+``options.region_policy`` unless :func:`assign_regions` is given a policy.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .core import (
     ActionClass,
+    Band,  # noqa: F401 - re-exported with BandThresholds
+    BandThresholds,
     PhaseKind,
     RiskModelError,
     RiskState,
@@ -44,12 +49,7 @@ from .core import (
     has_active,
     is_mishap,
 )
-from .order import (
-    Band,
-    feature_profile,
-    in_loop_features,
-    sv_scale,
-)
+from .order import feature_profile, in_loop_features, sv_scale
 
 
 class Region(Enum):
@@ -63,34 +63,6 @@ RegionAssignment = dict[RiskState, Region]
 #: Transition classes admitted by the mitigation-only reachability filter:
 #: everything except endangerments and mishap actions.
 DELTA_M = frozenset({ActionClass.MITIGATION, ActionClass.ORDINARY})
-
-
-@dataclass(frozen=True)
-class BandThresholds:
-    """Maps a probability to the low/medium/high band.
-
-    Probabilities below ``l_below`` are low, probabilities at or above
-    ``h_at_least`` are high, everything between is medium; so band(0) is low
-    and band(1) is high.
-    """
-
-    l_below: float = 0.01
-    h_at_least: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.l_below <= self.h_at_least <= 1.0:
-            raise ValueError("band thresholds must satisfy 0 < l <= h <= 1")
-
-    @classmethod
-    def from_model(cls, model: RiskStructure) -> "BandThresholds":
-        return cls(model.options.band_l_below, model.options.band_h_at_least)
-
-    def band(self, probability: float) -> Band:
-        if probability < self.l_below:
-            return Band.LOW
-        if probability >= self.h_at_least:
-            return Band.HIGH
-        return Band.MEDIUM
 
 
 def reach(
@@ -271,14 +243,17 @@ def _analyze(model: RiskStructure, targets: Optional[frozenset[RiskState]]) -> A
     )
 
 
-def risk_priorities(
-    model: RiskStructure, thresholds: Optional[BandThresholds] = None
-) -> dict[RiskState, Severity]:
-    """:func:`risk_priority` of every state against all mishaps."""
-    if thresholds is None:
-        thresholds = BandThresholds.from_model(model)
-    table = analysis_table(model)
-    return {s: table.risk_priority(s, thresholds) for s in model.states}
+def risk_priorities(model: RiskStructure) -> Mapping[RiskState, Severity]:
+    """:func:`risk_priority` of every state against all mishaps, computed
+    once per model and band thresholds, so read-only."""
+    bands = model.options.bands
+
+    def compute() -> Mapping[RiskState, Severity]:
+        table = analysis_table(model)
+        return MappingProxyType({s: table.risk_priority(s, bands) for s in model.states})
+
+    # the options can be reassigned, so the bands are part of the key
+    return model._memo(("rp", bands), compute)
 
 
 def mishap_reach_probability(
@@ -299,14 +274,12 @@ def risk_priority(
     model: RiskStructure,
     state: RiskState,
     targets: Optional[Iterable[RiskState]] = None,
-    thresholds: Optional[BandThresholds] = None,
 ) -> Severity:
-    """Band of the mishap-reach probability scaled against the least severe
-    reachable target mishap; marginal when no target is reachable.
+    """Band of the mishap-reach probability, under the model's band
+    thresholds, scaled against the least severe reachable target mishap;
+    marginal when no target is reachable.
 
     On a mishap state this is its own severity.
     """
     model.require_state(state)
-    if thresholds is None:
-        thresholds = BandThresholds.from_model(model)
-    return analysis_table(model, targets).risk_priority(state, thresholds)
+    return analysis_table(model, targets).risk_priority(state, model.options.bands)

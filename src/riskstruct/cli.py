@@ -21,8 +21,8 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .core import RiskModelError, RiskStructure, embed_state, state_parser
-from .analysis import BandThresholds, analysis_table, assign_regions
+from .core import BandThresholds, RiskModelError, RiskStructure, embed_state, state_parser
+from .analysis import analysis_table, assign_regions, risk_priorities
 from .construct import CatalogInvalid, construct_rs
 from .plan import is_mitigation_monotonous, plan_mitigations
 from .reduce import collapse_safe_chains, drop_irrelevant, quotient, EQUIVALENCES
@@ -85,8 +85,11 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _thresholds(model: RiskStructure, bands: Optional[BandThresholds]) -> BandThresholds:
-    return BandThresholds.from_model(model) if bands is None else bands
+def _set_options(holder, **options):
+    """``holder``, a catalog or a model, with each of ``options`` that is not
+    None set in its options."""
+    options = {name: value for name, value in options.items() if value is not None}
+    return replace(holder, options=replace(holder.options, **options)) if options else holder
 
 
 class _CliError(Exception):
@@ -127,19 +130,7 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     catalog = _load(load_catalog, "catalog", args.catalog)
-    if args.max_subset is not None:
-        catalog = replace(
-            catalog, options=replace(catalog.options, max_subset_size=args.max_subset)
-        )
-    if args.bands is not None:
-        catalog = replace(
-            catalog,
-            options=replace(
-                catalog.options,
-                band_l_below=args.bands.l_below,
-                band_h_at_least=args.bands.h_at_least,
-            ),
-        )
+    catalog = _set_options(catalog, max_subset_size=args.max_subset, bands=args.bands)
     model, log = construct_rs(catalog)
     for record in log.records:
         print(
@@ -158,13 +149,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    model, _ = _load_model(args.model)
-    thresholds = _thresholds(model, args.bands)
+    model = _set_options(_load_model(args.model)[0], bands=args.bands)
     regions = assign_regions(model)
     table = analysis_table(model)
+    rps = risk_priorities(model)
     for state in model.sorted_states():
         pr = table.pr[state]
-        rp = table.risk_priority(state, thresholds)
+        rp = rps[state]
         print(
             f"{model.label(state)}\t{regions[state].value}\t{fmt_prob(pr):.6g}\t{rp.value}"
         )
@@ -182,19 +173,14 @@ def cmd_regions(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    model, _ = _load_model(args.model)
-    thresholds = _thresholds(model, args.bands)
+    model = _set_options(_load_model(args.model)[0], bands=args.bands)
     try:
         start = model.state_named(args.from_state)
     except RiskModelError as exc:
         return _fail(EXIT_INVALID, str(exc))
-    plans = plan_mitigations(
-        model, start, thresholds=thresholds, allow_ordinary=args.allow_ordinary
-    )
+    plans = plan_mitigations(model, start, allow_ordinary=args.allow_ordinary)
     for plan in plans:
-        monotonous = is_mitigation_monotonous(
-            model, plan, thresholds=thresholds, slack=args.slack
-        )
+        monotonous = is_mitigation_monotonous(model, plan, slack=args.slack)
         print(
             f"{model.label(plan.end)}\t{','.join(plan.action_names())}\t"
             f"{plan.max_rp.value}\t{plan.total_cost}\t"
@@ -204,6 +190,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.require_equal_rp and args.equiv is None:
+        return _fail(EXIT_INVALID, "--require-equal-rp needs --equiv")
     model, log = _load_model(args.model)
     try:
         if args.equiv is not None:

@@ -49,6 +49,7 @@ from .core import (
     parse_state,
     phase_tokens,
 )
+from .analysis import region_policy
 from .order import FeatureModel
 
 
@@ -237,6 +238,10 @@ class Catalog:
                 continue
             if is_mishap(state):
                 errors.append(f"situation.initial: {name!r} is a mishap state")
+        try:
+            region_policy(self.options.region_policy)
+        except RiskModelError as exc:
+            errors.append(f"options.region_policy: {exc}")
         if self.options.region_policy == "handover":
             if self.features is None or not self.features.fallback_features():
                 errors.append(

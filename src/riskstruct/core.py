@@ -127,6 +127,38 @@ class Severity(Enum):
         return {"m": 0, "c": 1, "f": 2}[self.value]
 
 
+class Band(Enum):
+    """Probability band used to scale severity into a risk priority."""
+
+    LOW = "l"
+    MEDIUM = "m"
+    HIGH = "h"
+
+
+@dataclass(frozen=True)
+class BandThresholds:
+    """Maps a probability to the low/medium/high band.
+
+    Probabilities below ``l_below`` are low, probabilities at or above
+    ``h_at_least`` are high, everything between is medium; so band(0) is low
+    and band(1) is high.
+    """
+
+    l_below: float = 0.01
+    h_at_least: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.l_below <= self.h_at_least <= 1.0:
+            raise ValueError("band thresholds must satisfy 0 < l <= h <= 1")
+
+    def band(self, probability: float) -> Band:
+        if probability < self.l_below:
+            return Band.LOW
+        if probability >= self.h_at_least:
+            return Band.HIGH
+        return Band.MEDIUM
+
+
 @dataclass(frozen=True)
 class HazardId:
     """Symbolic hazard identifier, unique within a catalog."""
@@ -583,15 +615,12 @@ class ModelOptions:
     """Construction and analysis knobs carried along with a model."""
 
     max_subset_size: int = 2
-    band_l_below: float = 0.01
-    band_h_at_least: float = 0.1
+    bands: BandThresholds = BandThresholds()
     region_policy: str = "no_active"
 
     def __post_init__(self) -> None:
         if self.max_subset_size < 1:
             raise ValueError("max_subset_size must be >= 1")
-        if not 0.0 < self.band_l_below <= self.band_h_at_least <= 1.0:
-            raise ValueError("band thresholds must satisfy 0 < l <= h <= 1")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .core import (
+    Band,
     Phase,
     PhaseKind,
     RiskModelError,
@@ -141,14 +142,6 @@ def sv_max(severities: Sequence[Severity]) -> Severity:
     if not severities:
         raise ValueError("sv_max of empty sequence")
     return max(severities, key=lambda s: s.rank)
-
-
-class Band(Enum):
-    """Probability band used to scale severity into a risk priority."""
-
-    LOW = "l"
-    MEDIUM = "m"
-    HIGH = "h"
 
 
 _SV_SCALE = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     ActionClass,
@@ -27,13 +27,7 @@ from .core import (
     Severity,
     Transition,
 )
-from .analysis import (
-    DELTA_M,
-    BandThresholds,
-    analysis_table,
-    reach,
-    risk_priorities,
-)
+from .analysis import DELTA_M, reach, risk_priorities
 from .order import maxima, sv_max
 
 
@@ -68,35 +62,19 @@ class Plan:
         return tuple(t.action.name for t in self.path)
 
 
-def make_plan(
-    model: RiskStructure,
-    path: Sequence[Transition],
-    thresholds: Optional[BandThresholds] = None,
-) -> Plan:
+def make_plan(model: RiskStructure, path: Sequence[Transition]) -> Plan:
     """Compute a plan's metrics from its transition sequence."""
     path = tuple(path)
     states = (path[0].source, *(t.target for t in path))
+    rps = risk_priorities(model)
     return Plan(
         path=path,
         total_cost=sum(t.cs or 0 for t in path),
-        max_rp=sv_max(_priorities(model, states, thresholds)),
+        max_rp=sv_max([rps[s] for s in states]),
         attainment=math.prod(
             (t.pr if t.pr is not None else 1.0 for t in path), start=1.0
         ),
     )
-
-
-def _priorities(
-    model: RiskStructure,
-    states: Sequence[RiskState],
-    thresholds: Optional[BandThresholds],
-) -> list[Severity]:
-    """Risk priority of each of ``states``, under the model's own band
-    thresholds when none are given."""
-    if thresholds is None:
-        thresholds = BandThresholds.from_model(model)
-    table = analysis_table(model)
-    return [table.risk_priority(s, thresholds) for s in states]
 
 
 def safest_possible_states(model: RiskStructure, state: RiskState) -> frozenset[RiskState]:
@@ -108,7 +86,6 @@ def safest_possible_states(model: RiskStructure, state: RiskState) -> frozenset[
 def plan_mitigations(
     model: RiskStructure,
     state: RiskState,
-    thresholds: Optional[BandThresholds] = None,
     allow_ordinary: bool = False,
 ) -> list[Plan]:
     """Best plan to each safest possible state reachable from ``state``.
@@ -122,7 +99,7 @@ def plan_mitigations(
     model.require_state(state)
     classes = DELTA_M if allow_ordinary else {ActionClass.MITIGATION}
     targets = safest_possible_states(model, state) - {state}
-    rps = risk_priorities(model, thresholds)
+    rps = risk_priorities(model)
     adjacency = model.outgoing()
     paths: dict[RiskState, tuple[Transition, ...]] = {}
     for level in sorted({rp.rank for rp in rps.values() if rp.rank >= rps[state].rank}):
@@ -154,21 +131,17 @@ def plan_mitigations(
                         (*path, t),
                     ))
     return [
-        make_plan(model, paths[target], thresholds)
+        make_plan(model, paths[target])
         for target in sorted(paths, key=model.label)
     ]
 
 
-def is_mitigation_monotonous(
-    model: RiskStructure,
-    plan: Plan,
-    thresholds: Optional[BandThresholds] = None,
-    slack: int = 0,
-) -> bool:
+def is_mitigation_monotonous(model: RiskStructure, plan: Plan, slack: int = 0) -> bool:
     """Whether risk priority never increases along the plan's states.
 
     ``slack`` tolerates that many increases, as a practical relaxation.
     """
-    rps = _priorities(model, plan.states(), thresholds)
-    violations = sum(1 for a, b in zip(rps, rps[1:]) if b.rank > a.rank)
+    rps = risk_priorities(model)
+    states = plan.states()
+    violations = sum(1 for a, b in zip(states, states[1:]) if rps[b].rank > rps[a].rank)
     return violations <= slack

@@ -6,7 +6,8 @@ non-mishap states), optionally requiring equal risk priority.  Each
 equivalence is one key function of :mod:`riskstruct.order`; this module only
 looks it up.  Merged states keep the phases of a maximal member and a display
 label joining the member names.  Drop rules and chain collapse walk the
-model's cached adjacency.
+model's cached adjacency.  Regions and risk priorities are those of the
+model's own options, ``region_policy`` and ``bands``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from .core import (
     Transition,
     is_mishap,
 )
-from .analysis import (
-    BandThresholds,
-    Region,
-    RegionAssignment,
-    assign_regions,
-    reach,
-    risk_priorities,
-)
+from .analysis import Region, RegionAssignment, assign_regions, reach, risk_priorities
 from .order import (
     degradation_key,
     feature_key,
@@ -73,8 +67,6 @@ def quotient(
     model: RiskStructure,
     equivalence: str,
     require_equal_rp: bool = False,
-    thresholds: Optional[BandThresholds] = None,
-    regions: Optional[RegionAssignment] = None,
 ) -> RiskStructure:
     """Merge equivalent states that share a region (and risk priority, if
     required).  Each class is represented by the label-least of its maximal
@@ -83,9 +75,8 @@ def quotient(
     probability and minimum cost; self-loops induced by merging are
     dropped."""
     key_fn = _equivalence_key(model, equivalence)
-    if regions is None:
-        regions = assign_regions(model)
-    rps = risk_priorities(model, thresholds) if require_equal_rp else None
+    regions = assign_regions(model)
+    rps = risk_priorities(model) if require_equal_rp else None
 
     def class_key(state: RiskState) -> tuple:
         # mishap patterns are always preserved, whatever the equivalence
@@ -188,15 +179,10 @@ class DropRule:
         return True
 
 
-def drop_irrelevant(
-    model: RiskStructure,
-    rules: Sequence[DropRule],
-    regions: Optional[RegionAssignment] = None,
-) -> RiskStructure:
+def drop_irrelevant(model: RiskStructure, rules: Sequence[DropRule]) -> RiskStructure:
     """Remove transitions matched by explicit drop rules, then prune states
     that became unreachable from the initial region."""
-    if regions is None:
-        regions = assign_regions(model)
+    regions = assign_regions(model)
     kept = tuple(
         t
         for t in model.transitions
@@ -220,9 +206,7 @@ def _prune_unreachable(model: RiskStructure) -> RiskStructure:
     )
 
 
-def collapse_safe_chains(
-    model: RiskStructure, regions: Optional[RegionAssignment] = None
-) -> RiskStructure:
+def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     """Collapse runs of mitigation transitions through pass-through states.
 
     A state is pass-through when its only outgoing transition is a single
@@ -231,8 +215,7 @@ def collapse_safe_chains(
     with the product of the probabilities and the sum of the costs.
     Applied to a fixed point, so collapsing twice changes nothing.
     """
-    if regions is None:
-        regions = assign_regions(model)
+    regions = assign_regions(model)
     current = model
     while True:
         collapsed = _collapse_once(current, regions)

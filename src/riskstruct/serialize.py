@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 from .core import (
     Action,
     ActionClass,
+    BandThresholds,
     HazardId,
     HazardPhaseModel,
     ModelOptions,
@@ -34,7 +35,7 @@ from .core import (
     state_parser,
     transition_key,
 )
-from .analysis import Region, RegionAssignment, assign_regions, region_policy
+from .analysis import Region, assign_regions, region_policy
 from .construct import (
     Catalog,
     CatalogInvalid,
@@ -279,8 +280,12 @@ def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
         "options",
         ModelOptions,
         max_subset_size=r.get(o, "options", "max_subset_size", int, 2),
-        band_l_below=r.get(bands, "options.bands", "l_below", float, 0.01),
-        band_h_at_least=r.get(bands, "options.bands", "h_at_least", float, 0.1),
+        bands=r.make(
+            "options",
+            BandThresholds,
+            r.get(bands, "options.bands", "l_below", float, 0.01),
+            r.get(bands, "options.bands", "h_at_least", float, 0.1),
+        ),
         region_policy=r.get(o, "options", "region_policy", region_policy, "no_active"),
     )
     return hazards, features, situation, options
@@ -541,8 +546,8 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
         "options": {
             "max_subset_size": model.options.max_subset_size,
             "bands": {
-                "l_below": model.options.band_l_below,
-                "h_at_least": model.options.band_h_at_least,
+                "l_below": model.options.bands.l_below,
+                "h_at_least": model.options.bands.h_at_least,
             },
             "region_policy": model.options.region_policy,
         },
@@ -780,13 +785,10 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_chunks(
-    model: RiskStructure, regions: Optional[RegionAssignment] = None
-) -> Iterator[str]:
+def dot_chunks(model: RiskStructure) -> Iterator[str]:
     """The DOT text of :func:`to_dot` in chunks of at most ``_BATCH_ROWS``
     lines."""
-    if regions is None:
-        regions = assign_regions(model)
+    regions = assign_regions(model)
     label, states, transitions = _file_order(model)
     yield "digraph risk_structure {\n  rankdir=LR;\n  node [shape=ellipse];\n"
     for batch in _batches(states):
@@ -826,16 +828,14 @@ def weights_text(pr: Optional[float], cs: Optional[int]) -> str:
     return f"({','.join(weights)})" if weights else ""
 
 
-def to_dot(model: RiskStructure, regions: Optional[RegionAssignment] = None) -> str:
+def to_dot(model: RiskStructure) -> str:
     """Render the model as deterministic DOT; node borders follow the region
     (safe solid, hazardous dashed, mishap dotted), initial states are
     double-bordered, and edges are labeled ``name(pr,cs)``."""
-    return "".join(dot_chunks(model, regions))
+    return "".join(dot_chunks(model))
 
 
-def save_dot(
-    path: str, model: RiskStructure, regions: Optional[RegionAssignment] = None
-) -> None:
+def save_dot(path: str, model: RiskStructure) -> None:
     """Write :func:`to_dot`'s text; nothing is opened unless all of it encodes
     as UTF-8."""
-    _write_utf8(path, dot_chunks(model, regions), "DOT")
+    _write_utf8(path, dot_chunks(model), "DOT")

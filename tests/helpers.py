@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 
@@ -190,7 +190,12 @@ def brute_force_max_path_product(model, start, targets) -> float:
     return best
 
 
-def brute_force_best_plan(model, start, target, classes, thresholds=None):
+def with_bands(model, bands):
+    """``model`` with ``bands`` as the band thresholds of its options."""
+    return replace(model, options=replace(model.options, bands=bands))
+
+
+def brute_force_best_plan(model, start, target, classes):
     """Exhaustive simple-path search with monotone pruning: the best plan
     from ``start`` to ``target`` over transitions of ``classes``, or None.
 
@@ -199,7 +204,7 @@ def brute_force_best_plan(model, start, target, classes, thresholds=None):
     or above the best complete plan cannot improve on it.  Among plans of
     equal rank the first in transition-key order wins.
     """
-    rps = risk_priorities(model, thresholds)
+    rps = risk_priorities(model)
     adjacency: dict[RiskState, list[Transition]] = {}
     for t in sorted(model.transitions, key=lambda t: t.key()):
         adjacency.setdefault(t.source, []).append(t)
@@ -230,10 +235,10 @@ def brute_force_best_plan(model, start, target, classes, thresholds=None):
             path.pop()
 
     extend(start, [], {start})
-    return None if best is None else make_plan(model, best, thresholds)
+    return None if best is None else make_plan(model, best)
 
 
-def brute_force_plans(model, start, thresholds=None, allow_ordinary=False) -> list:
+def brute_force_plans(model, start, allow_ordinary=False) -> list:
     """``plan_mitigations`` by :func:`brute_force_best_plan` to each maximal
     state of the scanned mitigation closure, in label order."""
     classes = {ActionClass.MITIGATION}
@@ -243,7 +248,7 @@ def brute_force_plans(model, start, thresholds=None, allow_ordinary=False) -> li
     plans = []
     for target in sorted(brute_force_maxima(closure), key=model.label):
         if target != start:
-            plan = brute_force_best_plan(model, start, target, classes, thresholds)
+            plan = brute_force_best_plan(model, start, target, classes)
             if plan is not None:
                 plans.append(plan)
     return plans
@@ -944,8 +949,8 @@ def catalog_to_dict(catalog: Catalog) -> dict:
         "options": {
             "max_subset_size": catalog.options.max_subset_size,
             "bands": {
-                "l_below": catalog.options.band_l_below,
-                "h_at_least": catalog.options.band_h_at_least,
+                "l_below": catalog.options.bands.l_below,
+                "h_at_least": catalog.options.bands.h_at_least,
             },
             "region_policy": catalog.options.region_policy,
         },

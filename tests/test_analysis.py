@@ -36,6 +36,7 @@ from helpers import (
     brute_force_reach,
     enumerate_tuple_space,
     random_structure,
+    with_bands,
 )
 
 
@@ -216,7 +217,7 @@ class TestRiskPriority:
     def test_threshold_override(self, r2_model):
         a = r2_model.state_named("A:e,L:0")
         tight = BandThresholds(l_below=1e-6, h_at_least=1e-3)
-        assert risk_priority(r2_model, a, thresholds=tight) is Severity.FATAL
+        assert risk_priority(with_bands(r2_model, tight), a) is Severity.FATAL
 
 
 def _oracle_priorities(model, state, targets, thresholds) -> set:
@@ -246,6 +247,7 @@ class TestAnalysisTable:
         rng = Random(seed)
         model = random_structure(rng)
         thresholds = BandThresholds(*bands)
+        banded = with_bands(model, thresholds)
         mishaps = model.mishap_states()
         targets = (
             frozenset(s for s in sorted(mishaps, key=lambda s: s.name) if rng.random() < 0.5)
@@ -263,7 +265,7 @@ class TestAnalysisTable:
             assert mishap_reach_probability(model, s, targets) == table.pr[s]
             admitted = _oracle_priorities(model, s, targets, thresholds)
             assert table.risk_priority(s, thresholds) in admitted
-            assert risk_priority(model, s, targets, thresholds) in admitted
+            assert risk_priority(banded, s, targets) in admitted
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -290,6 +292,20 @@ class TestAnalysisTable:
         rps = risk_priorities(r2_model)
         assert set(rps) == r2_model.states
         assert all(rps[s] is risk_priority(r2_model, s) for s in r2_model.states)
+
+    def test_risk_priorities_are_computed_once(self, r2_model):
+        model = replace(r2_model)
+        assert risk_priorities(model) is risk_priorities(model)
+        with pytest.raises(TypeError):
+            risk_priorities(model)[model.state_named("A:0,L:0")] = Severity.FATAL
+
+    def test_reassigned_options_give_their_priorities(self, r2_model):
+        model = replace(r2_model)
+        s0 = model.state_named("A:0,L:0")  # 1e-4 against a fatal mishap
+        assert risk_priorities(model)[s0] is Severity.MARGINAL
+        model.options = replace(model.options, bands=BandThresholds(1e-6, 1e-3))
+        assert risk_priorities(model)[s0] is Severity.CRITICAL
+        assert risk_priority(model, s0) is Severity.CRITICAL
 
     def test_cache_is_per_instance(self, r2_model):
         model = replace(r2_model)

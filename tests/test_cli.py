@@ -107,6 +107,13 @@ class TestValidate:
                 "pick one of no_active, handover",
             ),
             ("options", "bands", "l_below", "0.02", "options.bands.l_below: must be a number, got str"),
+            (
+                "options",
+                None,
+                "bands",
+                {"l_below": 0.5, "h_at_least": 0.2},
+                "options: band thresholds must satisfy 0 < l <= h <= 1",
+            ),
             # build could not make these actions or this initial state
             (
                 "mitigations",
@@ -351,6 +358,13 @@ class TestReduceCommand:
         data = json.loads(capsys.readouterr().out)
         assert "states" in data
 
+    def test_require_equal_rp_needs_an_equivalence(self, built_r2, capsys):
+        # without --equiv there is no quotient to keep risk priorities in
+        assert main(["reduce", built_r2, "--require-equal-rp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "riskstruct: --require-equal-rp needs --equiv\n"
+        assert captured.out == ""
+
 
 class TestFlags:
     def test_max_subset_one_drops_joint_rules(self, tmp_path, r2_path, capsys):
@@ -488,8 +502,13 @@ class TestOneAnchoredLine:
             (lambda d: d["sv"].update({"A:em,L:em": "x"}),
              "sv.A:em,L:em: 'x' is not a valid Severity"),
             (lambda d: d.pop("hazards"), "hazards: missing"),
+            (lambda d: d["options"].update(bands={"l_below": 0.5, "h_at_least": 0.2}),
+             "options: band thresholds must satisfy 0 < l <= h <= 1"),
         ],
-        ids=["initial-str", "effect-list", "sv-list", "log-object", "sv-value", "no-hazards"],
+        ids=[
+            "initial-str", "effect-list", "sv-list", "log-object", "sv-value", "no-hazards",
+            "bands",
+        ],
     )
     def test_model_file(self, built_r2, tmp_path, capsys, mutate, line):
         self._assert_refused(built_r2, tmp_path, capsys, mutate, ["regions"], line)

@@ -15,6 +15,7 @@ from riskstruct import (
     HazardPhaseModel,
     IllegalPhaseTransition,
     MitigationRule,
+    ModelOptions,
     OperationalSituation,
     OrderClass,
     Phase,
@@ -346,6 +347,19 @@ class TestCatalogValidation:
             "endangerments[1] ('f'): action 'f' declared twice with different class, "
             "effect, or domains"
         ]
+
+    def test_unknown_region_policy(self, r2_catalog):
+        # a model with this policy could not be read back
+        catalog = replace(r2_catalog, options=ModelOptions(region_policy="bogus"))
+        line = (
+            "options.region_policy: unknown region policy 'bogus'; "
+            "pick one of no_active, handover"
+        )
+        with pytest.raises(CatalogInvalid) as err:
+            catalog.validate()
+        assert err.value.errors == [line]
+        with pytest.raises(CatalogInvalid):
+            construct_rs(catalog)
 
     def test_cost_follows_the_phases_in_use(self, r2_catalog, r2_model):
         # the table of a hazard's 10**9 + 3 phases could not be built

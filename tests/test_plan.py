@@ -32,6 +32,7 @@ from helpers import (
     brute_force_reach,
     random_shared_name_structure,
     random_structure,
+    with_bands,
 )
 from riskstruct import plan as plan_module
 from riskstruct.analysis import DELTA_M
@@ -160,12 +161,12 @@ class TestPlannerOracle:
 
     @staticmethod
     def _check(model, bands):
-        thresholds = BandThresholds(*bands)
+        model = with_bands(model, BandThresholds(*bands))
         for start in model.sorted_states():
             for allow_ordinary in (False, True):
                 assert plan_mitigations(
-                    model, start, thresholds, allow_ordinary
-                ) == brute_force_plans(model, start, thresholds, allow_ordinary)
+                    model, start, allow_ordinary
+                ) == brute_force_plans(model, start, allow_ordinary)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -401,4 +402,4 @@ class TestMitigationMonotonicity:
         plan = plan_mitigations(r2_model, al)[0]
         tight = BandThresholds(l_below=1e-9, h_at_least=1e-8)
         # with everything in the high band, AL is fatal and the target marginal
-        assert is_mitigation_monotonous(r2_model, plan, thresholds=tight)
+        assert is_mitigation_monotonous(with_bands(r2_model, tight), plan)

@@ -33,6 +33,7 @@ from riskstruct import (
     quotient,
     risk_priority,
 )
+from riskstruct import reduce as reduce_module
 from riskstruct.catalogs import catalog_path
 from riskstruct.serialize import load_drop_rules
 
@@ -202,11 +203,12 @@ class TestQuotient:
         with pytest.raises(Exception, match="feature"):
             quotient(model, "f")
 
-    def test_mishaps_never_lumped_with_near_mishaps(self, r2_model):
+    def test_mishaps_never_lumped_with_near_mishaps(self, r2_model, monkeypatch):
         # even under an adversarial region assignment, the mishap-pattern
         # refinement keeps the near-mishap state apart from the mishap
         bogus = {s: Region.SAFE for s in r2_model.states}
-        reduced = quotient(r2_model, "m", regions=bogus)
+        monkeypatch.setattr(reduce_module, "assign_regions", lambda model: bogus)
+        reduced = quotient(r2_model, "m")
         labels = {reduced.label(s) for s in reduced.states}
         assert "A:em,L:em" in labels
         assert not any("A:em,L:em|" in l or "|A:em,L:em" in l for l in labels)
