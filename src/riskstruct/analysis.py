@@ -5,27 +5,27 @@ a mishap is the maximum over paths of the product of transition
 probabilities.  Every probability is at most one, so extending a path never
 raises its product and the maximum is attained on a simple path.
 
-All states are analyzed at once, in one :class:`AnalysisTable` per target
-set, computed on first use by :func:`analysis_table` and cached on the model:
+All states are analyzed at once, in one :class:`AnalysisTable` per model,
+computed on first use by :func:`analysis_table` and cached on the model,
+which is a frozen value:
 
 - the probability comes from one max-product Dijkstra search on the reversed
-  graph, seeded at the target mishaps (the max-times semiring case of
+  graph, seeded at the mishap states (the max-times semiring case of
   shortest-distance search, exact because no probability exceeds one).
   Each state keeps the first transition of a path attaining its maximum, and
   its reported probability is the product along that witness path multiplied
   in forward order, from the state towards the mishap;
-- the least severe reachable target comes from one backward breadth-first
+- the least severe reachable mishap comes from one backward breadth-first
   search per severity level, least severe first;
 - the risk priority is derived from both under the model's band thresholds,
   ``model.options.bands``.
 
-A table costs O((V + E) log V) once per model and target set, instead of once
-per queried state.  The adjacency it walks is built once per model and shared
+A table costs O((V + E) log V) once per model, instead of once per queried
+state.  The adjacency it walks is built once per model and shared
 (:meth:`RiskStructure.outgoing`, :meth:`RiskStructure.incoming`), so it is
 read-only.  :func:`mishap_reach_probability` and :func:`risk_priority` are
-lookups in the table; :func:`risk_priorities` is the risk priority of every
-state, cached on the model per band thresholds.  Regions follow the model's
-``options.region_policy`` unless :func:`assign_regions` is given a policy.
+lookups in the table, and :func:`risk_priorities` is its ``rp``.  Regions
+follow the model's ``options.region_policy``.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .core import (
+    REGION_POLICIES,
     ActionClass,
-    Band,  # noqa: F401 - re-exported with BandThresholds
-    BandThresholds,
+    Band,  # noqa: F401 - re-exported
+    BandThresholds,  # noqa: F401 - re-exported
     PhaseKind,
     RiskModelError,
     RiskState,
@@ -110,38 +111,23 @@ def _handover_safe(state: RiskState, model: RiskStructure) -> bool:
     return bool(fallback & in_loop_features(profile))
 
 
-REGION_POLICIES: dict[str, Callable[[RiskState, RiskStructure], bool]] = {
-    "no_active": _no_active_safe,
-    "handover": _handover_safe,
-}
-
-PolicyLike = Union[str, Callable[[RiskState, RiskStructure], bool], None]
+#: The safe-state predicate of each region policy, by its name.
+_SAFE = dict(zip(REGION_POLICIES, (_no_active_safe, _handover_safe), strict=True))
 
 
-def region_policy(name: str) -> str:
-    """``name`` if it names a region policy; raises RiskModelError if not."""
-    if name not in REGION_POLICIES:
-        choices = ", ".join(REGION_POLICIES)
-        raise RiskModelError(f"unknown region policy {name!r}; pick one of {choices}")
-    return name
-
-
-def assign_regions(model: RiskStructure, policy: PolicyLike = None) -> RegionAssignment:
+def assign_regions(model: RiskStructure) -> RegionAssignment:
     """Partition the states into safe, hazardous, and mishap regions.
 
-    Mishap states are fixed by their phases.  The safe/hazardous split is a
-    pluggable predicate; ``None`` uses the model's configured policy and the
-    default policy marks a non-mishap state safe iff no hazard is active.
+    Mishap states are fixed by their phases.  The safe/hazardous split is the
+    predicate of the model's ``options.region_policy``; the default policy,
+    ``no_active``, marks a non-mishap state safe iff no hazard is active.
     """
-    if policy is None:
-        policy = model.options.region_policy
-    if isinstance(policy, str):
-        policy = REGION_POLICIES[region_policy(policy)]
+    safe = _SAFE[model.options.region_policy]
     regions: RegionAssignment = {}
     for s in model.states:
         if is_mishap(s):
             regions[s] = Region.MISHAP
-        elif policy(s, model):
+        elif safe(s, model):
             regions[s] = Region.SAFE
         else:
             regions[s] = Region.HAZARDOUS
@@ -150,53 +136,36 @@ def assign_regions(model: RiskStructure, policy: PolicyLike = None) -> RegionAss
 
 @dataclass(frozen=True)
 class AnalysisTable:
-    """Mishap-reach analysis of every state for one target set.
+    """Mishap-reach analysis of every state of one model.
 
     ``pr`` maps every state to its maximum path-product probability of
-    reaching a target: 1.0 on a target, 0.0 when no path of positive
-    probability reaches one.  ``witness`` maps each other state with a
-    positive probability to the first transition of a path attaining it.
-    ``least_sv`` maps every state that reaches a target (over any
-    transitions) to the least severity among the targets it reaches.
+    reaching a mishap state: 1.0 on a mishap state, 0.0 when no path of
+    positive probability reaches one.  ``witness`` maps each other state with
+    a positive probability to the first transition of a path attaining it.
+    ``least_sv`` maps every state that reaches a mishap state (over any
+    transitions) to the least severity among the mishap states it reaches.
+    ``rp`` maps every state to its risk priority (see :func:`risk_priority`).
     """
 
     pr: Mapping[RiskState, float]
     witness: Mapping[RiskState, Transition]
     least_sv: Mapping[RiskState, Severity]
-    sv: Mapping[RiskState, Severity]
-
-    def risk_priority(self, state: RiskState, thresholds: BandThresholds) -> Severity:
-        """See :func:`risk_priority`."""
-        if is_mishap(state):
-            return self.sv[state]
-        least = self.least_sv.get(state)
-        if least is None:
-            return Severity.MARGINAL
-        return sv_scale(thresholds.band(self.pr[state]), least)
+    rp: Mapping[RiskState, Severity]
 
 
-def analysis_table(
-    model: RiskStructure, targets: Optional[Iterable[RiskState]] = None
-) -> AnalysisTable:
-    """The analysis of ``model`` against ``targets`` (default: every mishap
-    state), computed once per model and target set."""
-    key = None if targets is None else frozenset(targets)
-    return model._memo(("analysis", key), lambda: _analyze(model, key))
+def analysis_table(model: RiskStructure) -> AnalysisTable:
+    """The analysis of ``model``, computed once per model."""
+    return model._memo("analysis", lambda: _analyze(model))
 
 
-def _analyze(model: RiskStructure, targets: Optional[frozenset[RiskState]]) -> AnalysisTable:
+def _analyze(model: RiskStructure) -> AnalysisTable:
     mishaps = model.mishap_states()
-    if targets is None:
-        targets = mishaps
-    elif not targets <= mishaps:
-        stray = sorted(s.name for s in targets - mishaps)
-        raise RiskModelError(f"targets must be mishap states, got {stray}")
     incoming = model.incoming()
 
     # backward max-product Dijkstra; ties pop in state-name order
-    best: dict[RiskState, float] = dict.fromkeys(targets, 1.0)
+    best: dict[RiskState, float] = dict.fromkeys(mishaps, 1.0)
     witness: dict[RiskState, Transition] = {}
-    heap = [(-1.0, s.name, s) for s in targets]
+    heap = [(-1.0, s.name, s) for s in mishaps]
     heapq.heapify(heap)
     done: set[RiskState] = set()
     while heap:
@@ -224,62 +193,55 @@ def _analyze(model: RiskStructure, targets: Optional[frozenset[RiskState]]) -> A
             step = t.target
         pr[s] = p
 
-    # a state reached from a less severe target already has its least
+    # a state reached from a less severe mishap already has its least
     # severity, and so have all of its predecessors
     least_sv: dict[RiskState, Severity] = {}
     for severity in Severity:  # declared least severe first
-        frontier = [s for s in targets if model.sv[s] is severity]
+        frontier = [s for s in mishaps if model.sv[s] is severity]
         least_sv.update(dict.fromkeys(frontier, severity))
         while frontier:
             for t in incoming[frontier.pop()]:
                 if t.source not in least_sv:
                     least_sv[t.source] = severity
                     frontier.append(t.source)
+
+    # a mishap state is final, so its pr is 1.0, its band high and its least
+    # severity its own: its risk priority is its own severity
+    bands = model.options.bands
+    rp = {
+        s: sv_scale(bands.band(pr[s]), least_sv[s]) if s in least_sv else Severity.MARGINAL
+        for s in model.states
+    }
     return AnalysisTable(
         pr=MappingProxyType(pr),
         witness=MappingProxyType(witness),
         least_sv=MappingProxyType(least_sv),
-        sv=MappingProxyType(model.sv),
+        rp=MappingProxyType(rp),
     )
 
 
 def risk_priorities(model: RiskStructure) -> Mapping[RiskState, Severity]:
-    """:func:`risk_priority` of every state against all mishaps, computed
-    once per model and band thresholds, so read-only."""
-    bands = model.options.bands
-
-    def compute() -> Mapping[RiskState, Severity]:
-        table = analysis_table(model)
-        return MappingProxyType({s: table.risk_priority(s, bands) for s in model.states})
-
-    # the options can be reassigned, so the bands are part of the key
-    return model._memo(("rp", bands), compute)
+    """:func:`risk_priority` of every state: the ``rp`` of the model's
+    :func:`analysis_table`, so read-only."""
+    return analysis_table(model).rp
 
 
-def mishap_reach_probability(
-    model: RiskStructure,
-    state: RiskState,
-    targets: Optional[Iterable[RiskState]] = None,
-) -> float:
-    """Maximum path-product probability of reaching any target mishap.
+def mishap_reach_probability(model: RiskStructure, state: RiskState) -> float:
+    """Maximum path-product probability of reaching any mishap state.
 
     Transitions without a probability count as certain.  Returns 0.0 when no
-    target is reachable and 1.0 when the state itself is a target.
+    mishap state is reachable and 1.0 on a mishap state.
     """
     model.require_state(state)
-    return analysis_table(model, targets).pr[state]
+    return analysis_table(model).pr[state]
 
 
-def risk_priority(
-    model: RiskStructure,
-    state: RiskState,
-    targets: Optional[Iterable[RiskState]] = None,
-) -> Severity:
+def risk_priority(model: RiskStructure, state: RiskState) -> Severity:
     """Band of the mishap-reach probability, under the model's band
-    thresholds, scaled against the least severe reachable target mishap;
-    marginal when no target is reachable.
+    thresholds, scaled against the least severe reachable mishap state;
+    marginal when no mishap state is reachable.
 
     On a mishap state this is its own severity.
     """
     model.require_state(state)
-    return analysis_table(model, targets).risk_priority(state, model.options.bands)
+    return analysis_table(model).rp[state]

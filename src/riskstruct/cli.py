@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .core import BandThresholds, RiskModelError, RiskStructure, embed_state, state_parser
-from .analysis import analysis_table, assign_regions, risk_priorities
+from .analysis import analysis_table, assign_regions
 from .construct import CatalogInvalid, construct_rs
 from .plan import is_mitigation_monotonous, plan_mitigations
 from .reduce import collapse_safe_chains, drop_irrelevant, quotient, EQUIVALENCES
@@ -152,12 +152,10 @@ def cmd_analyze(args) -> int:
     model = _set_options(_load_model(args.model)[0], bands=args.bands)
     regions = assign_regions(model)
     table = analysis_table(model)
-    rps = risk_priorities(model)
     for state in model.sorted_states():
-        pr = table.pr[state]
-        rp = rps[state]
         print(
-            f"{model.label(state)}\t{regions[state].value}\t{fmt_prob(pr):.6g}\t{rp.value}"
+            f"{model.label(state)}\t{regions[state].value}\t"
+            f"{fmt_prob(table.pr[state]):.6g}\t{table.rp[state].value}"
         )
     return EXIT_OK
 

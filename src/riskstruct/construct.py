@@ -49,7 +49,6 @@ from .core import (
     parse_state,
     phase_tokens,
 )
-from .analysis import region_policy
 from .order import FeatureModel
 
 
@@ -238,10 +237,6 @@ class Catalog:
                 continue
             if is_mishap(state):
                 errors.append(f"situation.initial: {name!r} is a mishap state")
-        try:
-            region_policy(self.options.region_policy)
-        except RiskModelError as exc:
-            errors.append(f"options.region_policy: {exc}")
         if self.options.region_policy == "handover":
             if self.features is None or not self.features.fallback_features():
                 errors.append(
@@ -502,15 +497,10 @@ class _Builder:
             rule = rules[key]
             return row(state(key[0]), rule.action, state(key[2]), rule.pr, rule.cs, True)
 
-        transitions = tuple(map(edge, sorted(rules)))
-        # a validated catalog gives each action name one meaning
-        by_name = {t.action.name: t.action for t in transitions}
-        actions = tuple(by_name[name] for name in sorted(by_name))
         return RiskStructure(
             hazards=self.catalog.hazards,
             states=frozenset(self.states.values()),
-            actions=actions,
-            transitions=transitions,
+            transitions=tuple(map(edge, sorted(rules))),
             initial=self.initial,
             sv={state(name): severity for name, severity in sorted(self.sv.items())},
             situation=self.catalog.situation,

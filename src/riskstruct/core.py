@@ -610,6 +610,18 @@ class OperationalSituation:
     notes: str = ""
 
 
+#: The names of the region policies of :func:`riskstruct.analysis.assign_regions`.
+REGION_POLICIES = ("no_active", "handover")
+
+
+def region_policy(name: str) -> str:
+    """``name`` if it names a region policy; raises ValueError if not."""
+    if name not in REGION_POLICIES:
+        choices = ", ".join(REGION_POLICIES)
+        raise ValueError(f"unknown region policy {name!r}; pick one of {choices}")
+    return name
+
+
 @dataclass(frozen=True)
 class ModelOptions:
     """Construction and analysis knobs carried along with a model."""
@@ -621,20 +633,23 @@ class ModelOptions:
     def __post_init__(self) -> None:
         if self.max_subset_size < 1:
             raise ValueError("max_subset_size must be >= 1")
+        region_policy(self.region_policy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RiskStructure:
     """A weighted labeled transition system over risk states.
 
     States whose display label differs from their canonical name (merged
     equivalence classes) carry the label in ``labels``; everything else is
-    addressed by canonical name.
+    addressed by canonical name.  A model is a value: its fields are never
+    reassigned, and ``sv`` and ``labels`` are read-only, so a changed model
+    is a new instance made by :func:`dataclasses.replace`.  Its actions and
+    its adjacency and analysis tables are derived from its fields, once.
     """
 
     hazards: tuple[HazardPhaseModel, ...]
     states: frozenset[RiskState]
-    actions: tuple[Action, ...]
     transitions: tuple[Transition, ...]
     initial: frozenset[RiskState]
     sv: dict[RiskState, Severity] = field(default_factory=dict)
@@ -717,22 +732,28 @@ class RiskStructure:
             MappingProxyType({s: tuple(inc[s.name]) for s in self.states}),
         )
 
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        """The actions that label the transitions, each once, sorted by name."""
+        return self._memo("actions", self._actions)
+
+    def _actions(self) -> tuple[Action, ...]:
+        # an action is hashed once per object, not once per edge
+        by_id = {id(t.action): t.action for t in self.transitions}
+        return tuple(sorted(dict.fromkeys(by_id.values()), key=attrgetter("name")))
+
     def _memo(self, key, compute):
         """Derived data of this instance, computed by ``compute()`` once per
         ``key``.
 
-        The memo is a plain attribute, not a field, so ``==``, ``repr``,
-        :func:`dataclasses.replace` and serialization never see it.  It is
-        dropped when ``states``, ``transitions`` or ``sv`` is reassigned.
+        The memo is a plain dict in the instance's ``__dict__``, not a field,
+        so ``==``, ``repr``, :func:`dataclasses.replace` and serialization
+        never see it.
         """
-        basis = (self.states, self.transitions, self.sv)
-        memo = self.__dict__.get("_memo_table")
-        if memo is None or any(a is not b for a, b in zip(memo[0], basis)):
-            memo = self.__dict__["_memo_table"] = (basis, {})
-        values = memo[1]
-        if key not in values:
-            values[key] = compute()
-        return values[key]
+        memo = self.__dict__.setdefault("_memo_table", {})
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def action_named(self, name: str) -> Action:
         for a in self.actions:

@@ -7,7 +7,8 @@ equivalence is one key function of :mod:`riskstruct.order`; this module only
 looks it up.  Merged states keep the phases of a maximal member and a display
 label joining the member names.  Drop rules and chain collapse walk the
 model's cached adjacency.  Regions and risk priorities are those of the
-model's own options, ``region_policy`` and ``bands``.
+model's own options, ``region_policy`` and ``bands``.  Each reduction returns
+a new model, whose actions are those of its transitions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import (
-    Action,
     ActionClass,
     RiskModelError,
     RiskState,
@@ -137,17 +137,11 @@ def quotient(
     return replace(
         model,
         states=frozenset(representatives),
-        actions=_actions_of(transitions),
         transitions=transitions,
         initial=frozenset(rep_of[s.name] for s in model.initial),
         sv=sv,
         labels=labels,
     )
-
-
-def _actions_of(transitions: Sequence[Transition]) -> tuple[Action, ...]:
-    """The actions of ``transitions``, each once, ordered by name."""
-    return tuple(sorted({t.action for t in transitions}, key=lambda a: a.name))
 
 
 def _merge_max(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -199,7 +193,6 @@ def _prune_unreachable(model: RiskStructure) -> RiskStructure:
     return replace(
         model,
         states=reachable,
-        actions=_actions_of(transitions),
         transitions=transitions,
         sv={s: v for s, v in model.sv.items() if s in reachable},
         labels={s: l for s, l in model.labels.items() if s in reachable},
@@ -267,7 +260,6 @@ def _collapse_once(
         return replace(
             model,
             states=frozenset(model.states - {mid}),
-            actions=_actions_of(transitions),
             transitions=transitions,
             sv={s: v for s, v in model.sv.items() if s != mid},
             labels={s: l for s, l in model.labels.items() if s != mid},

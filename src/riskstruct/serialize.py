@@ -32,10 +32,11 @@ from .core import (
     RiskStructure,
     Severity,
     Transition,
+    region_policy,
     state_parser,
     transition_key,
 )
-from .analysis import Region, assign_regions, region_policy
+from .analysis import Region, assign_regions
 from .construct import (
     Catalog,
     CatalogInvalid,
@@ -692,7 +693,6 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
         model = RiskStructure(
             hazards=hazards,
             states=frozenset(states),
-            actions=tuple(sorted(by_name.values(), key=lambda a: a.name)),
             transitions=tuple(_key_order(transitions, labels)),
             initial=frozenset(by_label[n] for n in initial),
             sv={by_label[label]: v for label, v in severities},

@@ -195,6 +195,11 @@ def with_bands(model, bands):
     return replace(model, options=replace(model.options, bands=bands))
 
 
+def with_policy(model, policy):
+    """``model`` with ``policy`` as the region policy of its options."""
+    return replace(model, options=replace(model.options, region_policy=policy))
+
+
 def brute_force_best_plan(model, start, target, classes):
     """Exhaustive simple-path search with monotone pruning: the best plan
     from ``start`` to ``target`` over transitions of ``classes``, or None.
@@ -306,7 +311,6 @@ def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:
     return RiskStructure(
         hazards=hazards,
         states=frozenset(state_set),
-        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
         transitions=tuple(sorted(transitions, key=lambda t: t.key())),
         initial=frozenset({base}),
         sv=sv,
@@ -343,7 +347,6 @@ def random_shared_name_structure(rng: Random) -> RiskStructure:
     return RiskStructure(
         hazards=model.hazards,
         states=model.states,
-        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
         transitions=tuple(transitions),
         initial=model.initial,
         sv=model.sv,

@@ -196,10 +196,10 @@ def test_criterion_07_probability_oracle_equivalence():
     for _ in range(N_RANDOM_MODELS):
         model = random_structure(rng, max_states=12)
         assert len(model.states) <= 12
-        targets = model.mishap_states()
+        mishaps = model.mishap_states()
         for s in model.sorted_states():
-            got = mishap_reach_probability(model, s, targets)
-            expected = brute_force_max_path_product(model, s, targets)
+            got = mishap_reach_probability(model, s)
+            expected = brute_force_max_path_product(model, s, mishaps)
             assert abs(got - expected) <= 1e-12
             checked += 1
     assert checked >= 100

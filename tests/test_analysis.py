@@ -37,6 +37,7 @@ from helpers import (
     enumerate_tuple_space,
     random_structure,
     with_bands,
+    with_policy,
 )
 
 
@@ -68,7 +69,7 @@ class TestReach:
 
 class TestRegions:
     def test_default_policy_examples(self, r2_model):
-        regions = assign_regions(r2_model, "no_active")
+        regions = assign_regions(with_policy(r2_model, "no_active"))
         assert regions[r2_model.state_named("A:0,L:0")] is Region.SAFE
         assert regions[r2_model.state_named("A:e,L:0")] is Region.HAZARDOUS
         assert regions[r2_model.state_named("A:m2,L:0")] is Region.SAFE
@@ -80,7 +81,8 @@ class TestRegions:
             assert (regions[s] is Region.MISHAP) == is_mishap(s)
 
     def test_handover_policy_partition(self, r2_model):
-        regions = assign_regions(r2_model, "handover")
+        assert r2_model.options.region_policy == "handover"
+        regions = assign_regions(r2_model)
         safe = {
             r2_model.label(s) for s, r in regions.items() if r is Region.SAFE
         }
@@ -95,12 +97,12 @@ class TestRegions:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset(states),
-            actions=(),
             transitions=(),
             initial=frozenset(states[:1]),
             sv={s: Severity.MARGINAL for s in states if brute_force_is_mishap(s)},
         )
-        regions = assign_regions(model, "no_active")
+        assert model.options.region_policy == "no_active"
+        regions = assign_regions(model)
         for s in states:
             kinds = {p.kind for _, p in s.entries}
             if PhaseKind.MISHAP in kinds:
@@ -110,11 +112,6 @@ class TestRegions:
             else:
                 expected = Region.SAFE
             assert regions[s] is expected, s.name
-
-    def test_custom_policy_callable(self, r2_model):
-        regions = assign_regions(r2_model, lambda s, m: False)
-        non_mishap = [s for s in r2_model.states if not is_mishap(s)]
-        assert all(regions[s] is Region.HAZARDOUS for s in non_mishap)
 
 
 class TestBandThresholds:
@@ -157,10 +154,10 @@ class TestMishapReachProbability:
         rng = Random(101)
         for _ in range(30):
             model = random_structure(rng)
-            targets = model.mishap_states()
+            mishaps = model.mishap_states()
             for s in model.sorted_states():
-                got = mishap_reach_probability(model, s, targets)
-                expected = brute_force_max_path_product(model, s, targets)
+                got = mishap_reach_probability(model, s)
+                expected = brute_force_max_path_product(model, s, mishaps)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_adding_a_transition_never_decreases(self, r2_model):
@@ -177,11 +174,6 @@ class TestMishapReachProbability:
         )
         for s in bigger.states:
             assert mishap_reach_probability(bigger, s) >= base[s] - 1e-15
-
-    def test_rejects_non_mishap_targets(self, r2_model):
-        s0 = r2_model.state_named("A:0,L:0")
-        with pytest.raises(Exception):
-            mishap_reach_probability(r2_model, s0, targets={s0})
 
 
 class TestRiskPriority:
@@ -220,16 +212,18 @@ class TestRiskPriority:
         assert risk_priority(with_bands(r2_model, tight), a) is Severity.FATAL
 
 
-def _oracle_priorities(model, state, targets, thresholds) -> set:
-    """Risk priorities the brute-force oracle admits for ``state``: a
-    probability within a relative 1e-9 of a band threshold may fall in
-    either band."""
+def _oracle_priorities(model, state) -> set:
+    """Risk priorities the brute-force oracle admits for ``state`` under the
+    model's band thresholds: a probability within a relative 1e-9 of a band
+    threshold may fall in either band."""
     if is_mishap(state):
         return {model.sv[state]}
-    reachable = brute_force_reach(model, state) & targets
+    mishaps = model.mishap_states()
+    reachable = brute_force_reach(model, state) & mishaps
     if not reachable:
         return {Severity.MARGINAL}
-    p = brute_force_max_path_product(model, state, targets)
+    thresholds = model.options.bands
+    p = brute_force_max_path_product(model, state, mishaps)
     edges = [e for e in (thresholds.l_below, thresholds.h_at_least) if abs(p - e) <= 1e-9 * e]
     probabilities = [p, *edges, *(math.nextafter(e, 0.0) for e in edges)]
     least = sv_min([model.sv[s] for s in reachable])
@@ -241,31 +235,25 @@ class TestAnalysisTable:
     @given(
         seed=st.integers(0, 2**32 - 1),
         bands=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(sorted),
-        subset=st.booleans(),
     )
-    def test_matches_brute_force(self, seed, bands, subset):
-        rng = Random(seed)
-        model = random_structure(rng)
-        thresholds = BandThresholds(*bands)
-        banded = with_bands(model, thresholds)
+    def test_matches_brute_force(self, seed, bands):
+        model = random_structure(Random(seed))
+        banded = with_bands(model, BandThresholds(*bands))
         mishaps = model.mishap_states()
-        targets = (
-            frozenset(s for s in sorted(mishaps, key=lambda s: s.name) if rng.random() < 0.5)
-            if subset
-            else mishaps
-        )
-        table = analysis_table(model, None if targets is mishaps else targets)
+        table = analysis_table(model)
+        banded_table = analysis_table(banded)
         for s in model.sorted_states():
-            expected = brute_force_max_path_product(model, s, targets)
+            expected = brute_force_max_path_product(model, s, mishaps)
             assert abs(table.pr[s] - expected) <= 1e-12
-            reachable = brute_force_reach(model, s) & targets
+            reachable = brute_force_reach(model, s) & mishaps
             assert table.least_sv.get(s) == (
                 sv_min([model.sv[t] for t in reachable]) if reachable else None
             )
-            assert mishap_reach_probability(model, s, targets) == table.pr[s]
-            admitted = _oracle_priorities(model, s, targets, thresholds)
-            assert table.risk_priority(s, thresholds) in admitted
-            assert risk_priority(banded, s, targets) in admitted
+            assert mishap_reach_probability(model, s) == table.pr[s]
+            assert banded_table.pr[s] == table.pr[s]
+            assert table.rp[s] in _oracle_priorities(model, s)
+            assert banded_table.rp[s] in _oracle_priorities(banded, s)
+            assert risk_priority(banded, s) is banded_table.rp[s]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -296,6 +284,7 @@ class TestAnalysisTable:
     def test_risk_priorities_are_computed_once(self, r2_model):
         model = replace(r2_model)
         assert risk_priorities(model) is risk_priorities(model)
+        assert risk_priorities(model) is analysis_table(model).rp
         with pytest.raises(TypeError):
             risk_priorities(model)[model.state_named("A:0,L:0")] = Severity.FATAL
 
@@ -303,9 +292,10 @@ class TestAnalysisTable:
         model = replace(r2_model)
         s0 = model.state_named("A:0,L:0")  # 1e-4 against a fatal mishap
         assert risk_priorities(model)[s0] is Severity.MARGINAL
-        model.options = replace(model.options, bands=BandThresholds(1e-6, 1e-3))
-        assert risk_priorities(model)[s0] is Severity.CRITICAL
-        assert risk_priority(model, s0) is Severity.CRITICAL
+        tight = with_bands(model, BandThresholds(1e-6, 1e-3))
+        assert risk_priorities(tight)[s0] is Severity.CRITICAL
+        assert risk_priority(tight, s0) is Severity.CRITICAL
+        assert risk_priorities(model)[s0] is Severity.MARGINAL
 
     def test_cache_is_per_instance(self, r2_model):
         model = replace(r2_model)
@@ -331,6 +321,7 @@ class TestAnalysisTable:
         model = replace(r2_model)
         s0 = model.state_named("A:0,L:0")
         assert mishap_reach_probability(model, s0) > 0.0
-        model.transitions = ()
-        assert model.outgoing()[s0] == ()
-        assert mishap_reach_probability(model, s0) == 0.0
+        cut = replace(model, transitions=())
+        assert cut.outgoing()[s0] == ()
+        assert mishap_reach_probability(cut, s0) == 0.0
+        assert mishap_reach_probability(model, s0) > 0.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from random import Random
 
@@ -31,6 +32,7 @@ from riskstruct import (
     mitigation_equiv,
     verify_complete,
 )
+from riskstruct.catalogs import catalog_path
 from riskstruct.construct import SWEEPS
 from riskstruct.serialize import catalog_from_dict
 
@@ -349,17 +351,18 @@ class TestCatalogValidation:
         ]
 
     def test_unknown_region_policy(self, r2_catalog):
-        # a model with this policy could not be read back
-        catalog = replace(r2_catalog, options=ModelOptions(region_policy="bogus"))
-        line = (
-            "options.region_policy: unknown region policy 'bogus'; "
-            "pick one of no_active, handover"
-        )
+        # a model with this policy could not be read back, so none is made
+        message = "unknown region policy 'bogus'; pick one of no_active, handover"
+        with pytest.raises(ValueError) as err:
+            ModelOptions(region_policy="bogus")
+        assert str(err.value) == message
+        with pytest.raises(ValueError):
+            replace(r2_catalog.options, region_policy="bogus")
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        data["options"]["region_policy"] = "bogus"
         with pytest.raises(CatalogInvalid) as err:
-            catalog.validate()
-        assert err.value.errors == [line]
-        with pytest.raises(CatalogInvalid):
-            construct_rs(catalog)
+            catalog_from_dict(data)
+        assert err.value.errors == [f"options.region_policy: {message}"]
 
     def test_cost_follows_the_phases_in_use(self, r2_catalog, r2_model):
         # the table of a hazard's 10**9 + 3 phases could not be built

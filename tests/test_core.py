@@ -14,6 +14,7 @@ from riskstruct import (
     HazardId,
     HazardPhaseModel,
     IllegalPhaseTransition,
+    ModelOptions,
     Phase,
     PhaseKind,
     RiskState,
@@ -382,6 +383,24 @@ class TestCopies:
         assert dataclasses.replace(loaded, entries=src.entries).name == "A:0,L:0"
         moved = dataclasses.replace(edges[1], pr=0.25)
         assert (moved.pr, moved.cs, moved.checked) == (0.25, 2, False)
+
+
+class TestFrozenModel:
+    """A model is a value: a changed model is a new instance."""
+
+    def test_fields_cannot_be_assigned(self, r2_model):
+        model = dataclasses.replace(r2_model)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.options = ModelOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.transitions = ()
+        assert model == r2_model
+
+    def test_derived_data_is_not_carried_into_a_copy(self, r2_model):
+        model = dataclasses.replace(r2_model)
+        fewer = dataclasses.replace(model, transitions=model.transitions[:1])
+        assert model.outgoing() is not fewer.outgoing()
+        assert fewer.actions == (model.transitions[0].action,)
 
 
 class TestHazardId:

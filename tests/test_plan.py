@@ -203,7 +203,6 @@ class TestPlannerOracle:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({s, x, y, z, w, t}),
-            actions=(a, b, c),
             transitions=tuple(
                 Transition(u, act, v, pr=1.0, cs=1, checked=False) for u, act, v in edges
             ),
@@ -229,7 +228,6 @@ class TestPlannerOracle:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({start, middle, aside, end, mishap}),
-            actions=(boom, calm, fix),
             transitions=(
                 Transition(start, calm, middle, pr=0.001, cs=1),
                 Transition(middle, fix, end, pr=0.9, cs=1),
@@ -286,7 +284,6 @@ class TestOrdinaryActions:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({active, done}),
-            actions=(cruise, fix),
             transitions=(
                 Transition(active, cruise, active),
                 Transition(active, fix, done, pr=0.9, cs=1),
@@ -356,7 +353,6 @@ class TestMitigationMonotonicity:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({start, middle, end, mishap}),
-            actions=(m_q, m_p, boom),
             transitions=(
                 Transition(start, m_q, middle, pr=0.001, cs=1),
                 Transition(middle, m_p, end, pr=0.9, cs=1),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -182,7 +183,6 @@ class TestQuotient:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({base, active, mis_a, mis_b}),
-            actions=(f, xa, xb),
             transitions=(
                 Transition(base, f, active, pr=0.5),
                 Transition(active, xa, mis_a, pr=0.5),
@@ -283,7 +283,6 @@ class TestQuotient:
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({active, mit1, mit2}),
-            actions=(act,),
             transitions=(
                 Transition(active, act, mit1, pr=0.5, cs=7),
                 Transition(active, act2, mit2, pr=0.9, cs=3),
@@ -294,6 +293,28 @@ class TestQuotient:
         (merged_edge,) = reduced.transitions
         assert merged_edge.pr == 0.9
         assert merged_edge.cs == 3
+
+
+class TestDerivedActions:
+    """A model's actions are those of its transitions: each once, by name."""
+
+    @pytest.mark.parametrize("fixture", ["r2_model", "r3_model"])
+    def test_actions_of_reduced_models(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        derived = (
+            model,
+            quotient(model, "m"),
+            quotient(model, "m", require_equal_rp=True),
+            drop_irrelevant(model, (DropRule(action="f_L"),)),
+            collapse_safe_chains(model),
+            replace(model, transitions=model.transitions[:5]),
+        )
+        for m in derived:
+            used = {t.action for t in m.transitions}
+            assert set(m.actions) == used
+            names = [a.name for a in m.actions]
+            assert names == sorted({a.name for a in used})
+            assert m.actions is m.actions
 
 
 class TestDropRules:
@@ -347,7 +368,6 @@ class TestCollapseChains:
         return RiskStructure(
             hazards=hazards,
             states=frozenset({x, y, z}),
-            actions=(a, b),
             transitions=(
                 Transition(x, a, y, pr=0.8, cs=2),
                 Transition(y, b, z, pr=0.5, cs=3),

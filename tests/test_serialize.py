@@ -125,7 +125,6 @@ def _writer_models(draw):
         model,
         hazards=hazards,
         transitions=transitions,
-        actions=tuple(sorted({t.action for t in transitions}, key=lambda a: a.name)),
         labels=labels,
         situation=OperationalSituation(name=draw(_TEXT), notes=draw(_TEXT)),
     )
@@ -372,6 +371,15 @@ class TestModelIO:
         assert loaded_model == model
         assert loaded_log == log
 
+    def test_an_unused_declared_action_is_not_kept(self, r2_model):
+        data = json.loads(model_to_json(r2_model))
+        unused = {"name": "unused", "class": "ordinary", "domains": [], "effect": {}}
+        data["actions"].insert(0, unused)
+        loaded, _ = model_from_dict(data)
+        assert loaded == r2_model
+        assert loaded.actions == r2_model.actions
+        assert model_to_json(loaded) == model_to_json(r2_model)
+
     def test_round_trip_reduced_model(self, r2_reduced):
         loaded, _ = model_from_dict(json.loads(model_to_json(r2_reduced)))
         assert loaded == r2_reduced
@@ -387,6 +395,19 @@ class TestModelIO:
         assert fmt_prob(0.1234567891) == 0.123457
         assert fmt_prob(0.97) == 0.97
         assert fmt_prob(1.0) == 1.0
+
+    def test_save_refuses_an_unknown_region_policy(self, r2_model, tmp_path):
+        # a file with this policy could not be read back
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="unknown region policy 'bogus'"):
+            save_model(
+                str(path),
+                dataclasses.replace(
+                    r2_model,
+                    options=dataclasses.replace(r2_model.options, region_policy="bogus"),
+                ),
+            )
+        assert not path.exists()
 
     def test_save_writes_the_utf8_model_text(self, r2_model, tmp_path):
         path = tmp_path / "m.json"
