@@ -90,7 +90,6 @@ from .plan import (
 )
 from .reduce import (
     DropRule,
-    IncompatibleMerge,
     collapse_safe_chains,
     drop_irrelevant,
     quotient,

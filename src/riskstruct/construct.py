@@ -490,12 +490,14 @@ class _Builder:
     def _freeze(self) -> RiskStructure:
         # every edge is made here, from its key and its rule's action and
         # weights; a compiled rule's moves are legal, so the edges are made
-        # without the phase-graph check and marked as checked
-        row, state, rules = Transition._row, self.states.__getitem__, self.transitions
+        # without the phase-graph check
+        state, rules = self.states.__getitem__, self.transitions
 
         def edge(key: tuple[str, str, str]) -> Transition:
             rule = rules[key]
-            return row(state(key[0]), rule.action, state(key[2]), rule.pr, rule.cs, True)
+            return Transition(
+                state(key[0]), rule.action, state(key[2]), rule.pr, rule.cs, checked=False
+            )
 
         return RiskStructure(
             hazards=self.catalog.hazards,

@@ -124,7 +124,10 @@ class Severity(Enum):
 
     @property
     def rank(self) -> int:
-        return {"m": 0, "c": 1, "f": 2}[self.value]
+        return _SEVERITY_RANKS[self.value]
+
+
+_SEVERITY_RANKS = {"m": 0, "c": 1, "f": 2}
 
 
 class Band(Enum):
@@ -505,14 +508,17 @@ def apply_action(state: RiskState, action: Action) -> RiskState:
     return state.with_phases(updates)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transition:
     """A weighted labeled edge of the risk structure.
 
     Probabilities sit on endangerment, mitigation, and mishap transitions;
-    costs on mitigations.  ``checked=False`` skips the per-hazard phase-graph
-    validation: edges of a quotient model connect class representatives, whose
-    phases stand in for whole equivalence classes.
+    costs on mitigations.  Every edge has one hazard set, ``pr`` in [0,1] and
+    ``cs`` >= 0.  ``checked=False`` skips the per-hazard phase-graph check:
+    edges of a quotient model connect class representatives, whose phases
+    stand in for whole equivalence classes, and construction has checked
+    each rule's moves once.  ``checked`` is an argument, not a field, so a
+    :func:`dataclasses.replace` of any edge is checked again.
     """
 
     source: RiskState
@@ -520,81 +526,50 @@ class Transition:
     target: RiskState
     pr: Optional[float] = None
     cs: Optional[int] = None
-    checked: bool = field(default=True, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_edge(
-            self.source, self.action, self.target, self.pr, self.cs, self.checked
-        )
-
-    @classmethod
-    def _row(
-        cls,
+    def __init__(
+        self,
         source: RiskState,
         action: Action,
         target: RiskState,
-        pr: Optional[float],
-        cs: Optional[int],
-        checked: bool = False,
-    ) -> "Transition":
-        """``Transition(source, action, target, pr, cs, checked=False)``, with
-        the same checks but without the dataclass ``__init__``, for a caller
-        that makes many edges at once: it takes about half the time.
-        ``checked`` is only stored, and the phase graph is not consulted: a
-        caller passes True for an edge whose moves it has already found
-        legal, so that the edge is marked as a checked one and a
-        ``dataclasses.replace`` of it is checked again."""
-        _check_edge(source, action, target, pr, cs, False)
-        edge = object.__new__(cls)
-        set_source, set_action, set_target, set_pr, set_cs, set_checked = _EDGE_SLOTS
-        set_source(edge, source)
-        set_action(edge, action)
-        set_target(edge, target)
-        set_pr(edge, pr)
-        set_cs(edge, cs)
-        set_checked(edge, checked)
-        return edge
+        pr: Optional[float] = None,
+        cs: Optional[int] = None,
+        checked: bool = True,
+    ) -> None:
+        if source.hazard_ids != target.hazard_ids:
+            raise ValueError("transition endpoints disagree on the hazard set")
+        if checked:
+            for (hid, sp), (_, tp) in zip(source.entries, target.entries):
+                if sp is tp or sp == tp:
+                    continue
+                if not legal_phase_step(sp, action.kind, tp):
+                    raise IllegalPhaseTransition(
+                        f"transition {source.name} -{action.name}-> "
+                        f"{target.name}: hazard {hid!r} moves "
+                        f"{sp.render()} -> {tp.render()} illegally"
+                    )
+        if pr is not None and not 0.0 <= pr <= 1.0:
+            raise ValueError(f"pr must be in [0,1], got {pr}")
+        if cs is not None and cs < 0:
+            raise ValueError(f"cs must be nonnegative, got {cs}")
+        set_source, set_action, set_target, set_pr, set_cs = _EDGE_SLOTS
+        set_source(self, source)
+        set_action(self, action)
+        set_target(self, target)
+        set_pr(self, pr)
+        set_cs(self, cs)
 
     def key(self) -> tuple[str, str, str]:
         return (self.source.name, self.action.name, self.target.name)
 
 
 #: The ``__set__`` of each field's slot of :class:`Transition`, in field
-#: order.  They store past the frozen ``__setattr__``; with them
-#: :meth:`Transition._row` takes about two thirds of the time it takes with
-#: ``object.__setattr__``.
+#: order.  They store past the frozen ``__setattr__``, in about two thirds
+#: of the time that ``object.__setattr__`` takes; many edges are made at once.
 _EDGE_SLOTS = tuple(getattr(Transition, f.name).__set__ for f in fields(Transition))
 
 #: :meth:`Transition.key` as one C-level call, for sorting many edges.
 transition_key = attrgetter("source.name", "action.name", "target.name")
-
-
-def _check_edge(
-    source: RiskState,
-    action: Action,
-    target: RiskState,
-    pr: Optional[float],
-    cs: Optional[int],
-    checked: bool,
-) -> None:
-    """The checks of a :class:`Transition`: one hazard set, phase-graph
-    legality unless ``checked`` is false, ``pr`` in [0,1], ``cs`` >= 0."""
-    if source.hazard_ids != target.hazard_ids:
-        raise ValueError("transition endpoints disagree on the hazard set")
-    if checked:
-        for (hid, sp), (_, tp) in zip(source.entries, target.entries):
-            if sp is tp or sp == tp:
-                continue
-            if not legal_phase_step(sp, action.kind, tp):
-                raise IllegalPhaseTransition(
-                    f"transition {source.name} -{action.name}-> "
-                    f"{target.name}: hazard {hid!r} moves "
-                    f"{sp.render()} -> {tp.render()} illegally"
-                )
-    if pr is not None and not 0.0 <= pr <= 1.0:
-        raise ValueError(f"pr must be in [0,1], got {pr}")
-    if cs is not None and cs < 0:
-        raise ValueError(f"cs must be nonnegative, got {cs}")
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,8 @@ def plan_mitigations(
     rps = risk_priorities(model)
     adjacency = model.outgoing()
     paths: dict[RiskState, tuple[Transition, ...]] = {}
-    for level in sorted({rp.rank for rp in rps.values() if rp.rank >= rps[state].rank}):
+    # a level that no state has repeats the last search, and keeps its paths
+    for level in range(rps[state].rank, len(Severity)):
         if targets <= paths.keys():
             break
         # the key (cost, length, action names, state names) is unique per

@@ -1,21 +1,29 @@
 """Model reduction: equivalence quotients, explicit drop rules, chain collapse.
 
 Quotients merge states that are equivalent, agree on the mishap phase of
-every hazard and share a risk region (so a merge can never bridge mishap and
-non-mishap states), optionally requiring equal risk priority.  Each
-equivalence is one key function of :mod:`riskstruct.order`; this module only
-looks it up.  Merged states keep the phases of a maximal member and a display
+every hazard and share a risk region, optionally requiring equal risk
+priority.  A class can never mix mishap and non-mishap states, since the
+region is ``mishap`` exactly on the mishap states.  Each equivalence is one
+key function of :mod:`riskstruct.order`; this module only looks it up.  Merged states keep the phases of a maximal member and a display
 label joining the member names.  Drop rules and chain collapse walk the
 model's cached adjacency.  Regions and risk priorities are those of the
 model's own options, ``region_policy`` and ``bands``.  Each reduction returns
 a new model, whose actions are those of its transitions.
+
+Chain collapse is one pass over the states in label order.  A collapse
+changes no other state's edge counts, action classes or neighbour regions;
+it can only close a self-loop, which stops a neighbour from being
+pass-through.  So the pass collapses the states, in the order, that
+repeatedly collapsing the label-least pass-through state does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from operator import add, mul
+from typing import Any, Callable, Optional, Sequence
 
 from .core import (
     ActionClass,
@@ -24,7 +32,7 @@ from .core import (
     RiskStructure,
     Severity,
     Transition,
-    is_mishap,
+    transition_key,
 )
 from .analysis import Region, RegionAssignment, assign_regions, reach, risk_priorities
 from .order import (
@@ -36,10 +44,6 @@ from .order import (
     mitigation_key,
     sv_max,
 )
-
-
-class IncompatibleMerge(RiskModelError):
-    """A merge would span mishap and non-mishap states."""
 
 
 # Each equivalence is the equality of one key function of riskstruct.order;
@@ -94,12 +98,6 @@ def quotient(
     representatives: list[RiskState] = []
     labels: dict[RiskState, str] = {}
     for members in classes.values():
-        mishap_mix = {is_mishap(s) for s in members}
-        if len(mishap_mix) > 1:
-            raise IncompatibleMerge(
-                "a class would span mishap and non-mishap states: "
-                + ", ".join(sorted(model.label(s) for s in members))
-            )
         representative = min(maxima(members), key=model.label)
         representatives.append(representative)
         for s in members:
@@ -122,11 +120,10 @@ def quotient(
         if edge is None:
             merged[key] = [src, t.action, tgt, t.pr, t.cs]
         else:
-            edge[3] = _merge_max(edge[3], t.pr)
-            edge[4] = _merge_min(edge[4], t.cs)
-    row = Transition._row
+            edge[3] = _combine(max, edge[3], t.pr)
+            edge[4] = _combine(min, edge[4], t.cs)
     transitions = tuple(
-        row(src, action, tgt, pr, cs)
+        Transition(src, action, tgt, pr, cs, checked=False)
         for _, (src, action, tgt, pr, cs) in sorted(merged.items())
     )
 
@@ -144,14 +141,12 @@ def quotient(
     )
 
 
-def _merge_max(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    present = [x for x in (a, b) if x is not None]
-    return max(present) if present else None
-
-
-def _merge_min(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    present = [x for x in (a, b) if x is not None]
-    return min(present) if present else None
+def _combine(op: Callable, a: Any, b: Any) -> Any:
+    """``op(a, b)``, or whichever of the weights ``a`` and ``b`` is not None;
+    None if both are."""
+    if a is None or b is None:
+        return b if a is None else a
+    return op(a, b)
 
 
 @dataclass(frozen=True)
@@ -206,84 +201,71 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     mitigation, it has exactly one (mitigation) predecessor, and it shares a
     region with both neighbours; the run becomes one composite transition
     with the product of the probabilities and the sum of the costs.
-    Applied to a fixed point, so collapsing twice changes nothing.
+    Applied to a fixed point, so collapsing twice changes nothing.  Raises
+    :class:`RiskModelError` for a composite that no action can label (a
+    quotient's edges can compose to a mitigation that moves a hazard to its
+    active phase), and for the first composite of the result, in key
+    order, whose key another edge has, or whose name another action has.
     """
     regions = assign_regions(model)
-    current = model
-    while True:
-        collapsed = _collapse_once(current, regions)
-        if collapsed is None:
-            return current
-        current = collapsed
-
-
-def _collapse_once(
-    model: RiskStructure, regions: RegionAssignment
-) -> Optional[RiskStructure]:
-    outgoing, incoming = model.outgoing(), model.incoming()
-
-    def pass_through(s: RiskState) -> bool:
-        outs = outgoing[s]
-        ins = incoming[s]
-        if len(outs) != 1 or len(ins) != 1:
-            return False
-        if outs[0].action.kind is not ActionClass.MITIGATION:
-            return False
-        if ins[0].action.kind is not ActionClass.MITIGATION:
-            return False
-        if s in model.initial or outs[0].target == s or ins[0].source == s:
-            return False
-        return regions[ins[0].source] is regions[s] is regions[outs[0].target]
-
+    # each state's single in-edge and out-edge, by state name; a state with
+    # another number of them has no entry
+    in_edge = {s.name: ts[0] for s, ts in model.incoming().items() if len(ts) == 1}
+    out_edge = {s.name: ts[0] for s, ts in model.outgoing().items() if len(ts) == 1}
+    collapsed: set[str] = set()
+    replaced: set[int] = set()  # the ids of the edges that composites replaced
+    composites: list[Transition] = []
     for mid in sorted(model.states, key=model.label):
-        if not pass_through(mid):
+        first, second = in_edge.get(mid.name), out_edge.get(mid.name)
+        if first is None or second is None or mid in model.initial:
             continue
-        first, second = incoming[mid][0], outgoing[mid][0]
-        composite = Transition(
-            source=first.source,
-            action=replace(
-                second.action,
-                name=f"{first.action.name};{second.action.name}",
-                effect=_compose_effects(first, second),
-            ),
-            target=second.target,
-            pr=_compose_pr(first.pr, second.pr),
-            cs=_compose_cs(first.cs, second.cs),
-        )
-        transitions = tuple(
-            sorted(
-                [t for t in model.transitions if t not in (first, second)]
-                + [composite],
-                key=lambda t: t.key(),
+        source, target = first.source, second.target
+        if (
+            first.action.kind is not ActionClass.MITIGATION
+            or second.action.kind is not ActionClass.MITIGATION
+            or mid in (source, target)
+            or not regions[source] is regions[mid] is regions[target]
+        ):
+            continue
+        pairs = zip(source.entries, target.entries)
+        effect = tuple(end for begin, end in pairs if begin != end)
+        name = f"{first.action.name};{second.action.name}"
+        try:
+            composite = Transition(
+                source=source,
+                action=replace(second.action, name=name, effect=effect),
+                target=target,
+                pr=_combine(mul, first.pr, second.pr),
+                cs=_combine(add, first.cs, second.cs),
             )
-        )
-        return replace(
-            model,
-            states=frozenset(model.states - {mid}),
-            transitions=transitions,
-            sv={s: v for s, v in model.sv.items() if s != mid},
-            labels={s: l for s, l in model.labels.items() if s != mid},
-        )
-    return None
+        except ValueError as exc:  # a quotient's edges can compose to no action
+            raise RiskModelError(f"collapse: {exc}") from None
+        if out_edge.get(source.name) is first:
+            out_edge[source.name] = composite
+        if in_edge.get(target.name) is second:
+            in_edge[target.name] = composite
+        collapsed.add(mid.name)
+        replaced.update((id(first), id(second)))
+        composites.append(composite)
+    if not collapsed:
+        return model
 
-
-def _compose_effects(first: Transition, second: Transition):
-    """Net effect of the two steps: every hazard that changed overall."""
-    effects = {}
-    for hid in first.source.hazard_ids:
-        end = second.target.phase(hid)
-        if first.source.phase(hid) != end:
-            effects[hid] = end
-    return tuple(sorted(effects.items()))
-
-
-def _compose_pr(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None and b is None:
-        return None
-    return (a if a is not None else 1.0) * (b if b is not None else 1.0)
-
-
-def _compose_cs(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None and b is None:
-        return None
-    return (a or 0) + (b or 0)
+    kept = [t for t in model.transitions if id(t) not in replaced]
+    made = sorted((t for t in composites if id(t) not in replaced), key=transition_key)
+    keys = Counter(map(transition_key, kept + made))
+    actions = {t.action.name: t.action for t in kept}
+    for t in made:
+        edge = f"{model.label(t.source)} -{t.action.name}-> {model.label(t.target)}"
+        if keys[transition_key(t)] > 1:
+            raise RiskModelError(f"collapse: the composite {edge} repeats an edge")
+        if actions.setdefault(t.action.name, t.action) != t.action:
+            raise RiskModelError(
+                f"collapse: the composite {edge} names another action {t.action.name!r}"
+            )
+    return replace(
+        model,
+        states=frozenset(s for s in model.states if s.name not in collapsed),
+        transitions=tuple(sorted(kept + made, key=transition_key)),
+        sv={s: v for s, v in model.sv.items() if s.name not in collapsed},
+        labels={s: l for s, l in model.labels.items() if s.name not in collapsed},
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring
@@ -277,19 +278,22 @@ def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
 
     o = r.get(data, "", "options", dict, None) or {}
     bands = r.get(o, "options", "bands", dict, None) or {}
+    max_subset_size = r.get(o, "options", "max_subset_size", int, 2)
+    bands = r.make(
+        "options",
+        BandThresholds,
+        r.get(bands, "options.bands", "l_below", float, 0.01),
+        r.get(bands, "options.bands", "h_at_least", float, 0.1),
+    )
+    # the other options are checked without the bands, so that a defect of
+    # the bands does not hide one of theirs
     options = r.make(
         "options",
         ModelOptions,
-        max_subset_size=r.get(o, "options", "max_subset_size", int, 2),
-        bands=r.make(
-            "options",
-            BandThresholds,
-            r.get(bands, "options.bands", "l_below", float, 0.01),
-            r.get(bands, "options.bands", "h_at_least", float, 0.1),
-        ),
+        max_subset_size=max_subset_size,
         region_policy=r.get(o, "options", "region_policy", region_policy, "no_active"),
     )
-    return hazards, features, situation, options
+    return hazards, features, situation, r.make("options", replace, options, bands=bands)
 
 
 def _rule_fields(r: _Reader, rule: Any, path: str) -> dict[str, Any]:
@@ -606,8 +610,9 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
     r = _Reader()
     data = r.check(data, "top level", dict)
     hazards, features, situation, options = _shared_fields(r, data)
-    actions = [
-        r.make(
+    by_name: dict[str, Action] = {}
+    for path, a in r.each(data, "", "actions"):
+        action = r.make(
             path,
             Action,
             name=r.get(a, path, "name", str),
@@ -615,8 +620,8 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
             effect=r.get(a, path, "effect", {str: Phase.parse}, ()),
             domains=r.get(a, path, "domains", [str], ()),
         )
-        for path, a in r.each(data, "", "actions")
-    ]
+        if action is not _BAD and by_name.setdefault(action.name, action) is not action:
+            r.fail(path, f"action {action.name!r} is declared twice")
     state_rows = r.get(data, "", "states", list)
     transition_rows = r.get(data, "", "transitions", list, ())
     initial = r.get(data, "", "initial", [str])
@@ -637,7 +642,6 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
     ]
     if r.errors:
         raise RiskModelError("; ".join(r.errors))
-    by_name = {a.name: a for a in actions}
 
     # The rows are read without the reader, since there are tens of
     # thousands of them, and give the lines of the tests' row-by-row oracle.
@@ -674,7 +678,6 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
 
         # reduced models carry class-level edges, so phase-legality is not
         # re-imposed on load
-        row = Transition._row
         transitions = []
         for i, t in enumerate(transition_rows):
             source, target, name = t["source"], t["target"], t["action"]
@@ -688,7 +691,7 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
                 r.check(cs, f"transitions[{i}].cs", int)
             if r.errors:
                 raise RiskModelError(r.errors[0])
-            transitions.append(row(source, action, target, pr, cs))
+            transitions.append(Transition(source, action, target, pr, cs, checked=False))
 
         model = RiskStructure(
             hazards=hazards,

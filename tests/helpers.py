@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
@@ -259,6 +260,79 @@ def brute_force_plans(model, start, allow_ordinary=False) -> list:
     return plans
 
 
+def brute_force_collapse(model) -> RiskStructure:
+    """``collapse_safe_chains`` by its definition: while the model has a
+    pass-through state, collapse the label-least one, on the model as it
+    stands, with regions those of the given model; a composite that no
+    action can label is refused.  Then refuse the first
+    composite of the result, in key order, whose key another edge has, or
+    whose name another action has, among the kept edges and the composites
+    before it."""
+    regions = assign_regions(model)
+    made = []
+    while True:
+        for mid in sorted(model.states, key=model.label):
+            ins = [t for t in model.transitions if t.target == mid]
+            outs = [t for t in model.transitions if t.source == mid]
+            if len(ins) != 1 or len(outs) != 1:
+                continue
+            first, second = ins[0], outs[0]
+            if {first.action.kind, second.action.kind} != {ActionClass.MITIGATION}:
+                continue
+            if mid in model.initial or mid in (first.source, second.target):
+                continue
+            if regions[first.source] == regions[mid] == regions[second.target]:
+                break
+        else:
+            break
+        source, target = first.source, second.target
+        weights = [t.pr for t in (first, second) if t.pr is not None]
+        costs = [t.cs for t in (first, second) if t.cs is not None]
+        try:
+            composite = Transition(
+                source,
+                Action(
+                    f"{first.action.name};{second.action.name}",
+                    second.action.kind,
+                    tuple(
+                        (h, target.phase(h))
+                        for h in source.hazard_ids
+                        if source.phase(h) != target.phase(h)
+                    ),
+                    second.action.domains,
+                ),
+                target,
+                pr=math.prod(weights) if weights else None,
+                cs=sum(costs) if costs else None,
+            )
+        except ValueError as exc:
+            raise RiskModelError(f"collapse: {exc}") from None
+        made.append(composite)
+        model = replace(
+            model,
+            states=model.states - {mid},
+            transitions=tuple(sorted(
+                [t for t in model.transitions if t is not first and t is not second]
+                + [composite],
+                key=lambda t: t.key(),
+            )),
+            sv={s: v for s, v in model.sv.items() if s != mid},
+            labels={s: l for s, l in model.labels.items() if s != mid},
+        )
+    composites = [t for t in model.transitions if any(t is c for c in made)]
+    seen = [t.action for t in model.transitions if not any(t is c for c in made)]
+    for c in composites:
+        edge = f"{model.label(c.source)} -{c.action.name}-> {model.label(c.target)}"
+        if any(t is not c and t.key() == c.key() for t in model.transitions):
+            raise RiskModelError(f"collapse: the composite {edge} repeats an edge")
+        if any(a.name == c.action.name and a != c.action for a in seen):
+            raise RiskModelError(
+                f"collapse: the composite {edge} names another action {c.action.name!r}"
+            )
+        seen.append(c.action)
+    return model
+
+
 def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:
     """A small hand-built structure with legal single-hazard transitions."""
     n_h = rng.randint(1, 3)
@@ -475,8 +549,8 @@ def brute_force_model_from_dict(data) -> LoadedModel:
     each transition built by ``Transition(..., checked=False)``, and the
     structure checked on sets of states.  Raises ``RiskModelError`` with the
     line ``model_from_dict`` gives.  The file is taken to be unambiguous (no
-    text naming two states, no state or transition listed twice): the later
-    row would silently win here."""
+    text naming two states, no state, action or transition listed twice):
+    the later row would silently win here."""
     try:
         return _brute_force_load(data)
     except KeyError as exc:

@@ -5,9 +5,19 @@ import json
 
 import pytest
 
-from riskstruct import cli
+from riskstruct import (
+    Action,
+    ActionClass,
+    HazardId,
+    HazardPhaseModel,
+    RiskStructure,
+    Transition,
+    cli,
+    state_parser,
+)
 from riskstruct.catalogs import catalog_path
 from riskstruct.cli import main
+from riskstruct.serialize import save_model
 
 from helpers import chain_catalog
 
@@ -48,6 +58,19 @@ class TestValidate:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2
         assert "'X'" in capsys.readouterr().err
+
+    def test_each_options_defect_on_its_own_line(self, tmp_path, capsys):
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        data.setdefault("options", {}).update(
+            max_subset_size=0, bands={"l_below": 0.5, "h_at_least": 0.2}
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"{bad}: options: band thresholds must satisfy 0 < l <= h <= 1\n"
+            f"{bad}: options: max_subset_size must be >= 1\n"
+        )
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
@@ -357,6 +380,43 @@ class TestReduceCommand:
         assert main(["reduce", built_r2, "--equiv", "hm"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "states" in data
+
+    @pytest.mark.parametrize("names, edges, line", [
+        # s0 -m1-> s1 -m2-> s2 and a declared m1;m2 edge s0 -> s2: the model
+        # written with the composite could not be read back
+        (
+            ("A:e,B:e", "A:m1,B:e", "A:m2,B:e"),
+            ((0, "m1", 1), (0, "m1;m2", 2), (1, "m2", 2)),
+            "collapse: the composite A:e,B:e -m1;m2-> A:m2,B:e repeats an edge",
+        ),
+        # class-level edges, as a quotient has: s0 -m1-> s1 moves B from 0
+        # to e, so the composite would be a mitigation to B's active phase
+        (
+            ("A:e,B:0", "A:m1,B:e", "A:0,B:e"),
+            ((0, "m1", 1), (1, "m2", 2)),
+            "collapse: action 'm1;m2' (mitigation) cannot target phase 'e' of hazard 'B'",
+        ),
+    ], ids=["repeated-edge", "no-action"])
+    def test_collapse_refuses_a_composite(self, tmp_path, capsys, names, edges, line):
+        hazards = (HazardPhaseModel(HazardId("A"), 2), HazardPhaseModel(HazardId("B"), 1))
+        states = [state_parser(hazards)(name) for name in names]
+
+        def edge(source, name, target):
+            effect = (("A", states[target].phase("A")),)
+            action = Action(name, ActionClass.MITIGATION, effect)
+            return Transition(states[source], action, states[target], 0.5, 1, checked=False)
+
+        model = RiskStructure(
+            hazards=hazards,
+            states=frozenset(states),
+            transitions=tuple(edge(*e) for e in edges),
+            initial=frozenset(states[:1]),
+        )
+        path, out = tmp_path / "chain.json", tmp_path / "c.json"
+        save_model(str(path), model)
+        assert main(["reduce", str(path), "--collapse-chains", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"riskstruct: {line}\n"
+        assert not out.exists()
 
     def test_require_equal_rp_needs_an_equivalence(self, built_r2, capsys):
         # without --equiv there is no quotient to keep risk priorities in
@@ -755,6 +815,17 @@ class TestAmbiguousModel:
         data["states"].append(dict(data["states"][2]))
         self._assert_refused(
             data, tmp_path, capsys, "states[12].name: 'A:0,L:m1' already names states[2]"
+        )
+
+    def test_action_declared_twice(self, built_r2, tmp_path, capsys):
+        # reading it would keep one of the two and re-attach every edge of
+        # the other to it
+        data = json.loads(open(built_r2).read())
+        assert len(data["actions"]) == 8
+        (mishap,) = (a for a in data["actions"] if a["name"] == "em_AL")
+        data["actions"].append({**mishap, "domains": ["drv"]})
+        self._assert_refused(
+            data, tmp_path, capsys, "actions[8]: action 'em_AL' is declared twice"
         )
 
     def test_transition_listed_twice(self, built_r2, tmp_path, capsys):

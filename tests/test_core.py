@@ -331,12 +331,12 @@ class TestTransition:
         with pytest.raises(ValueError):
             Transition(src, act, dst, pr=0.5, cs=-1)
 
-    def test_trusted_row_is_the_unchecked_transition(self):
+    def test_unchecked_edge_keeps_the_other_checks(self):
+        # checked=False skips the phase graph alone
         act = Action("m1_A", ActionClass.MITIGATION, (("A", Phase.mitigated(1)),))
         src, dst = parse_state("A:e,L:0", AB), parse_state("A:m1,L:e", AB)
-        row = Transition._row(src, act, dst, 0.5, 3)
-        built = Transition(src, act, dst, pr=0.5, cs=3, checked=False)
-        assert (row, row.checked, repr(row)) == (built, False, repr(built))
+        edge = Transition(src, act, dst, 0.5, 3, checked=False)
+        assert (edge.pr, edge.cs) == (0.5, 3)
         other = parse_state("A:e", (AB[0],))
         for args, message in (
             ((src, act, other, 0.5, 3), "hazard set"),
@@ -344,19 +344,23 @@ class TestTransition:
             ((src, act, dst, 0.5, -1), "cs must be"),
         ):
             with pytest.raises(ValueError, match=message):
-                Transition._row(*args)
-            with pytest.raises(ValueError, match=message):
                 Transition(*args, checked=False)
 
-    def test_checked_row_is_the_checked_transition(self):
-        # the caller vouches for the move; copies are checked again
+    def test_a_copy_of_an_unchecked_edge_is_checked(self):
+        # checked is an argument, not a field: an edge is the same value
+        # however it was made, and replace checks the phase graph again
         act = Action("m1_A", ActionClass.MITIGATION, (("A", Phase.mitigated(1)),))
         src, dst = parse_state("A:e,L:0", AB), parse_state("A:m1,L:0", AB)
-        row = Transition._row(src, act, dst, 0.5, 3, True)
+        unchecked = Transition(src, act, dst, 0.5, 3, checked=False)
         built = Transition(src, act, dst, pr=0.5, cs=3)
-        assert (row, row.checked, repr(row)) == (built, True, repr(built))
-        with pytest.raises(IllegalPhaseTransition):
-            dataclasses.replace(row, target=parse_state("A:m1,L:e", AB))
+        assert (unchecked, repr(unchecked)) == (built, repr(built))
+        assert "checked" not in {f.name for f in dataclasses.fields(Transition)}
+        illegal = parse_state("A:m1,L:e", AB)
+        for edge in (unchecked, built):
+            with pytest.raises(IllegalPhaseTransition):
+                dataclasses.replace(edge, target=illegal)
+        moved = dataclasses.replace(unchecked, target=illegal, checked=False)
+        assert moved.target == illegal
 
 
 class TestCopies:
@@ -369,7 +373,7 @@ class TestCopies:
         loaded = state_parser(AB)("A:e,L:0")
         edges = (
             Transition(src, act, dst, pr=0.5),
-            Transition._row(src, act, dst, None, 2),
+            Transition(src, act, dst, None, 2, checked=False),
         )
         for value in (src, loaded, *edges):
             for copied in (
@@ -382,7 +386,7 @@ class TestCopies:
                 assert not hasattr(copied, "__dict__")
         assert dataclasses.replace(loaded, entries=src.entries).name == "A:0,L:0"
         moved = dataclasses.replace(edges[1], pr=0.25)
-        assert (moved.pr, moved.cs, moved.checked) == (0.25, 2, False)
+        assert (moved.pr, moved.cs) == (0.25, 2)
 
 
 class TestFrozenModel:

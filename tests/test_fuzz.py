@@ -21,6 +21,7 @@ from random import Random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from riskstruct import cli, construct_rs, load_catalog, model_to_json
+from riskstruct.core import DOMAINS
 from riskstruct.catalogs import catalog_path
 
 from helpers import assert_matches_oracle, catalog_to_dict, random_rule_catalog
@@ -123,6 +124,24 @@ class TestMutatedFiles:
             ):
                 _assert_one_line_unless_ok(*_run(argv))
             _assert_one_line_unless_ok(*_run(["diff", model, model]), ok=(0, 3))
+
+    @_FUZZ
+    @given(st.data())
+    def test_model_file_with_an_action_declared_twice(self, data):
+        # the later of the two declarations is named, whatever they say
+        value = json.loads(_r2_model_text())
+        actions = value["actions"]
+        i = data.draw(st.integers(0, len(actions) - 1))
+        j = data.draw(st.integers(0, len(actions)))
+        domains = data.draw(st.lists(st.sampled_from(DOMAINS), unique=True))
+        actions.insert(j, {**actions[i], "domains": domains})
+        with tempfile.TemporaryDirectory() as work:
+            model = str(Path(work) / "model.json")
+            Path(model).write_text(json.dumps(value))
+            name, later = actions[j]["name"], j if j > i else i + 1
+            line = f"actions[{later}]: action {name!r} is declared twice"
+            for argv in (["regions", model], ["reduce", model, "--collapse-chains"]):
+                assert _run(argv) == (2, f"riskstruct: invalid model {model!r}: {line}\n")
 
     @_FUZZ
     @given(st.data())

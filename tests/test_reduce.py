@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import time
+from collections import Counter
 from dataclasses import replace
 from random import Random
 
@@ -18,6 +20,8 @@ from riskstruct import (
     Phase,
     PhaseGuard,
     Region,
+    RiskModelError,
+    RiskState,
     RiskStructure,
     Severity,
     Transition,
@@ -38,7 +42,13 @@ from riskstruct import reduce as reduce_module
 from riskstruct.catalogs import catalog_path
 from riskstruct.serialize import load_drop_rules
 
-from helpers import brute_force_maxima, brute_force_reach, random_structure
+from helpers import (
+    brute_force_collapse,
+    brute_force_maxima,
+    brute_force_reach,
+    random_shared_name_structure,
+    random_structure,
+)
 
 # The reduced second-increment model: ten scenario states plus the mishap,
 # and the twelve edges that survive the documented drops.
@@ -395,3 +405,104 @@ class TestCollapseChains:
 
     def test_identity_on_golden(self, r2_model):
         assert collapse_safe_chains(r2_model) == r2_model
+
+    def test_matches_the_definition_on_random_structures(self):
+        # the definition collapses the label-least pass-through state of
+        # the model as it stands until none is left; action names with ';'
+        # let composites meet declared actions of their name
+        counts = Counter()
+        for seed in range(300):
+            rng = Random(seed)
+            model = random_structure(rng, 20)
+            shared = random_shared_name_structure(Random(seed))
+            names = {n: Action(n, ActionClass.MITIGATION, ()) for n in ("a", "a;a", "a;b", "b")}
+            renamed = replace(model, transitions=tuple(
+                replace(t, action=names[rng.choice(sorted(names))])
+                if t.action.kind is ActionClass.MITIGATION else t
+                for t in model.transitions
+            ))
+            for case in (
+                model, quotient(model, "m"), quotient(model, "h"), shared, renamed
+            ):
+                try:
+                    expected = brute_force_collapse(case)
+                except RiskModelError as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        collapse_safe_chains(case)
+                    assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+                    counts["refused"] += 1
+                    continue
+                collapsed = collapse_safe_chains(case)
+                assert collapsed == expected
+                assert collapsed.actions == expected.actions
+                counts[len(collapsed.states) < len(case.states)] += 1
+        assert counts[True] >= 50 and counts["refused"] >= 3, counts
+
+    def test_a_long_chain_collapses_in_one_pass(self):
+        # each collapse leaves every other state as it was, so one pass in
+        # label order collapses them all
+        n = 2000
+        hazards = (HazardPhaseModel(HazardId("A"), n),)
+        states = [RiskState((("A", Phase.active()),))] + [
+            RiskState((("A", Phase.mitigated(i)),)) for i in range(1, n + 1)
+        ]
+        model = RiskStructure(
+            hazards=hazards,
+            states=frozenset(states),
+            transitions=tuple(sorted(
+                (
+                    Transition(
+                        u, Action(f"m{i}", ActionClass.MITIGATION, v.entries), v,
+                        pr=0.5, cs=1,
+                    )
+                    for i, (u, v) in enumerate(zip(states, states[1:]), 1)
+                ),
+                key=lambda t: t.key(),
+            )),
+            initial=frozenset(states[:1]),
+        )
+        start = time.perf_counter()
+        collapsed = collapse_safe_chains(model)
+        elapsed = time.perf_counter() - start
+        # the active state is hazardous and the mitigated ones safe, so the
+        # first mitigation stays on its own
+        assert sorted(s.name for s in collapsed.states) == ["A:e", "A:m1", f"A:m{n}"]
+        first, rest = collapsed.transitions
+        assert first.action.name == "m1"
+        assert rest.action.name == ";".join(f"m{i}" for i in range(2, n + 1))
+        assert (rest.cs, rest.action.effect) == (n - 1, (("A", Phase.mitigated(n)),))
+        assert elapsed < 1.0
+
+    def _parallel_model(self, declared: Action):
+        # x -step1-> y -step2-> z, and an edge x -> z of the declared action
+        model = self._chain_model()
+        x, z = model.transitions[0].source, model.transitions[1].target
+        return replace(model, transitions=tuple(sorted(
+            model.transitions + (Transition(x, declared, z, pr=0.1, cs=1),),
+            key=lambda t: t.key(),
+        )))
+
+    def test_refuses_a_composite_that_repeats_an_edge(self):
+        model = self._parallel_model(
+            Action("step1;step2", ActionClass.MITIGATION, (("A", Phase.inactive()),))
+        )
+        with pytest.raises(RiskModelError, match=(
+            "^collapse: the composite A:m1 -step1;step2-> A:0 repeats an edge$"
+        )):
+            collapse_safe_chains(model)
+
+    @pytest.mark.parametrize("declared", [
+        Action("step1;step2", ActionClass.MITIGATION, (("A", Phase.mitigated(2)),)),
+        Action("step1;step2", ActionClass.MITIGATION, (("A", Phase.inactive()),), ("drv",)),
+    ], ids=["effect", "domains"])
+    def test_refuses_a_composite_that_names_another_action(self, declared):
+        # the declared action labels a self-loop at the end of the chain,
+        # so only the name clashes
+        model = self._chain_model()
+        z = model.transitions[-1].target
+        model = replace(model, transitions=model.transitions + (Transition(z, declared, z),))
+        with pytest.raises(RiskModelError, match=(
+            "^collapse: the composite A:m1 -step1;step2-> A:0 names another "
+            "action 'step1;step2'$"
+        )):
+            collapse_safe_chains(model)
