@@ -113,6 +113,15 @@ def _load(load, what: str, path: str):
         raise _CliError(EXIT_INVALID, f"invalid {what} {path!r}: {exc}") from None
 
 
+def _save(save, what: str, path: str, *content) -> None:
+    """``save(path, *content)``.  A file that cannot be written is a
+    ``_CliError`` with exit code 1, naming ``what`` and the file."""
+    try:
+        save(path, *content)
+    except OSError as exc:
+        raise _CliError(EXIT_IO, f"cannot write {what}{path!r}: {exc}") from None
+
+
 def _load_model(path: str):
     return _load(load_model, "model", path)
 
@@ -140,10 +149,7 @@ def cmd_build(args) -> int:
             f"{record.states_total} states, {record.transitions_total} transitions)"
         )
     out = args.output or "model.json"
-    try:
-        save_model(out, model, log)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write model {out!r}: {exc}")
+    _save(save_model, "model ", out, model, log)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -172,10 +178,7 @@ def cmd_regions(args) -> int:
 
 def cmd_plan(args) -> int:
     model = _set_options(_load_model(args.model)[0], bands=args.bands)
-    try:
-        start = model.state_named(args.from_state)
-    except RiskModelError as exc:
-        return _fail(EXIT_INVALID, str(exc))
+    start = model.state_named(args.from_state)
     plans = plan_mitigations(model, start, allow_ordinary=args.allow_ordinary)
     for plan in plans:
         monotonous = is_mitigation_monotonous(model, plan, slack=args.slack)
@@ -191,21 +194,14 @@ def cmd_reduce(args) -> int:
     if args.require_equal_rp and args.equiv is None:
         return _fail(EXIT_INVALID, "--require-equal-rp needs --equiv")
     model, log = _load_model(args.model)
-    try:
-        if args.equiv is not None:
-            model = quotient(model, args.equiv, require_equal_rp=args.require_equal_rp)
-        if args.drop is not None:
-            rules = _load(load_drop_rules, "drop-rule file", args.drop)
-            model = drop_irrelevant(model, rules)
-        if args.collapse_chains:
-            model = collapse_safe_chains(model)
-    except RiskModelError as exc:
-        return _fail(EXIT_INVALID, str(exc))
+    if args.equiv is not None:
+        model = quotient(model, args.equiv, require_equal_rp=args.require_equal_rp)
+    if args.drop is not None:
+        model = drop_irrelevant(model, _load(load_drop_rules, "drop-rule file", args.drop))
+    if args.collapse_chains:
+        model = collapse_safe_chains(model)
     if args.output:
-        try:
-            save_model(args.output, model, log)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write model {args.output!r}: {exc}")
+        _save(save_model, "model ", args.output, model, log)
         print(f"wrote {args.output}")
     else:
         sys.stdout.writelines(model_chunks(model, log))
@@ -295,10 +291,7 @@ def cmd_diff(args) -> int:
 def cmd_export_dot(args) -> int:
     model, _ = _load_model(args.model)
     if args.output:
-        try:
-            save_dot(args.output, model)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.output!r}: {exc}")
+        _save(save_dot, "", args.output, model)
     else:
         sys.stdout.writelines(dot_chunks(model))
     return EXIT_OK

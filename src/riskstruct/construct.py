@@ -186,7 +186,7 @@ class Catalog:
         """
         errors: list[str] = []
         ids = [h.id for h in self.hazards]
-        for hid in ids:
+        for hid in dict.fromkeys(ids):
             if ids.count(hid) > 1:
                 errors.append(f"hazards: duplicate id {hid!r}")
         models = {h.id: h for h in self.hazards}

@@ -627,13 +627,16 @@ class RiskStructure:
     states: frozenset[RiskState]
     transitions: tuple[Transition, ...]
     initial: frozenset[RiskState]
-    sv: dict[RiskState, Severity] = field(default_factory=dict)
+    sv: Mapping[RiskState, Severity] = field(default_factory=dict)
     situation: Optional[OperationalSituation] = None
     features: Optional["FeatureModel"] = None  # noqa: F821 - defined in .order
     options: ModelOptions = field(default_factory=ModelOptions)
-    labels: dict[RiskState, str] = field(default_factory=dict)
+    labels: Mapping[RiskState, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # read-only views of copies of their own, so no caller can edit them
+        object.__setattr__(self, "sv", MappingProxyType(dict(self.sv)))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         ids = [h.id for h in self.hazards]
         if len(set(ids)) != len(ids):
             raise ValueError("hazard ids must be unique")
@@ -653,9 +656,11 @@ class RiskStructure:
         if {s.name for s in self.sv} != mishaps:
             raise ValueError("severity must be assigned exactly on mishap states")
 
-    @property
-    def hazard_ids(self) -> tuple[str, ...]:
-        return tuple(h.id for h in self.hazards)
+    def __reduce__(self):
+        """A copy or pickle is made from the fields alone, through the
+        constructor, so it computes its own derived data."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
     def hazard(self, hazard_id: str) -> HazardPhaseModel:
         for h in self.hazards:
@@ -722,8 +727,8 @@ class RiskStructure:
         ``key``.
 
         The memo is a plain dict in the instance's ``__dict__``, not a field,
-        so ``==``, ``repr``, :func:`dataclasses.replace` and serialization
-        never see it.
+        so ``==``, ``repr``, :func:`dataclasses.replace`, copies, pickles and
+        serialization never see it.
         """
         memo = self.__dict__.setdefault("_memo_table", {})
         if key not in memo:

@@ -287,10 +287,6 @@ def feature_profile(state: RiskState, features: FeatureModel) -> FeatureProfile:
     ordered += [h for h in state.hazard_ids if h not in ordered]
     for hid in ordered:
         for eff in features.effects_for(hid, state.phase(hid)):
-            if eff.feature not in profile:
-                raise MissingFeatureDeclaration(
-                    f"feature {eff.feature!r} is not declared in the universe"
-                )
             profile[eff.feature] = eff
     return profile
 

@@ -185,12 +185,20 @@ def _prune_unreachable(model: RiskStructure) -> RiskStructure:
     transitions = tuple(
         t for t in model.transitions if t.source in reachable and t.target in reachable
     )
+    return _restrict(model, reachable, transitions)
+
+
+def _restrict(
+    model: RiskStructure, states: frozenset[RiskState], transitions: tuple[Transition, ...]
+) -> RiskStructure:
+    """``model`` on ``states``, a subset of its states, with ``transitions``
+    between them, and the severities and labels of those states."""
     return replace(
         model,
-        states=reachable,
+        states=states,
         transitions=transitions,
-        sv={s: v for s, v in model.sv.items() if s in reachable},
-        labels={s: l for s, l in model.labels.items() if s in reachable},
+        sv={s: v for s, v in model.sv.items() if s in states},
+        labels={s: l for s, l in model.labels.items() if s in states},
     )
 
 
@@ -262,10 +270,8 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
             raise RiskModelError(
                 f"collapse: the composite {edge} names another action {t.action.name!r}"
             )
-    return replace(
+    return _restrict(
         model,
-        states=frozenset(s for s in model.states if s.name not in collapsed),
-        transitions=tuple(sorted(kept + made, key=transition_key)),
-        sv={s: v for s, v in model.sv.items() if s.name not in collapsed},
-        labels={s: l for s, l in model.labels.items() if s.name not in collapsed},
+        frozenset(s for s in model.states if s.name not in collapsed),
+        tuple(sorted(kept + made, key=transition_key)),
     )

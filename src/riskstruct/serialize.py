@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring
@@ -536,26 +536,9 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
             label[s.name]: v.value
             for s, v in sorted(model.sv.items(), key=lambda kv: label[kv[0].name])
         },
-        "log": [
-            {
-                "increment": r.increment,
-                "sweep": r.sweep,
-                "states_added": r.states_added,
-                "transitions_added": r.transitions_added,
-                "states_total": r.states_total,
-                "non_mishap_total": r.non_mishap_total,
-                "transitions_total": r.transitions_total,
-            }
-            for r in log.records
-        ],
-        "options": {
-            "max_subset_size": model.options.max_subset_size,
-            "bands": {
-                "l_below": model.options.bands.l_below,
-                "h_at_least": model.options.bands.h_at_least,
-            },
-            "region_policy": model.options.region_policy,
-        },
+        # plain records are written from their fields, in field order
+        "log": [asdict(r) for r in log.records],
+        "options": asdict(model.options),
     }
     if model.situation is not None:
         d["situation"] = {

@@ -75,6 +75,14 @@ class TestValidate:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    def test_duplicate_hazard_id_on_one_line(self, tmp_path, capsys):
+        data = json.loads(catalog_path("tunnel-exit-r2").read_text())
+        data["hazards"] += [dict(data["hazards"][0]), dict(data["hazards"][0])]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"{bad}: hazards: duplicate id 'A'\n"
+
     @pytest.mark.parametrize(
         "section, index, key, value, message",
         [
@@ -310,6 +318,29 @@ class TestBuild:
         assert main(["build", r2_path, "-o", str(tmp_path / "no" / "dir.json")]) == 1
 
 
+class TestWriteFailure:
+    """A file that cannot be written ends the command with exit code 1 and
+    one line naming it."""
+
+    @pytest.mark.parametrize(
+        "command, what",
+        [(["build", "CATALOG"], "model "), (["reduce", "MODEL"], "model "),
+         (["export-dot", "MODEL"], "")],
+        ids=["build", "reduce", "export-dot"],
+    )
+    def test_missing_directory_exits_1(
+        self, command, what, built_r2, r2_path, tmp_path, capsys
+    ):
+        out = str(tmp_path / "no" / "file")
+        paths = {"CATALOG": r2_path, "MODEL": built_r2}
+        capsys.readouterr()
+        assert main([paths.get(arg, arg) for arg in command] + ["-o", out]) == 1
+        assert capsys.readouterr().err == (
+            f"riskstruct: cannot write {what}{out!r}: "
+            f"[Errno 2] No such file or directory: {out!r}\n"
+        )
+
+
 class TestAnalyze:
     def test_line_format_and_order(self, built_r2, capsys):
         assert main(["analyze", built_r2]) == 0
@@ -499,6 +530,16 @@ class TestFlagRanges:
             ["plan", built_r2, "--from", "A:e,L:0", "--slack", "-1"], capsys
         )
 
+    @pytest.mark.parametrize(
+        "bands, message",
+        [("l=x,h=0.1", "not a probability: 'x'"), ("l=0.1", "bands need both l= and h=")],
+    )
+    def test_malformed_bands(self, bands, message, built_r2, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", built_r2, "--bands", bands])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"riskstruct: argument --bands: {message}\n"
+
 
 class TestMalformedDropRules:
     @pytest.mark.parametrize(
@@ -539,9 +580,13 @@ class TestOneAnchoredLine:
              "hazards[1].description: must be a string, got NoneType"),
             (lambda d: d["mishaps"][0].update(name=5), "mishaps[0].name: must be a string, got int"),
             (lambda d: d.pop("hazards"), "hazards: missing"),
+            (lambda d: d["mitigations"][0].update(cs=-1),
+             "mitigations[0] ('m1_A'): cs -1 negative"),
+            (lambda d: d["mitigations"][0].update(mitigates={}),
+             "mitigations[0] ('m1_A'): moves no hazard"),
         ],
         ids=["no-n-mitigations", "features-list", "situation-str", "mitigates-pairs",
-             "description-null", "name-int", "no-hazards"],
+             "description-null", "name-int", "no-hazards", "negative-cs", "no-move"],
     )
     def test_catalog(self, tmp_path, capsys, mutate, line):
         data = json.loads(catalog_path("tunnel-exit-r2").read_text())
@@ -661,6 +706,16 @@ class TestDiff:
     def test_incompatible_hazards_exit_2(self, built_r2, built_r3, capsys):
         assert main(["diff", built_r3, built_r2]) == 2
         assert "R" in capsys.readouterr().err
+
+    def test_different_n_mitigations_exit_2(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        data["hazards"][0]["n_mitigations"] += 1
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data))
+        assert main(["diff", built_r2, str(other)]) == 2
+        assert capsys.readouterr().err == (
+            "riskstruct: incompatible hazard 'A': different n_mitigations\n"
+        )
 
 
 class TestExportDot:

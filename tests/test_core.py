@@ -18,13 +18,16 @@ from riskstruct import (
     Phase,
     PhaseKind,
     RiskState,
+    Severity,
     Transition,
+    analysis_table,
     apply_action,
     embed_state,
     full_state_space_size,
     is_mishap,
     legal_phase_step,
     parse_state,
+    risk_priority,
     state_from_phases,
     state_parser,
 )
@@ -405,6 +408,38 @@ class TestFrozenModel:
         fewer = dataclasses.replace(model, transitions=model.transitions[:1])
         assert model.outgoing() is not fewer.outgoing()
         assert fewer.actions == (model.transitions[0].action,)
+
+    def test_an_analysed_model_copies_without_its_tables(self, r2_model):
+        model = dataclasses.replace(r2_model)
+        table = analysis_table(model)
+        for copied in (
+            pickle.loads(pickle.dumps(model)),
+            copy.deepcopy(model),
+            copy.copy(model),
+        ):
+            assert copied == model and copied is not model
+            assert "_memo_table" not in copied.__dict__
+            assert analysis_table(copied) == table
+            assert analysis_table(copied) is not table
+
+    def test_severities_and_labels_are_read_only(self, r2_model):
+        mishap = r2_model.state_named("A:em,L:em")
+        with pytest.raises(TypeError):
+            r2_model.sv[mishap] = Severity.MARGINAL
+        with pytest.raises(TypeError):
+            r2_model.labels[mishap] = "x"
+        assert r2_model.sv[mishap] is r2_model.sv.get(mishap) is Severity.FATAL
+        assert r2_model.label(mishap) == "A:em,L:em"
+
+    def test_a_dict_passed_in_and_then_edited_leaves_the_model(self, r2_model):
+        sv = dict(r2_model.sv)
+        model = dataclasses.replace(r2_model, sv=sv)
+        mishap = model.state_named("A:em,L:em")
+        assert risk_priority(model, mishap) is Severity.FATAL
+        sv[mishap] = Severity.MARGINAL
+        assert model.sv[mishap] is Severity.FATAL
+        assert risk_priority(model, mishap) is Severity.FATAL
+        assert risk_priority(dataclasses.replace(model), mishap) is Severity.FATAL
 
 
 class TestHazardId:
