@@ -42,7 +42,6 @@ from .core import (
     Band,  # noqa: F401 - re-exported
     BandThresholds,  # noqa: F401 - re-exported
     PhaseKind,
-    RiskModelError,
     RiskState,
     RiskStructure,
     Severity,
@@ -97,18 +96,14 @@ def _no_active_safe(state: RiskState, model: RiskStructure) -> bool:
 
 def _handover_safe(state: RiskState, model: RiskStructure) -> bool:
     """Safe when nothing is active and control is either nominal or handed
-    over to a declared fallback feature (e.g. the driver)."""
+    over to a fallback feature (e.g. the driver), which a model with this
+    policy declares (:func:`~riskstruct.core.handover_fallback`)."""
     if has_active(state):
         return False
     if all(p.kind is PhaseKind.INACTIVE for _, p in state.entries):
         return True
-    if model.features is None:
-        raise RiskModelError("'handover' region policy needs a feature model")
-    fallback = model.features.fallback_features()
-    if not fallback:
-        raise RiskModelError("'handover' region policy needs a fallback feature")
     profile = feature_profile(state, model.features)
-    return bool(fallback & in_loop_features(profile))
+    return bool(model.features.fallback_features() & in_loop_features(profile))
 
 
 #: The safe-state predicate of each region policy, by its name.

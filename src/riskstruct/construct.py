@@ -2,15 +2,15 @@
 
 The engine alternates endangerment and mitigation sweeps.  Each sweep walks
 the non-mishap states it has not processed yet, in canonical order, and
-tries on each of them every enabled rule whose hazard subset is within the
-configured size cap: subsets in order of size and then of declaration, and
-the rules of one subset in declaration order.  A rule fires when its guard
-holds and every move is legal in the phase model; when two rules yield the
-same (source, action, target) transition, the first one wins.  A state is
-processed once by each kind of sweep, which makes termination a counting
-argument.  Every state but an initial one enters as the target of a
-transition from a state already built, so the result is reachable from the
-initial region by construction.
+tries on each of them every enabled rule that moves at most
+``max_subset_size`` hazards: by the number of hazards it moves, then by
+their declaration positions, then in declaration order.  A rule fires when
+its guard holds and every move is legal in the phase model; when two rules
+yield the same (source, action, target) transition, the first one wins.  A
+state is processed once by each kind of sweep, which makes termination a
+counting argument.  Every state but an initial one enters as the target of
+a transition from a state already built, so the result is reachable from
+the initial region by construction.
 
 Rules act on canonical state names.  Each enabled rule is compiled once per
 construction into, per hazard it constrains, the set of ``id:phase`` tokens
@@ -26,7 +26,7 @@ initial states and the rules' targets), a known one is looked up by name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -44,6 +44,7 @@ from .core import (
     Transition,
     all_inactive,
     full_state_space_size,
+    handover_fallback,
     is_mishap,
     legal_phase_step,
     parse_state,
@@ -151,7 +152,13 @@ Rule = EndangermentRule | MishapRule | MitigationRule
 
 @dataclass(frozen=True)
 class Catalog:
-    """Declarative hazard catalog: hazards, features, rules, situation, options."""
+    """Declarative hazard catalog: hazards, features, rules, situation, options.
+
+    Making a catalog, by :func:`dataclasses.replace` too, raises
+    :class:`CatalogInvalid` with one anchored message per defect.  The check
+    keeps what construction reads: ``actions``, the action that labels each
+    rule's transitions, in :meth:`rules` order, and ``initial_states``.
+    """
 
     hazards: tuple[HazardPhaseModel, ...]
     endangerments: tuple[EndangermentRule, ...] = ()
@@ -160,30 +167,10 @@ class Catalog:
     features: Optional[FeatureModel] = None
     situation: OperationalSituation = OperationalSituation()
     options: ModelOptions = ModelOptions()
+    actions: tuple[Action, ...] = field(init=False, repr=False, compare=False)
+    initial_states: frozenset[RiskState] = field(init=False, repr=False, compare=False)
 
-    def hazard_ids(self) -> tuple[str, ...]:
-        return tuple(h.id for h in self.hazards)
-
-    def rules(self) -> Iterable[tuple[str, Rule]]:
-        """Every rule, enabled or not, with its anchor in the catalog file:
-        endangerments, then mishaps, then mitigations, each in declaration
-        order."""
-        for section in ("endangerments", "mishaps", "mitigations"):
-            for i, rule in enumerate(getattr(self, section)):
-                yield f"{section}[{i}] ({rule.name!r})", rule
-
-    @staticmethod
-    def action_for(rule: Rule) -> Action:
-        """The action that labels ``rule``'s transitions; raises ValueError
-        where :class:`Action` refuses it."""
-        return Action(rule.name, rule.kind, rule.effect(), rule.domains)
-
-    def validate(self) -> None:
-        """Raise :class:`CatalogInvalid` with one anchored message per defect.
-
-        Each rule's action is made by :meth:`action_for`, as construction
-        makes it, so a catalog that validates also builds.
-        """
+    def __post_init__(self) -> None:
         errors: list[str] = []
         ids = [h.id for h in self.hazards]
         for hid in dict.fromkeys(ids):
@@ -218,7 +205,7 @@ class Catalog:
             if isinstance(rule, MitigationRule) and rule.cs < 0:
                 errors.append(f"{anchor}: cs {rule.cs} negative")
             try:
-                action = self.action_for(rule)
+                action = Action(rule.name, rule.kind, rule.effect(), rule.domains)
             except ValueError as exc:
                 errors.append(f"{anchor}: {exc}")
                 continue
@@ -229,6 +216,7 @@ class Catalog:
                     "different class, effect, or domains"
                 )
 
+        initial = []
         for name in self.situation.initial or ():
             try:
                 state = parse_state(name, self.hazards)
@@ -237,21 +225,26 @@ class Catalog:
                 continue
             if is_mishap(state):
                 errors.append(f"situation.initial: {name!r} is a mishap state")
-        if self.options.region_policy == "handover":
-            if self.features is None or not self.features.fallback_features():
-                errors.append(
-                    "options.region_policy: 'handover' needs a feature universe "
-                    "with at least one fallback feature"
-                )
+            initial.append(state)
+        try:
+            handover_fallback(self.options, self.features)
+        except ValueError as exc:
+            errors.append(str(exc))
         if errors:
             raise CatalogInvalid(errors)
+        # one action per rule: a name has one action
+        object.__setattr__(self, "actions", tuple(actions[r.name] for _, r in self.rules()))
+        object.__setattr__(
+            self, "initial_states", frozenset(initial or [all_inactive(self.hazards)])
+        )
 
-    def initial_states(self) -> frozenset[RiskState]:
-        if self.situation.initial:
-            return frozenset(
-                parse_state(name, self.hazards) for name in self.situation.initial
-            )
-        return frozenset({all_inactive(self.hazards)})
+    def rules(self) -> Iterable[tuple[str, Rule]]:
+        """Every rule, enabled or not, with its anchor in the catalog file:
+        endangerments, then mishaps, then mitigations, each in declaration
+        order."""
+        for section in ("endangerments", "mishaps", "mitigations"):
+            for i, rule in enumerate(getattr(self, section)):
+                yield f"{section}[{i}] ({rule.name!r})", rule
 
 
 @dataclass(frozen=True)
@@ -270,13 +263,6 @@ class SweepRecord:
 @dataclass(frozen=True)
 class ConstructionLog:
     records: tuple[SweepRecord, ...] = ()
-
-
-def _subsets(ids: Sequence[str], cap: int) -> list[frozenset[str]]:
-    out: list[frozenset[str]] = []
-    for k in range(1, min(cap, len(ids)) + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(ids, k))
-    return out
 
 
 SWEEPS = ("endangerment", "mitigation")
@@ -320,14 +306,12 @@ class _Builder:
     def __init__(
         self, catalog: Catalog, states: Optional[Iterable[RiskState]] = None
     ):
-        catalog.validate()
         self.catalog = catalog
-        self.initial = catalog.initial_states()
-        self.ids = catalog.hazard_ids()
+        self.ids = tuple(h.id for h in catalog.hazards)
         # Each stored state under its canonical name; transitions share the
         # stored objects instead of keeping equal copies of them.
         self.states: dict[str, RiskState] = {}
-        for s in self.initial if states is None else states:
+        for s in catalog.initial_states if states is None else states:
             if s.hazard_ids != self.ids:
                 raise RiskModelError(
                     f"state {s.name!r} does not range over the catalog's "
@@ -341,30 +325,31 @@ class _Builder:
         # Each sweep applies every rule to every state it processes, so a
         # state (by name) is either processed by a kind of sweep or not at all.
         self.processed: dict[str, set[str]] = {kind: set() for kind in SWEEPS}
-        enabled = [
-            (rule, catalog.action_for(rule)) for _, rule in catalog.rules() if rule.enabled
-        ]
+        # The enabled rules that move at most max_subset_size hazards, by the
+        # number and then the declaration positions of the hazards they move,
+        # ties in Catalog.rules order: the first declaring rule of a
+        # transition wins, so this order is part of the output.
+        position = {h: i for i, h in enumerate(self.ids)}
+        enabled = sorted(
+            (
+                (rule, action, sorted(position[h] for h, _ in action.effect))
+                for (_, rule), action in zip(catalog.rules(), catalog.actions)
+                if rule.enabled and len(action.effect) <= catalog.options.max_subset_size
+            ),
+            key=lambda entry: (len(entry[2]), entry[2]),
+        )
         # token -> (id, phase), for every phase a built state can hold: the
         # phases of the states it starts from and the targets of the rules
         self.entries = phase_tokens(catalog.hazards)
         for h, p in itertools.chain(
             (entry for s in self.states.values() for entry in s.entries),
-            (entry for _, action in enabled for entry in action.effect),
+            (entry for _, action, _ in enabled for entry in action.effect),
         ):
             self.entries[f"{h}:{p.render()}"] = (h, p)
-        # Per kind of sweep, the compiled rules to try on a state, in subset
-        # order and then declaration order: the first declaring rule of a
-        # transition wins, so this order is part of the output.  A rule's
-        # subset is the set of hazards its action moves.
-        index: dict[frozenset[str], list[tuple[Rule, Action]]] = {}
-        for rule, action in enabled:
-            index.setdefault(frozenset(h for h, _ in action.effect), []).append(
-                (rule, action)
-            )
+        # per kind of sweep, the compiled rules to try on a state, in order
         self.rules: dict[str, list[_Rule]] = {kind: [] for kind in SWEEPS}
-        for subset in _subsets(self.ids, catalog.options.max_subset_size):
-            for rule, action in index.get(subset, ()):
-                self.rules[_SWEEP[action.kind]].append(self._compile(rule, action))
+        for rule, action, _ in enabled:
+            self.rules[_SWEEP[action.kind]].append(self._compile(rule, action))
 
     def _compile(self, rule: Rule, action: Action) -> _Rule:
         accepted: dict[str, set[str]] = {}
@@ -430,7 +415,7 @@ class _Builder:
 
     def _has_uncovered(self) -> bool:
         if not self.ids:
-            return False  # no hazard subsets, so nothing to process
+            return False  # no hazards, so nothing to process
         done_e, done_m = (self.processed[kind] for kind in SWEEPS)
         return any(MISHAP_MARK not in name for name in self.states.keys() - (done_e & done_m))
 
@@ -503,7 +488,7 @@ class _Builder:
             hazards=self.catalog.hazards,
             states=frozenset(self.states.values()),
             transitions=tuple(map(edge, sorted(rules))),
-            initial=self.initial,
+            initial=self.catalog.initial_states,
             sv={state(name): severity for name, severity in sorted(self.sv.items())},
             situation=self.catalog.situation,
             features=self.catalog.features,

@@ -211,30 +211,31 @@ class HazardPhaseModel:
         return True
 
 
-def legal_phase_step(source: Phase, action_class: ActionClass, target: Phase) -> bool:
-    """Whether the per-hazard phase graph has an edge (source, class, target).
+#: The per-hazard phase graph: an action of each class steps from a phase of
+#: one of its source kinds to one of its target kinds.  Mishap phases are
+#: absorbing, and ordinary actions never move a phase.
+_PHASE_STEPS = {
+    ActionClass.ENDANGERMENT: (
+        {PhaseKind.INACTIVE, PhaseKind.ACTIVE, PhaseKind.MITIGATED},
+        {PhaseKind.ACTIVE},
+    ),
+    ActionClass.MISHAP_ACTION: ({PhaseKind.ACTIVE}, {PhaseKind.MISHAP}),
+    ActionClass.MITIGATION: (
+        {PhaseKind.ACTIVE, PhaseKind.MITIGATED},
+        {PhaseKind.MITIGATED, PhaseKind.INACTIVE},
+    ),
+    ActionClass.ORDINARY: (set(), set()),
+}
 
-    Mishap phases are absorbing: nothing leads out of them.  Ordinary actions
-    never move a phase.
-    """
-    sk, tk = source.kind, target.kind
-    if action_class is ActionClass.ENDANGERMENT:
-        return tk is PhaseKind.ACTIVE and sk in (
-            PhaseKind.INACTIVE,
-            PhaseKind.ACTIVE,
-            PhaseKind.MITIGATED,
-        )
-    if action_class is ActionClass.MISHAP_ACTION:
-        return sk is PhaseKind.ACTIVE and tk is PhaseKind.MISHAP
-    if action_class is ActionClass.MITIGATION:
-        if sk is PhaseKind.ACTIVE:
-            return tk in (PhaseKind.MITIGATED, PhaseKind.INACTIVE)
-        if sk is PhaseKind.MITIGATED:
-            if tk is PhaseKind.INACTIVE:
-                return True
-            return tk is PhaseKind.MITIGATED and source.index != target.index
-        return False
-    return False
+
+def legal_phase_step(source: Phase, action_class: ActionClass, target: Phase) -> bool:
+    """Whether the per-hazard phase graph has an edge (source, class, target):
+    a step of ``_PHASE_STEPS`` that, from a mitigated phase to a mitigated
+    phase, changes the index."""
+    sources, targets = _PHASE_STEPS[action_class]
+    return source.kind in sources and target.kind in targets and (
+        source.kind is not PhaseKind.MITIGATED or source != target
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -449,7 +450,7 @@ class Action:
 
     name: str
     kind: ActionClass
-    effect: tuple[tuple[str, Phase], ...]
+    effect: tuple[tuple[str, Phase], ...] = ()
     domains: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -468,15 +469,7 @@ class Action:
             if hid in seen:
                 raise ValueError(f"action {self.name!r} moves hazard {hid!r} twice")
             seen.add(hid)
-            if self.kind is ActionClass.MISHAP_ACTION:
-                ok = target.kind is PhaseKind.MISHAP
-            elif self.kind is ActionClass.MITIGATION:
-                ok = target.kind in (PhaseKind.MITIGATED, PhaseKind.INACTIVE)
-            elif self.kind is ActionClass.ENDANGERMENT:
-                ok = target.kind is PhaseKind.ACTIVE
-            else:
-                ok = False  # ordinary actions carry no effect
-            if not ok:
+            if target.kind not in _PHASE_STEPS[self.kind][1]:
                 raise ValueError(
                     f"action {self.name!r} ({self.kind.value}) cannot target "
                     f"phase {target.render()!r} of hazard {hid!r}"
@@ -597,6 +590,18 @@ def region_policy(name: str) -> str:
     return name
 
 
+def handover_fallback(options: "ModelOptions", features) -> None:
+    """Raise ValueError if ``options`` pick the 'handover' region policy and
+    ``features`` (a FeatureModel or None) declare no fallback feature."""
+    if options.region_policy == "handover" and (
+        features is None or not features.fallback_features()
+    ):
+        raise ValueError(
+            "options.region_policy: 'handover' needs a feature universe "
+            "with at least one fallback feature"
+        )
+
+
 @dataclass(frozen=True)
 class ModelOptions:
     """Construction and analysis knobs carried along with a model."""
@@ -655,6 +660,7 @@ class RiskStructure:
                 )
         if {s.name for s in self.sv} != mishaps:
             raise ValueError("severity must be assigned exactly on mishap states")
+        handover_fallback(self.options, self.features)
 
     def __reduce__(self):
         """A copy or pickle is made from the fields alone, through the

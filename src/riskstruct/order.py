@@ -248,7 +248,7 @@ class FeatureModel:
 
     universe: tuple[FeatureBaseline, ...]
     effects: tuple[tuple[str, Phase, FeatureEffect], ...]
-    priority: tuple[str, ...]
+    priority: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.universe]

@@ -123,6 +123,10 @@ _JSON_TYPES = {
 #: a field's default, it makes the field one that must be present.
 _BAD = object()
 
+#: As a field's default, a field that :meth:`_Reader.make` leaves out when it
+#: is missing, so the record takes its own default.
+_ABSENT = object()
+
 
 def _bad(value: Any) -> bool:
     """Whether ``value`` is ``_BAD`` or a list or tuple that holds it."""
@@ -154,7 +158,8 @@ class _Reader:
     def get(self, obj: Any, path: str, key: str, kind: Any, default: Any = _BAD) -> Any:
         """The field ``key`` of the object ``obj`` at ``path``, of ``kind``.
         ``default`` stands for a missing field, and also for null where it is
-        None; a field left with the default ``_BAD`` must be present."""
+        None; a field left with the default ``_BAD`` must be present, and one
+        with ``_ABSENT`` takes its record's default."""
         if obj is _BAD:
             return _BAD
         value = obj.get(key, default)
@@ -205,11 +210,12 @@ class _Reader:
         ]
 
     def make(self, anchor: str, make: Callable, *args: Any, **kwargs: Any) -> Any:
-        """``make(*args, **kwargs)``; ``_BAD`` if an argument holds a defect,
-        or if ``make`` raises ValueError or RiskModelError, which is reported
-        at ``anchor``."""
+        """``make(*args, **kwargs)``, leaving out ``_ABSENT`` keyword arguments;
+        ``_BAD`` if an argument holds a defect, or if ``make`` raises
+        ValueError or RiskModelError, which is reported at ``anchor``."""
         if _bad(args) or _bad(tuple(kwargs.values())):
             return _BAD
+        kwargs = {key: value for key, value in kwargs.items() if value is not _ABSENT}
         try:
             return make(*args, **kwargs)
         except (ValueError, RiskModelError) as exc:
@@ -227,7 +233,7 @@ def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
                 path,
                 HazardId,
                 r.get(h, path, "id", str),
-                r.get(h, path, "description", str, ""),
+                description=r.get(h, path, "description", str, _ABSENT),
             ),
             r.get(h, path, "n_mitigations", int),
         )
@@ -241,11 +247,9 @@ def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
                 path,
                 FeatureBaseline,
                 name=r.get(f, path, "name", str),
-                variant=r.get(f, path, "variant", FeatureVariant, FeatureVariant.PRIMARY),
-                status=r.get(
-                    f, path, "status", FeatureStatus, FeatureStatus.IN_LOOP_OPERATIONAL
-                ),
-                fallback=r.get(f, path, "fallback", bool, False),
+                variant=r.get(f, path, "variant", FeatureVariant, _ABSENT),
+                status=r.get(f, path, "status", FeatureStatus, _ABSENT),
+                fallback=r.get(f, path, "fallback", bool, _ABSENT),
             )
             for path, f in r.each(features, "features", "universe")
         )
@@ -263,27 +267,27 @@ def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
             )
             for path, e in r.each(features, "features", "effects")
         )
-        priority = r.get(features, "features", "priority", [str], ())
-        features = r.make("features", FeatureModel, universe, effects, priority)
+        priority = r.get(features, "features", "priority", [str], _ABSENT)
+        features = r.make("features", FeatureModel, universe, effects, priority=priority)
 
     s = r.get(data, "", "situation", dict, None) or {}
     situation = r.make(
         "situation",
         OperationalSituation,
-        name=r.get(s, "situation", "name", str, ""),
+        name=r.get(s, "situation", "name", str, _ABSENT),
         initial=r.get(s, "situation", "initial", [str], None) or None,
-        invariant_predicates=r.get(s, "situation", "invariant_predicates", [str], ()),
-        notes=r.get(s, "situation", "notes", str, ""),
+        invariant_predicates=r.get(s, "situation", "invariant_predicates", [str], _ABSENT),
+        notes=r.get(s, "situation", "notes", str, _ABSENT),
     )
 
     o = r.get(data, "", "options", dict, None) or {}
     bands = r.get(o, "options", "bands", dict, None) or {}
-    max_subset_size = r.get(o, "options", "max_subset_size", int, 2)
+    max_subset_size = r.get(o, "options", "max_subset_size", int, _ABSENT)
     bands = r.make(
         "options",
         BandThresholds,
-        r.get(bands, "options.bands", "l_below", float, 0.01),
-        r.get(bands, "options.bands", "h_at_least", float, 0.1),
+        l_below=r.get(bands, "options.bands", "l_below", float, _ABSENT),
+        h_at_least=r.get(bands, "options.bands", "h_at_least", float, _ABSENT),
     )
     # the other options are checked without the bands, so that a defect of
     # the bands does not hide one of theirs
@@ -291,7 +295,7 @@ def _shared_fields(r: _Reader, data: Mapping[str, Any]) -> tuple:
         "options",
         ModelOptions,
         max_subset_size=max_subset_size,
-        region_policy=r.get(o, "options", "region_policy", region_policy, "no_active"),
+        region_policy=r.get(o, "options", "region_policy", region_policy, _ABSENT),
     )
     return hazards, features, situation, r.make("options", replace, options, bands=bands)
 
@@ -303,15 +307,15 @@ def _rule_fields(r: _Reader, rule: Any, path: str) -> dict[str, Any]:
         name=r.get(rule, path, "name", str),
         pr=r.get(rule, path, "pr", float),
         guard=r.make(path, PhaseGuard, guard),
-        domains=r.get(rule, path, "domains", [str], ()),
-        description=r.get(rule, path, "description", str, ""),
-        enabled=r.get(rule, path, "enabled", bool, True),
+        domains=r.get(rule, path, "domains", [str], _ABSENT),
+        description=r.get(rule, path, "description", str, _ABSENT),
+        enabled=r.get(rule, path, "enabled", bool, _ABSENT),
     )
 
 
 def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
-    """Build and validate a catalog from a catalog file's JSON object; raises
-    CatalogInvalid with anchored messages on any defect."""
+    """The catalog of a catalog file's JSON object; raises CatalogInvalid
+    with anchored messages on any defect."""
     r = _Reader()
     data = r.check(data, "top level", dict)
     hazards, features, situation, options = _shared_fields(r, data)
@@ -320,8 +324,8 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
             path,
             EndangermentRule,
             activates=r.get(rule, path, "activates", [str]),
-            from_phases=r.get(rule, path, "from_phases", [Phase.parse], (Phase.inactive(),)),
-            absorbed=r.get(rule, path, "absorbed", bool, False),
+            from_phases=r.get(rule, path, "from_phases", [Phase.parse], _ABSENT),
+            absorbed=r.get(rule, path, "absorbed", bool, _ABSENT),
             **_rule_fields(r, rule, path),
         )
         for path, rule in r.each(data, "", "endangerments")
@@ -349,11 +353,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
     )
     if r.errors:
         raise CatalogInvalid(r.errors)
-    catalog = Catalog(
-        hazards, endangerments, mishaps, mitigations, features, situation, options
-    )
-    catalog.validate()
-    return catalog
+    return Catalog(hazards, endangerments, mishaps, mitigations, features, situation, options)
 
 
 def load_catalog(path: str) -> Catalog:
@@ -600,8 +600,8 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
             Action,
             name=r.get(a, path, "name", str),
             kind=r.get(a, path, "class", ActionClass),
-            effect=r.get(a, path, "effect", {str: Phase.parse}, ()),
-            domains=r.get(a, path, "domains", [str], ()),
+            effect=r.get(a, path, "effect", {str: Phase.parse}, _ABSENT),
+            domains=r.get(a, path, "domains", [str], _ABSENT),
         )
         if action is not _BAD and by_name.setdefault(action.name, action) is not action:
             r.fail(path, f"action {action.name!r} is declared twice")

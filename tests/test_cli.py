@@ -177,6 +177,14 @@ class TestValidate:
                 ["A:em,L:0"],
                 "situation.initial: 'A:em,L:0' is a mishap state",
             ),
+            ("situation", None, "initial", ["A:0,L:q"], "situation.initial: not a phase: 'q'"),
+            (
+                "features",
+                None,
+                "universe",
+                [{"name": "ACC"}, {"name": "LKA"}, {"name": "DRV", "fallback": True}, {"name": "ACC"}],
+                "features: duplicate feature declarations",
+            ),
         ],
     )
     def test_rejected_field_exits_2_on_validate_and_build(
@@ -633,6 +641,34 @@ class TestOneAnchoredLine:
             command,
             "options.region_policy: unknown region policy 'bogus'; "
             "pick one of no_active, handover",
+        )
+
+    # plan and diff, which assign no regions, read such a model
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: [f.update(fallback=False) for f in d["features"]["universe"]],
+            lambda d: d.pop("features"),
+        ],
+        ids=["no-fallback", "no-features"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["regions"], ["analyze"], ["plan", "--from", "A:e,L:0"], ["reduce"], ["export-dot"],
+         ["diff", "MODEL"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_handover_without_a_fallback_feature_in_a_model_file(
+        self, built_r2, tmp_path, capsys, mutate, command
+    ):
+        self._assert_refused(
+            built_r2,
+            tmp_path,
+            capsys,
+            mutate,
+            [built_r2 if arg == "MODEL" else arg for arg in command],
+            "malformed model: options.region_policy: 'handover' needs a feature "
+            "universe with at least one fallback feature",
         )
 
     @staticmethod

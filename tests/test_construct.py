@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
+    Action,
     ActionClass,
     Catalog,
     CatalogInvalid,
@@ -251,86 +253,84 @@ class TestConstructionContract:
 
 class TestCatalogValidation:
     def test_undeclared_hazard_named_in_error(self):
-        catalog = Catalog(
-            hazards=(HazardPhaseModel(HazardId("A"), 1),),
-            endangerments=(
-                EndangermentRule(name="f_X", activates=("X",), pr=0.1),
-            ),
-        )
         with pytest.raises(CatalogInvalid) as err:
-            catalog.validate()
+            Catalog(
+                hazards=(HazardPhaseModel(HazardId("A"), 1),),
+                endangerments=(
+                    EndangermentRule(name="f_X", activates=("X",), pr=0.1),
+                ),
+            )
         assert "'X'" in str(err.value)
 
     def test_target_phase_bounds(self):
-        catalog = Catalog(
-            hazards=(HazardPhaseModel(HazardId("A"), 1),),
-            mitigations=(
-                MitigationRule(
-                    name="m9",
-                    mitigates=(("A", Phase.mitigated(9)),),
-                    pr=0.5,
-                    cs=1,
-                ),
-            ),
-        )
         with pytest.raises(CatalogInvalid) as err:
-            catalog.validate()
+            Catalog(
+                hazards=(HazardPhaseModel(HazardId("A"), 1),),
+                mitigations=(
+                    MitigationRule(
+                        name="m9",
+                        mitigates=(("A", Phase.mitigated(9)),),
+                        pr=0.5,
+                        cs=1,
+                    ),
+                ),
+            )
         assert "m9" in str(err.value)
 
     def test_guard_phase_bounds(self):
-        catalog = Catalog(
-            hazards=(HazardPhaseModel(HazardId("A"), 1),),
-            endangerments=(
-                EndangermentRule(
-                    name="f_A",
-                    activates=("A",),
-                    pr=0.1,
-                    guard=PhaseGuard.of({"A": (Phase.mitigated(5),)}),
-                ),
-            ),
-        )
         with pytest.raises(CatalogInvalid):
-            catalog.validate()
+            Catalog(
+                hazards=(HazardPhaseModel(HazardId("A"), 1),),
+                endangerments=(
+                    EndangermentRule(
+                        name="f_A",
+                        activates=("A",),
+                        pr=0.1,
+                        guard=PhaseGuard.of({"A": (Phase.mitigated(5),)}),
+                    ),
+                ),
+            )
 
     def test_conflicting_action_declarations(self):
         hazards = (HazardPhaseModel(HazardId("A"), 2),)
-        catalog = Catalog(
-            hazards=hazards,
-            mitigations=(
-                MitigationRule(
-                    name="m", mitigates=(("A", Phase.mitigated(1)),), pr=0.5, cs=1
-                ),
-                MitigationRule(
-                    name="m", mitigates=(("A", Phase.mitigated(2)),), pr=0.5, cs=1
-                ),
-            ),
-        )
         with pytest.raises(CatalogInvalid) as err:
-            catalog.validate()
+            Catalog(
+                hazards=hazards,
+                mitigations=(
+                    MitigationRule(
+                        name="m", mitigates=(("A", Phase.mitigated(1)),), pr=0.5, cs=1
+                    ),
+                    MitigationRule(
+                        name="m", mitigates=(("A", Phase.mitigated(2)),), pr=0.5, cs=1
+                    ),
+                ),
+            )
         assert "declared twice" in str(err.value)
 
     def test_probability_range(self):
-        catalog = Catalog(
-            hazards=(HazardPhaseModel(HazardId("A"), 1),),
-            endangerments=(EndangermentRule(name="f", activates=("A",), pr=1.5),),
-        )
         with pytest.raises(CatalogInvalid):
-            catalog.validate()
+            Catalog(
+                hazards=(HazardPhaseModel(HazardId("A"), 1),),
+                endangerments=(EndangermentRule(name="f", activates=("A",), pr=1.5),),
+            )
 
     def test_disabled_rules_make_their_actions_too(self):
-        catalog = Catalog(
-            hazards=(HazardPhaseModel(HazardId("A"), 1),),
-            endangerments=(
-                EndangermentRule(name="f", activates=("A", "A"), pr=0.1, enabled=False),
-            ),
-            mitigations=(
-                MitigationRule(
-                    name="m", mitigates=(("A", Phase.active()),), pr=0.5, cs=1, enabled=False
-                ),
-            ),
-        )
         with pytest.raises(CatalogInvalid) as err:
-            catalog.validate()
+            Catalog(
+                hazards=(HazardPhaseModel(HazardId("A"), 1),),
+                endangerments=(
+                    EndangermentRule(name="f", activates=("A", "A"), pr=0.1, enabled=False),
+                ),
+                mitigations=(
+                    MitigationRule(
+                        name="m",
+                        mitigates=(("A", Phase.active()),),
+                        pr=0.5,
+                        cs=1,
+                        enabled=False,
+                    ),
+                ),
+            )
         assert err.value.errors == [
             "endangerments[0] ('f'): action 'f' moves hazard 'A' twice",
             "mitigations[0] ('m'): action 'm' (mitigation) cannot target phase 'e' of hazard 'A'",
@@ -342,13 +342,28 @@ class TestCatalogValidation:
 
         hazards = (HazardPhaseModel(HazardId("A"), 1),)
         # the same action, whatever the order of its domains
-        Catalog(hazards, endangerments=(rule(("veh", "drv")), rule(("drv", "veh")))).validate()
+        Catalog(hazards, endangerments=(rule(("veh", "drv")), rule(("drv", "veh"))))
         with pytest.raises(CatalogInvalid) as err:
-            Catalog(hazards, endangerments=(rule(("veh",)), rule(("drv",)))).validate()
+            Catalog(hazards, endangerments=(rule(("veh",)), rule(("drv",))))
         assert err.value.errors == [
             "endangerments[1] ('f'): action 'f' declared twice with different class, "
             "effect, or domains"
         ]
+
+    def test_a_copy_is_checked_again(self, r2_catalog):
+        with pytest.raises(CatalogInvalid) as err:
+            replace(r2_catalog, features=None)
+        assert err.value.errors == [
+            "options.region_policy: 'handover' needs a feature universe "
+            "with at least one fallback feature"
+        ]
+        catalog = replace(r2_catalog, situation=OperationalSituation(initial=("A:e,L:0",)))
+        assert [s.name for s in catalog.initial_states] == ["A:e,L:0"]
+        assert [s.name for s in r2_catalog.initial_states] == ["A:0,L:0"]
+        assert catalog.actions == r2_catalog.actions == tuple(
+            Action(rule.name, rule.kind, rule.effect(), rule.domains)
+            for _, rule in r2_catalog.rules()
+        )
 
     def test_unknown_region_policy(self, r2_catalog):
         # a model with this policy could not be read back, so none is made
@@ -411,6 +426,27 @@ class TestConstructionOracle:
     def test_tunnel_catalogs(self, r2_catalog, r3_catalog, r2_variant_catalog):
         for catalog in (r2_catalog, r3_catalog, r2_variant_catalog):
             assert_matches_oracle(catalog)
+
+    def test_a_wide_catalog_costs_what_its_rules_cost(self):
+        # the rules are ordered, not the 2**16 - 1 hazard subsets
+        n = 16
+        catalog = Catalog(
+            hazards=tuple(HazardPhaseModel(HazardId(f"H{i}"), 1) for i in range(n)),
+            endangerments=(EndangermentRule(name="f", activates=("H0",), pr=0.1),),
+            mitigations=(
+                MitigationRule(name="m", mitigates=(("H0", Phase.mitigated(1)),), pr=0.9, cs=1),
+            ),
+            options=ModelOptions(max_subset_size=n),
+        )
+        tracemalloc.start()
+        try:
+            model, _ = construct_rs(catalog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(model.states) == 3
+        assert_matches_oracle(catalog)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -118,6 +118,39 @@ class TestPhaseGraph:
             for target in (Phase.inactive(), Phase.active(), Phase.mitigated(1)):
                 assert not legal_phase_step(em, cls, target)
 
+    def test_the_table_is_the_case_analysis(self):
+        def by_cases(source, cls, target):
+            sk, tk = source.kind, target.kind
+            if cls is ActionClass.ENDANGERMENT:
+                return tk is PhaseKind.ACTIVE and sk in (
+                    PhaseKind.INACTIVE, PhaseKind.ACTIVE, PhaseKind.MITIGATED
+                )
+            if cls is ActionClass.MISHAP_ACTION:
+                return sk is PhaseKind.ACTIVE and tk is PhaseKind.MISHAP
+            if cls is ActionClass.MITIGATION:
+                if sk is PhaseKind.ACTIVE:
+                    return tk in (PhaseKind.MITIGATED, PhaseKind.INACTIVE)
+                if sk is PhaseKind.MITIGATED:
+                    if tk is PhaseKind.INACTIVE:
+                        return True
+                    return tk is PhaseKind.MITIGATED and source.index != target.index
+            return False
+
+        phases = [Phase.parse(text) for text in ("0", "e", "em", "m1", "m2")]
+        for cls in ActionClass:
+            for target in phases:
+                for source in phases:
+                    assert legal_phase_step(source, cls, target) is by_cases(
+                        source, cls, target
+                    ), (source, cls, target)
+                # an action may target a phase that some step of its class
+                # ends at
+                if any(by_cases(source, cls, target) for source in phases):
+                    Action("a", cls, (("A", target),))
+                else:
+                    with pytest.raises(ValueError, match="cannot target phase"):
+                        Action("a", cls, (("A", target),))
+
 
 class TestStateSpaceSize:
     def test_single_hazard(self):
@@ -440,6 +473,24 @@ class TestFrozenModel:
         assert model.sv[mishap] is Severity.FATAL
         assert risk_priority(model, mishap) is Severity.FATAL
         assert risk_priority(dataclasses.replace(model), mishap) is Severity.FATAL
+
+    def test_handover_needs_a_fallback_feature(self, r2_model):
+        message = (
+            "options.region_policy: 'handover' needs a feature universe "
+            "with at least one fallback feature"
+        )
+        features = r2_model.features
+        universe = tuple(dataclasses.replace(f, fallback=False) for f in features.universe)
+        for changed in (
+            {"features": None},
+            {"features": dataclasses.replace(features, universe=universe)},
+        ):
+            with pytest.raises(ValueError) as err:
+                dataclasses.replace(r2_model, **changed)
+            assert str(err.value) == message
+        # any other policy needs no feature
+        options = dataclasses.replace(r2_model.options, region_policy="no_active")
+        dataclasses.replace(r2_model, features=None, options=options)
 
 
 class TestHazardId:
