@@ -97,7 +97,7 @@ def _no_active_safe(state: RiskState, model: RiskStructure) -> bool:
 def _handover_safe(state: RiskState, model: RiskStructure) -> bool:
     """Safe when nothing is active and control is either nominal or handed
     over to a fallback feature (e.g. the driver), which a model with this
-    policy declares (:func:`~riskstruct.core.handover_fallback`)."""
+    policy declares (:func:`~riskstruct.core.feature_defects`)."""
     if has_active(state):
         return False
     if all(p.kind is PhaseKind.INACTIVE for _, p in state.entries):

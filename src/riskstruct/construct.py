@@ -43,8 +43,8 @@ from .core import (
     Severity,
     Transition,
     all_inactive,
+    feature_defects,
     full_state_space_size,
-    handover_fallback,
     is_mishap,
     legal_phase_step,
     parse_state,
@@ -226,10 +226,7 @@ class Catalog:
             if is_mishap(state):
                 errors.append(f"situation.initial: {name!r} is a mishap state")
             initial.append(state)
-        try:
-            handover_fallback(self.options, self.features)
-        except ValueError as exc:
-            errors.append(str(exc))
+        errors.extend(feature_defects(self.hazards, self.features, self.options))
         if errors:
             raise CatalogInvalid(errors)
         # one action per rule: a name has one action
@@ -487,7 +484,7 @@ class _Builder:
         return RiskStructure(
             hazards=self.catalog.hazards,
             states=frozenset(self.states.values()),
-            transitions=tuple(map(edge, sorted(rules))),
+            transitions=tuple(map(edge, rules)),
             initial=self.catalog.initial_states,
             sv={state(name): severity for name, severity in sorted(self.sv.items())},
             situation=self.catalog.situation,

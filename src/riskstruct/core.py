@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
+from itertools import compress, islice
+from operator import attrgetter, eq, lt
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 DOMAINS = ("drv", "veh", "renv")
 
@@ -590,13 +591,26 @@ def region_policy(name: str) -> str:
     return name
 
 
-def handover_fallback(options: "ModelOptions", features) -> None:
-    """Raise ValueError if ``options`` pick the 'handover' region policy and
-    ``features`` (a FeatureModel or None) declare no fallback feature."""
+def feature_defects(
+    hazards: Sequence[HazardPhaseModel], features, options: "ModelOptions"
+) -> Iterator[str]:
+    """One anchored line per defect of ``features`` (a FeatureModel or None)
+    in a catalog or model of ``hazards`` and ``options``: an effect or
+    priority entry whose hazard or phase ``hazards`` do not declare, and no
+    fallback feature for the 'handover' region policy."""
+    models = {h.id: h for h in hazards}
+    for i, (hid, phase, _) in enumerate(features.effects if features is not None else ()):
+        if hid not in models:
+            yield f"features.effects[{i}]: undeclared hazard {hid!r}"
+        elif not models[hid].valid_phase(phase):
+            yield f"features.effects[{i}]: hazard {hid!r} has no phase {phase.render()!r}"
+    for i, hid in enumerate(features.priority if features is not None else ()):
+        if hid not in models:
+            yield f"features.priority[{i}]: undeclared hazard {hid!r}"
     if options.region_policy == "handover" and (
         features is None or not features.fallback_features()
     ):
-        raise ValueError(
+        yield (
             "options.region_policy: 'handover' needs a feature universe "
             "with at least one fallback feature"
         )
@@ -624,8 +638,10 @@ class RiskStructure:
     equivalence classes) carry the label in ``labels``; everything else is
     addressed by canonical name.  A model is a value: its fields are never
     reassigned, and ``sv`` and ``labels`` are read-only, so a changed model
-    is a new instance made by :func:`dataclasses.replace`.  Its actions and
-    its adjacency and analysis tables are derived from its fields, once.
+    is a new instance made by :func:`dataclasses.replace`.  It keeps its
+    transitions in :func:`transition_key` order, one per key, whatever order
+    they are given in.  Its actions and its adjacency and analysis tables
+    are derived from its fields, once.
     """
 
     hazards: tuple[HazardPhaseModel, ...]
@@ -637,20 +653,49 @@ class RiskStructure:
     features: Optional["FeatureModel"] = None  # noqa: F821 - defined in .order
     options: ModelOptions = field(default_factory=ModelOptions)
     labels: Mapping[RiskState, str] = field(default_factory=dict)
+    #: The actions that label the transitions, each once, sorted by name.
+    actions: tuple[Action, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # read-only views of copies of their own, so no caller can edit them
+        # read-only views of copies of their own, so no caller can edit them;
+        # a label equal to its state's name is no label
         object.__setattr__(self, "sv", MappingProxyType(dict(self.sv)))
-        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        ids = [h.id for h in self.hazards]
+        labels = {s: text for s, text in self.labels.items() if text != s.name}
+        object.__setattr__(self, "labels", MappingProxyType(labels))
+        ids = tuple(h.id for h in self.hazards)
         if len(set(ids)) != len(ids):
             raise ValueError("hazard ids must be unique")
+        for s in self.states:
+            if s.hazard_ids != ids:
+                raise ValueError(
+                    f"state {s.name!r} does not range over the hazards in declaration order"
+                )
         # membership by canonical name, which is a state's identity
         names = {s.name for s in self.states}
         if not self.initial or not all(s.name in names for s in self.initial):
             raise ValueError("initial states must be a nonempty subset of states")
+        # a label, like a name, names one state alone
+        texts: set[str] = set()
+        for s, text in self.labels.items():
+            if s.name not in names:
+                raise ValueError(f"label {text!r} is on {s.name!r}, which is not a state")
+            if text in names or text in texts:
+                raise ValueError(f"label {text!r} already names another state")
+            texts.add(text)
+        # the edges in key order, one per key, so that a model equals every
+        # model with the same edges; edges given in key order take one pass
+        edges = tuple(self.transitions)
+        keys = list(map(transition_key, edges))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            edges = tuple(map(edges.__getitem__, order))
+            keys = list(map(keys.__getitem__, order))
+            for t in compress(edges, map(eq, keys, islice(keys, 1, None))):
+                edge = f"{self.label(t.source)} -{t.action.name}-> {self.label(t.target)}"
+                raise ValueError(f"transition {edge} is given twice")
+        object.__setattr__(self, "transitions", edges)
         mishaps = {name for name in names if MISHAP_MARK in name}
-        for t in self.transitions:
+        for t in edges:
             source = t.source.name
             if source not in names or t.target.name not in names:
                 raise ValueError(f"transition endpoints outside state set: {t.key()}")
@@ -660,12 +705,21 @@ class RiskStructure:
                 )
         if {s.name for s in self.sv} != mishaps:
             raise ValueError("severity must be assigned exactly on mishap states")
-        handover_fallback(self.options, self.features)
+        # an action is hashed once per object, not once per edge; sorted by
+        # name, two actions of one name stand together
+        by_id = {id(t.action): t.action for t in edges}
+        actions = tuple(sorted(dict.fromkeys(by_id.values()), key=attrgetter("name")))
+        for a, b in zip(actions, actions[1:]):
+            if a.name == b.name:
+                raise ValueError(f"two actions are named {a.name!r}")
+        object.__setattr__(self, "actions", actions)
+        for defect in feature_defects(self.hazards, self.features, self.options):
+            raise ValueError(defect)
 
     def __reduce__(self):
         """A copy or pickle is made from the fields alone, through the
         constructor, so it computes its own derived data."""
-        values = (getattr(self, f.name) for f in fields(self))
+        values = (getattr(self, f.name) for f in fields(self) if f.init)
         return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
     def hazard(self, hazard_id: str) -> HazardPhaseModel:
@@ -706,27 +760,18 @@ class RiskStructure:
         return self._memo("adjacency", self._adjacency)[1]
 
     def _adjacency(self) -> tuple[Mapping, Mapping]:
-        # edges are grouped by state name, whose hash is cached, and each
-        # state is hashed once, when its group is stored under it
+        # edges are grouped by state name, whose hash is cached, in the
+        # model's key order, and each state is hashed once, when its group
+        # is stored under it
         out: dict[str, list[Transition]] = {s.name: [] for s in self.states}
         inc: dict[str, list[Transition]] = {s.name: [] for s in self.states}
-        for t in sorted(self.transitions, key=transition_key):
+        for t in self.transitions:
             out[t.source.name].append(t)
             inc[t.target.name].append(t)
         return (
             MappingProxyType({s: tuple(out[s.name]) for s in self.states}),
             MappingProxyType({s: tuple(inc[s.name]) for s in self.states}),
         )
-
-    @property
-    def actions(self) -> tuple[Action, ...]:
-        """The actions that label the transitions, each once, sorted by name."""
-        return self._memo("actions", self._actions)
-
-    def _actions(self) -> tuple[Action, ...]:
-        # an action is hashed once per object, not once per edge
-        by_id = {id(t.action): t.action for t in self.transitions}
-        return tuple(sorted(dict.fromkeys(by_id.values()), key=attrgetter("name")))
 
     def _memo(self, key, compute):
         """Derived data of this instance, computed by ``compute()`` once per

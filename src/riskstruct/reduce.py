@@ -124,7 +124,7 @@ def quotient(
             edge[4] = _combine(min, edge[4], t.cs)
     transitions = tuple(
         Transition(src, action, tgt, pr, cs, checked=False)
-        for _, (src, action, tgt, pr, cs) in sorted(merged.items())
+        for src, action, tgt, pr, cs in merged.values()
     )
 
     sv: dict[RiskState, Severity] = {}
@@ -273,5 +273,5 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     return _restrict(
         model,
         frozenset(s for s in model.states if s.name not in collapsed),
-        tuple(sorted(kept + made, key=transition_key)),
+        tuple(kept + made),
     )

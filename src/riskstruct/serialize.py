@@ -14,9 +14,7 @@ import math
 import re
 from dataclasses import asdict, replace
 from functools import partial
-from itertools import islice
 from json.encoder import encode_basestring
-from operator import lt
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
@@ -35,7 +33,6 @@ from .core import (
     Transition,
     region_policy,
     state_parser,
-    transition_key,
 )
 from .analysis import Region, assign_regions
 from .construct import (
@@ -676,48 +673,37 @@ def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, Constructio
                 raise RiskModelError(r.errors[0])
             transitions.append(Transition(source, action, target, pr, cs, checked=False))
 
-        model = RiskStructure(
-            hazards=hazards,
-            states=frozenset(states),
-            transitions=tuple(_key_order(transitions, labels)),
-            initial=frozenset(by_label[n] for n in initial),
-            sv={by_label[label]: v for label, v in severities},
-            situation=situation,
-            features=features,
-            options=options,
-            labels=labels,
-        )
+        try:
+            model = RiskStructure(
+                hazards=hazards,
+                states=frozenset(states),
+                transitions=transitions,
+                initial=frozenset(by_label[n] for n in initial),
+                sv={by_label[label]: v for label, v in severities},
+                # a model without a situation is written without one
+                situation=None if data.get("situation") is None else situation,
+                features=features,
+                options=options,
+                labels=labels,
+            )
+        except (KeyError, ValueError):
+            # a row that repeats an earlier one is named first, in file order
+            first: dict[tuple, int] = {}
+            for j, t in enumerate(transitions):
+                i = first.setdefault(t.key(), j)
+                if i != j:
+                    source = labels.get(t.source, t.source.name)
+                    target = labels.get(t.target, t.target.name)
+                    raise RiskModelError(
+                        f"transitions[{j}]: {source} -{t.action.name}-> {target} "
+                        f"repeats transitions[{i}]"
+                    ) from None
+            raise
     except KeyError as exc:
         raise RiskModelError(f"missing or unknown entry {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise RiskModelError(f"malformed model: {exc}") from None
     return model, ConstructionLog(tuple(records))
-
-
-def _key_order(transitions: list[Transition], labels: dict) -> list[Transition]:
-    """``transitions`` sorted by key.  Raises :class:`RiskModelError` naming
-    the first of them, in file order, whose key an earlier one has."""
-    keys = list(map(transition_key, transitions))
-    # the rows of a model file without labels stand in strict key order
-    if all(map(lt, keys, islice(keys, 1, None))):
-        return transitions
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    # the sort is stable, so the rows of one key stand in file order: each
-    # key's second row follows its first, and the least such index is the
-    # first repeat in the file
-    repeats = [
-        (j, i) for i, j in zip(order, islice(order, 1, None)) if keys[i] == keys[j]
-    ]
-    if repeats:
-        j, i = min(repeats)
-        t = transitions[j]
-        source = labels.get(t.source, t.source.name)
-        target = labels.get(t.target, t.target.name)
-        raise RiskModelError(
-            f"transitions[{j}]: {source} -{t.action.name}-> {target} "
-            f"repeats transitions[{i}]"
-        )
-    return [transitions[i] for i in order]
 
 
 def load_model(path: str) -> tuple[RiskStructure, ConstructionLog]:

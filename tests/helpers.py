@@ -267,13 +267,15 @@ def brute_force_collapse(model) -> RiskStructure:
     action can label is refused.  Then refuse the first
     composite of the result, in key order, whose key another edge has, or
     whose name another action has, among the kept edges and the composites
-    before it."""
+    before it.  The model as it stands is kept as its states and edges,
+    since it may hold an edge twice, which no model can."""
     regions = assign_regions(model)
     made = []
+    states, transitions = set(model.states), list(model.transitions)
     while True:
-        for mid in sorted(model.states, key=model.label):
-            ins = [t for t in model.transitions if t.target == mid]
-            outs = [t for t in model.transitions if t.source == mid]
+        for mid in sorted(states, key=model.label):
+            ins = [t for t in transitions if t.target == mid]
+            outs = [t for t in transitions if t.source == mid]
             if len(ins) != 1 or len(outs) != 1:
                 continue
             first, second = ins[0], outs[0]
@@ -308,29 +310,29 @@ def brute_force_collapse(model) -> RiskStructure:
         except ValueError as exc:
             raise RiskModelError(f"collapse: {exc}") from None
         made.append(composite)
-        model = replace(
-            model,
-            states=model.states - {mid},
-            transitions=tuple(sorted(
-                [t for t in model.transitions if t is not first and t is not second]
-                + [composite],
-                key=lambda t: t.key(),
-            )),
-            sv={s: v for s, v in model.sv.items() if s != mid},
-            labels={s: l for s, l in model.labels.items() if s != mid},
+        states.discard(mid)
+        transitions = sorted(
+            [t for t in transitions if t is not first and t is not second] + [composite],
+            key=lambda t: t.key(),
         )
-    composites = [t for t in model.transitions if any(t is c for c in made)]
-    seen = [t.action for t in model.transitions if not any(t is c for c in made)]
+    composites = [t for t in transitions if any(t is c for c in made)]
+    seen = [t.action for t in transitions if not any(t is c for c in made)]
     for c in composites:
         edge = f"{model.label(c.source)} -{c.action.name}-> {model.label(c.target)}"
-        if any(t is not c and t.key() == c.key() for t in model.transitions):
+        if any(t is not c and t.key() == c.key() for t in transitions):
             raise RiskModelError(f"collapse: the composite {edge} repeats an edge")
         if any(a.name == c.action.name and a != c.action for a in seen):
             raise RiskModelError(
                 f"collapse: the composite {edge} names another action {c.action.name!r}"
             )
         seen.append(c.action)
-    return model
+    return replace(
+        model,
+        states=frozenset(states),
+        transitions=tuple(transitions),
+        sv={s: v for s, v in model.sv.items() if s in states},
+        labels={s: l for s, l in model.labels.items() if s in states},
+    )
 
 
 def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:

@@ -185,6 +185,24 @@ class TestValidate:
                 [{"name": "ACC"}, {"name": "LKA"}, {"name": "DRV", "fallback": True}, {"name": "ACC"}],
                 "features: duplicate feature declarations",
             ),
+            # build and reduce --equiv f never read these effects
+            (
+                "features",
+                None,
+                "effects",
+                [{"hazard": "Q", "phase": "e", "feature": "ACC", "variant": "primary",
+                  "status": "out_of_loop"}],
+                "features.effects[0]: undeclared hazard 'Q'",
+            ),
+            (
+                "features",
+                None,
+                "effects",
+                [{"hazard": "A", "phase": "m9", "feature": "ACC", "variant": "primary",
+                  "status": "out_of_loop"}],
+                "features.effects[0]: hazard 'A' has no phase 'm9'",
+            ),
+            ("features", None, "priority", ["A", "Q"], "features.priority[1]: undeclared hazard 'Q'"),
         ],
     )
     def test_rejected_field_exits_2_on_validate_and_build(
@@ -617,10 +635,12 @@ class TestOneAnchoredLine:
             (lambda d: d.pop("hazards"), "hazards: missing"),
             (lambda d: d["options"].update(bands={"l_below": 0.5, "h_at_least": 0.2}),
              "options: band thresholds must satisfy 0 < l <= h <= 1"),
+            (lambda d: d["features"]["effects"].append({**d["features"]["effects"][0], "hazard": "Q"}),
+             "malformed model: features.effects[14]: undeclared hazard 'Q'"),
         ],
         ids=[
             "initial-str", "effect-list", "sv-list", "log-object", "sv-value", "no-hazards",
-            "bands",
+            "bands", "feature-effect-hazard",
         ],
     )
     def test_model_file(self, built_r2, tmp_path, capsys, mutate, line):
@@ -927,6 +947,17 @@ class TestAmbiguousModel:
             data, tmp_path, capsys,
             "transitions[12]: A:0,L:e -m1_L-> A:0,L:m1 repeats transitions[3]",
         )
+
+    def test_a_repeat_is_named_before_any_other_defect(self, built_r2, tmp_path, capsys):
+        data = json.loads(open(built_r2).read())
+        rows = data["transitions"]
+        # a mishap state with an edge, an unknown initial state and no sv
+        rows.append({**rows[0], "source": "A:em,L:em"})
+        data["initial"] = ["nowhere"]
+        data["sv"] = {}
+        rows.append(dict(rows[5]))
+        line = "transitions[13]: {source} -{action}-> {target} repeats transitions[5]"
+        self._assert_refused(data, tmp_path, capsys, line.format(**rows[5]))
 
     def test_first_repeat_in_file_order(self, built_r2, tmp_path, capsys):
         data = json.loads(open(built_r2).read())

@@ -493,6 +493,127 @@ class TestFrozenModel:
         dataclasses.replace(r2_model, features=None, options=options)
 
 
+def _relabel_one_edge(model, name: str, **changes) -> dict:
+    """The edges of ``model`` with the first edge of action ``name`` given
+    that action changed by ``changes``."""
+    edge = next(t for t in model.transitions if t.action.name == name)
+    action = dataclasses.replace(edge.action, **changes)
+    return {
+        "transitions": tuple(
+            dataclasses.replace(t, action=action) if t is edge else t
+            for t in model.transitions
+        )
+    }
+
+
+def _with_state(model, *entries) -> dict:
+    return {"states": model.states | {RiskState(entries)}}
+
+
+def _with_features(model, **changes) -> dict:
+    return {"features": dataclasses.replace(model.features, **changes)}
+
+
+_ZERO, _ACTIVE = Phase.inactive(), Phase.active()
+
+
+class TestEdgeOrder:
+    """A model keeps its edges in key order, one per key, so it equals any
+    model with the same edges."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_any_order_makes_one_model(self, r2_reduced, seed):
+        model = r2_reduced
+        assert [t.key() for t in model.transitions] == sorted(t.key() for t in model.transitions)
+        edges = list(model.transitions)
+        Random(seed).shuffle(edges)
+        for given in (edges, model.transitions[::-1]):
+            other = dataclasses.replace(model, transitions=given)
+            assert other == model
+            assert other.transitions == model.transitions
+            assert other.outgoing() == model.outgoing()
+            assert other.incoming() == model.incoming()
+
+    def test_an_edge_given_twice_is_refused_by_its_labels(self, r2_reduced):
+        model = r2_reduced
+        merged = model.state_named("A:m2,L:0|A:m3,L:0")
+        (edge,) = (t for t in model.transitions if t.target == merged and t.action.name == "m2_A")
+        twice = dataclasses.replace(edge, pr=0.5, checked=False)
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(model, transitions=(twice, *model.transitions))
+        assert str(err.value) == (
+            "transition A:m1,L:0 -m2_A-> A:m2,L:0|A:m3,L:0 is given twice"
+        )
+
+
+class TestModelRefusals:
+    """What ``save_model`` would write and ``load_model`` refuse cannot be
+    made: each such model is refused when it is made, with one line."""
+
+    @pytest.mark.parametrize(
+        "change, line",
+        [
+            (
+                lambda m: {"labels": {s: "X" for s in m.sorted_states()[:2]}},
+                "label 'X' already names another state",
+            ),
+            (
+                lambda m: {"labels": {m.state_named("A:0,L:e"): "A:0,L:0"}},
+                "label 'A:0,L:0' already names another state",
+            ),
+            (
+                lambda m: {"labels": {RiskState((("A", _ZERO), ("L", Phase.mitigated(4)))): "Y"}},
+                "label 'Y' is on 'A:0,L:m4', which is not a state",
+            ),
+            (
+                lambda m: _relabel_one_edge(m, "f_A", domains=("drv",)),
+                "two actions are named 'f_A'",
+            ),
+            (
+                lambda m: _with_state(m, ("L", _ZERO), ("A", _ZERO)),
+                "state 'L:0,A:0' does not range over the hazards in declaration order",
+            ),
+            (
+                lambda m: _with_state(m, ("Z", _ZERO)),
+                "state 'Z:0' does not range over the hazards in declaration order",
+            ),
+            (
+                lambda m: _with_features(
+                    m, effects=(*m.features.effects, ("Q", _ACTIVE, m.features.effects[0][2]))
+                ),
+                "features.effects[14]: undeclared hazard 'Q'",
+            ),
+            (
+                lambda m: _with_features(
+                    m,
+                    effects=(
+                        *m.features.effects, ("A", Phase.mitigated(9), m.features.effects[0][2])
+                    ),
+                ),
+                "features.effects[14]: hazard 'A' has no phase 'm9'",
+            ),
+            (
+                lambda m: _with_features(m, priority=("A", "L", "Q")),
+                "features.priority[2]: undeclared hazard 'Q'",
+            ),
+        ],
+        ids=[
+            "one-label-twice", "label-is-another-name", "label-off-the-model", "two-actions",
+            "hazards-out-of-order", "undeclared-hazard", "feature-effect-hazard",
+            "feature-effect-phase", "feature-priority",
+        ],
+    )
+    def test_refused_with_one_line(self, r2_model, change, line):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(r2_model, **change(r2_model))
+        assert str(err.value) == line
+
+    def test_a_label_equal_to_its_own_name_is_no_label(self, r2_model):
+        state = r2_model.state_named("A:e,L:0")
+        model = dataclasses.replace(r2_model, labels={state: state.name})
+        assert model == r2_model and not model.labels
+
+
 class TestHazardId:
     @pytest.mark.parametrize("bad", ["", "a b", "a:b", "a,b", "a|b"])
     def test_rejects_unusable_ids(self, bad):

@@ -288,14 +288,14 @@ class TestQuotient:
         active = state_from_phases(hazards, {"A": e})
         mit1 = state_from_phases(hazards, {"A": m1})
         mit2 = state_from_phases(hazards, {"A": m2})
-        act = Action("m", ActionClass.MITIGATION, (("A", m1),))
-        act2 = Action("m", ActionClass.MITIGATION, (("A", m2),))
+        # one action labels both edges: a model has one action per name
+        act = Action("m", ActionClass.MITIGATION)
         model = RiskStructure(
             hazards=hazards,
             states=frozenset({active, mit1, mit2}),
             transitions=(
                 Transition(active, act, mit1, pr=0.5, cs=7),
-                Transition(active, act2, mit2, pr=0.9, cs=3),
+                Transition(active, act, mit2, pr=0.9, cs=3),
             ),
             initial=frozenset({active}),
         )

@@ -22,6 +22,7 @@ from riskstruct import (
     RiskState,
     Transition,
     cli,
+    collapse_safe_chains,
     construct_rs,
     load_catalog,
     load_model,
@@ -33,12 +34,14 @@ from riskstruct import (
     to_dot,
 )
 from riskstruct.catalogs import catalog_path
+from riskstruct.construct import SweepRecord
 from riskstruct.serialize import catalog_from_dict, fmt_prob, save_dot
 
 from helpers import (
     brute_force_dot,
     brute_force_model_from_dict,
     chain_catalog,
+    random_shared_name_structure,
     random_structure,
 )
 
@@ -283,6 +286,51 @@ def _traced_peak(fn) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def _as_written(model):
+    """``model`` with each ``pr`` at the six significant digits a model file
+    holds; a composite of chain collapse can have more."""
+    return dataclasses.replace(model, transitions=tuple(
+        Transition(t.source, t.action, t.target, t.pr and fmt_prob(t.pr), t.cs, checked=False)
+        for t in model.transitions
+    ))
+
+
+class TestRoundTrip:
+    """A model is one value however it was made: the file of a model reads
+    back as that model, and its edges in any order make it again."""
+
+    def test_random_models_and_their_reductions(self):
+        log = ConstructionLog((SweepRecord(1, "endangerment", 2, 3, 4, 5, 6),))
+        counts = {"models": 0, "collapsed": 0, "refused": 0}
+        for seed in range(300):
+            for made in (random_structure, random_shared_name_structure):
+                model = made(Random(seed))
+                models = [model, quotient(model, "m"), quotient(model, "h")]
+                for reduced in models[:3]:
+                    try:
+                        collapsed = collapse_safe_chains(reduced)
+                    except RiskModelError:
+                        counts["refused"] += 1
+                        continue
+                    if collapsed is not reduced:
+                        counts["collapsed"] += 1
+                        models.append(collapsed)
+                rng = Random(seed)
+                for m in models:
+                    counts["models"] += 1
+                    assert model_from_dict(json.loads(model_to_json(m, log))) == (
+                        _as_written(m), log
+                    )
+                    shuffled = list(m.transitions)
+                    rng.shuffle(shuffled)
+                    for edges in (m.transitions[::-1], shuffled):
+                        again = dataclasses.replace(m, transitions=edges)
+                        assert again == m and again.transitions == m.transitions
+                        assert again.outgoing() == m.outgoing()
+        # at this writing: 1,854 models, 54 of them collapses, none refused
+        assert counts["collapsed"] >= 40, counts
 
 
 class TestBoundedMemory:
