@@ -202,7 +202,9 @@ class Catalog:
                 check(f"{anchor}.guard", hid, phases)
             if not 0.0 <= rule.pr <= 1.0:
                 errors.append(f"{anchor}: pr {rule.pr} outside [0,1]")
-            if isinstance(rule, MitigationRule) and rule.cs < 0:
+            if isinstance(rule, MitigationRule) and type(rule.cs) is not int:
+                errors.append(f"{anchor}: cs must be an integer, got {type(rule.cs).__name__}")
+            elif isinstance(rule, MitigationRule) and rule.cs < 0:
                 errors.append(f"{anchor}: cs {rule.cs} negative")
             try:
                 action = Action(rule.name, rule.kind, rule.effect(), rule.domains)

@@ -508,11 +508,11 @@ class Transition:
 
     Probabilities sit on endangerment, mitigation, and mishap transitions;
     costs on mitigations.  Every edge has one hazard set, ``pr`` in [0,1] and
-    ``cs`` >= 0.  ``checked=False`` skips the per-hazard phase-graph check:
-    edges of a quotient model connect class representatives, whose phases
-    stand in for whole equivalence classes, and construction has checked
-    each rule's moves once.  ``checked`` is an argument, not a field, so a
-    :func:`dataclasses.replace` of any edge is checked again.
+    ``cs`` an int >= 0.  ``checked=False`` skips the per-hazard phase-graph
+    check: edges of a quotient model connect class representatives, whose
+    phases stand in for whole equivalence classes, and construction has
+    checked each rule's moves once.  ``checked`` is an argument, not a
+    field, so a :func:`dataclasses.replace` of any edge is checked again.
     """
 
     source: RiskState
@@ -544,6 +544,8 @@ class Transition:
                     )
         if pr is not None and not 0.0 <= pr <= 1.0:
             raise ValueError(f"pr must be in [0,1], got {pr}")
+        if cs is not None and type(cs) is not int:
+            raise ValueError(f"cs must be an integer, got {type(cs).__name__}")
         if cs is not None and cs < 0:
             raise ValueError(f"cs must be nonnegative, got {cs}")
         set_source, set_action, set_target, set_pr, set_cs = _EDGE_SLOTS
@@ -672,6 +674,12 @@ class RiskStructure:
                 )
         # membership by canonical name, which is a state's identity
         names = {s.name for s in self.states}
+        # a mitigated phase is one of its hazard's: one pass over the distinct
+        # id:phase tokens of the names, less the index-free ones
+        tokens = set(",".join(names).split(",")).difference(phase_tokens(self.hazards), ("",))
+        for hid, _, phase in sorted(token.partition(":") for token in tokens):
+            if int(phase[1:]) > self.hazard(hid).n_mitigations:
+                raise ValueError(f"hazard {hid!r} has no phase {phase!r}")
         if not self.initial or not all(s.name in names for s in self.initial):
             raise ValueError("initial states must be a nonempty subset of states")
         # a label, like a name, names one state alone

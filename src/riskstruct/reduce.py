@@ -4,11 +4,12 @@ Quotients merge states that are equivalent, agree on the mishap phase of
 every hazard and share a risk region, optionally requiring equal risk
 priority.  A class can never mix mishap and non-mishap states, since the
 region is ``mishap`` exactly on the mishap states.  Each equivalence is one
-key function of :mod:`riskstruct.order`; this module only looks it up.  Merged states keep the phases of a maximal member and a display
-label joining the member names.  Drop rules and chain collapse walk the
-model's cached adjacency.  Regions and risk priorities are those of the
-model's own options, ``region_policy`` and ``bands``.  Each reduction returns
-a new model, whose actions are those of its transitions.
+key function of :mod:`riskstruct.order`; this module only looks it up.
+Merged states keep the phases of a maximal member and a display label
+joining the member names.  Drop rules and chain collapse walk the model's
+cached adjacency.  Regions and risk priorities are those of the model's own
+options, ``region_policy`` and ``bands``.  Each reduction returns a new
+model, whose actions are those of its transitions.
 
 Chain collapse is one pass over the states in label order.  A collapse
 changes no other state's edge counts, action classes or neighbour regions;
@@ -19,7 +20,6 @@ repeatedly collapsing the label-least pass-through state does.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import add, mul
@@ -32,7 +32,6 @@ from .core import (
     RiskStructure,
     Severity,
     Transition,
-    transition_key,
 )
 from .analysis import Region, RegionAssignment, assign_regions, reach, risk_priorities
 from .order import (
@@ -212,8 +211,9 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     Applied to a fixed point, so collapsing twice changes nothing.  Raises
     :class:`RiskModelError` for a composite that no action can label (a
     quotient's edges can compose to a mitigation that moves a hazard to its
-    active phase), and for the first composite of the result, in key
-    order, whose key another edge has, or whose name another action has.
+    active phase), and, as ``collapse:`` and the model's line, for a result
+    that is no model: the first edge in key order given twice, else two
+    actions of one name.
     """
     regions = assign_regions(model)
     # each state's single in-edge and out-edge, by state name; a state with
@@ -258,20 +258,9 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     if not collapsed:
         return model
 
-    kept = [t for t in model.transitions if id(t) not in replaced]
-    made = sorted((t for t in composites if id(t) not in replaced), key=transition_key)
-    keys = Counter(map(transition_key, kept + made))
-    actions = {t.action.name: t.action for t in kept}
-    for t in made:
-        edge = f"{model.label(t.source)} -{t.action.name}-> {model.label(t.target)}"
-        if keys[transition_key(t)] > 1:
-            raise RiskModelError(f"collapse: the composite {edge} repeats an edge")
-        if actions.setdefault(t.action.name, t.action) != t.action:
-            raise RiskModelError(
-                f"collapse: the composite {edge} names another action {t.action.name!r}"
-            )
-    return _restrict(
-        model,
-        frozenset(s for s in model.states if s.name not in collapsed),
-        tuple(kept + made),
-    )
+    states = frozenset(s for s in model.states if s.name not in collapsed)
+    edges = tuple(t for t in (*model.transitions, *composites) if id(t) not in replaced)
+    try:
+        return _restrict(model, states, edges)
+    except ValueError as exc:  # an edge given twice, or two actions of one name
+        raise RiskModelError(f"collapse: {exc}") from None

@@ -458,10 +458,9 @@ class _Rows(NamedTuple):
 
 def edge_text_key(name: str, pr: Optional[float], cs: Optional[int]) -> tuple:
     """A key under which every edge of action ``name`` with weights ``pr``
-    and ``cs`` is written alike.  ``-0.0 == 0.0`` and ``True == 1``, yet each
-    is written its own way, so a zero weight stands as its ``repr`` and
-    ``cs`` comes with its type."""
-    return (name, pr or repr(pr), cs or repr(cs), cs.__class__)
+    and ``cs`` is written alike.  ``-0.0 == 0.0``, yet each is written its
+    own way, so a zero ``pr`` stands as its ``repr``."""
+    return (name, pr or repr(pr), cs)
 
 
 def _transition_texts(

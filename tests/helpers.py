@@ -264,13 +264,12 @@ def brute_force_collapse(model) -> RiskStructure:
     """``collapse_safe_chains`` by its definition: while the model has a
     pass-through state, collapse the label-least one, on the model as it
     stands, with regions those of the given model; a composite that no
-    action can label is refused.  Then refuse the first
-    composite of the result, in key order, whose key another edge has, or
-    whose name another action has, among the kept edges and the composites
-    before it.  The model as it stands is kept as its states and edges,
-    since it may hold an edge twice, which no model can."""
+    action can label is refused.  Then refuse a result that holds a key
+    twice, naming the first such key in key order, and else one with two
+    different actions of one name, naming the least such name.  The model
+    as it stands is kept as its states and edges, since it may hold an edge
+    twice, which no model can."""
     regions = assign_regions(model)
-    made = []
     states, transitions = set(model.states), list(model.transitions)
     while True:
         for mid in sorted(states, key=model.label):
@@ -309,23 +308,19 @@ def brute_force_collapse(model) -> RiskStructure:
             )
         except ValueError as exc:
             raise RiskModelError(f"collapse: {exc}") from None
-        made.append(composite)
         states.discard(mid)
         transitions = sorted(
             [t for t in transitions if t is not first and t is not second] + [composite],
             key=lambda t: t.key(),
         )
-    composites = [t for t in transitions if any(t is c for c in made)]
-    seen = [t.action for t in transitions if not any(t is c for c in made)]
-    for c in composites:
-        edge = f"{model.label(c.source)} -{c.action.name}-> {model.label(c.target)}"
-        if any(t is not c and t.key() == c.key() for t in transitions):
-            raise RiskModelError(f"collapse: the composite {edge} repeats an edge")
-        if any(a.name == c.action.name and a != c.action for a in seen):
-            raise RiskModelError(
-                f"collapse: the composite {edge} names another action {c.action.name!r}"
-            )
-        seen.append(c.action)
+    for t in sorted(transitions, key=lambda t: t.key()):
+        if sum(u.key() == t.key() for u in transitions) > 1:
+            edge = f"{model.label(t.source)} -{t.action.name}-> {model.label(t.target)}"
+            raise RiskModelError(f"collapse: transition {edge} is given twice")
+    actions = {t.action for t in transitions}
+    for name in sorted(a.name for a in actions):
+        if sum(a.name == name for a in actions) > 1:
+            raise RiskModelError(f"collapse: two actions are named {name!r}")
     return replace(
         model,
         states=frozenset(states),

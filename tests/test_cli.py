@@ -444,7 +444,7 @@ class TestReduceCommand:
         (
             ("A:e,B:e", "A:m1,B:e", "A:m2,B:e"),
             ((0, "m1", 1), (0, "m1;m2", 2), (1, "m2", 2)),
-            "collapse: the composite A:e,B:e -m1;m2-> A:m2,B:e repeats an edge",
+            "collapse: transition A:e,B:e -m1;m2-> A:m2,B:e is given twice",
         ),
         # class-level edges, as a quotient has: s0 -m1-> s1 moves B from 0
         # to e, so the composite would be a mitigation to B's active phase

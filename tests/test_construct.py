@@ -365,6 +365,16 @@ class TestCatalogValidation:
             for _, rule in r2_catalog.rules()
         )
 
+    @pytest.mark.parametrize("cs, kind", [(0.5, "float"), (True, "bool")])
+    def test_cost_is_an_integer(self, r2_catalog, cs, kind):
+        # a model file holds an integer cost, so no other cost is built
+        first, *rest = r2_catalog.mitigations
+        with pytest.raises(CatalogInvalid) as err:
+            replace(r2_catalog, mitigations=(replace(first, cs=cs), *rest))
+        assert err.value.errors == [
+            f"mitigations[0] ({first.name!r}): cs must be an integer, got {kind}"
+        ]
+
     def test_unknown_region_policy(self, r2_catalog):
         # a model with this policy could not be read back, so none is made
         message = "unknown region policy 'bogus'; pick one of no_active, handover"

@@ -510,6 +510,11 @@ def _with_state(model, *entries) -> dict:
     return {"states": model.states | {RiskState(entries)}}
 
 
+def _with_first_cost(model, cs) -> dict:
+    first, *rest = model.transitions
+    return {"transitions": (dataclasses.replace(first, cs=cs), *rest)}
+
+
 def _with_features(model, **changes) -> dict:
     return {"features": dataclasses.replace(model.features, **changes)}
 
@@ -596,11 +601,18 @@ class TestModelRefusals:
                 lambda m: _with_features(m, priority=("A", "L", "Q")),
                 "features.priority[2]: undeclared hazard 'Q'",
             ),
+            (
+                lambda m: _with_state(m, ("A", Phase.mitigated(9)), ("L", _ZERO)),
+                "hazard 'A' has no phase 'm9'",
+            ),
+            (lambda m: _with_first_cost(m, True), "cs must be an integer, got bool"),
+            (lambda m: _with_first_cost(m, 0.5), "cs must be an integer, got float"),
         ],
         ids=[
             "one-label-twice", "label-is-another-name", "label-off-the-model", "two-actions",
             "hazards-out-of-order", "undeclared-hazard", "feature-effect-hazard",
-            "feature-effect-phase", "feature-priority",
+            "feature-effect-phase", "feature-priority", "undeclared-phase", "bool-cost",
+            "float-cost",
         ],
     )
     def test_refused_with_one_line(self, r2_model, change, line):

@@ -487,7 +487,7 @@ class TestCollapseChains:
             Action("step1;step2", ActionClass.MITIGATION, (("A", Phase.inactive()),))
         )
         with pytest.raises(RiskModelError, match=(
-            "^collapse: the composite A:m1 -step1;step2-> A:0 repeats an edge$"
+            "^collapse: transition A:m1 -step1;step2-> A:0 is given twice$"
         )):
             collapse_safe_chains(model)
 
@@ -502,7 +502,6 @@ class TestCollapseChains:
         z = model.transitions[-1].target
         model = replace(model, transitions=model.transitions + (Transition(z, declared, z),))
         with pytest.raises(RiskModelError, match=(
-            "^collapse: the composite A:m1 -step1;step2-> A:0 names another "
-            "action 'step1;step2'$"
+            "^collapse: two actions are named 'step1;step2'$"
         )):
             collapse_safe_chains(model)

@@ -18,9 +18,11 @@ from riskstruct import (
     ConstructionLog,
     HazardId,
     OperationalSituation,
+    Phase,
     RiskModelError,
     RiskState,
     Transition,
+    all_inactive,
     cli,
     collapse_safe_chains,
     construct_rs,
@@ -145,12 +147,12 @@ class TestWriterOracle:
         assert_writers_agree(request.getfixturevalue(fixture), tmp_path)
 
     def test_weights_equal_but_written_differently(self, r2_model):
-        # -0.0 == 0.0 and True == 1, so rows and edge labels rendered once
-        # per action and weights must still tell them apart
+        # -0.0 == 0.0, so rows and edge labels rendered once per action and
+        # weights must still tell them apart
         name = "f_L"
         edges = [t for t in r2_model.transitions if t.action.name == name]
         assert len(edges) >= 2
-        weights = {edges[0]: (-0.0, True), edges[1]: (0.0, 1)}
+        weights = {edges[0]: (-0.0, 1), edges[1]: (0.0, 1)}
         transitions = tuple(
             dataclasses.replace(t, pr=weights[t][0], cs=weights[t][1], checked=False)
             if t in weights
@@ -160,10 +162,10 @@ class TestWriterOracle:
         model = dataclasses.replace(r2_model, transitions=transitions)
         text = model_to_json(model)
         assert text == _json_oracle(model)
-        assert '"pr": -0.0,' in text and '"cs": true' in text
+        assert '"pr": -0.0,' in text and '"pr": 0.0,' in text
         dot = to_dot(model)
         assert dot == brute_force_dot(model)
-        assert f'[label="{name}(-0,True)"]' in dot and f'[label="{name}(0,1)"]' in dot
+        assert f'[label="{name}(-0,1)"]' in dot and f'[label="{name}(0,1)"]' in dot
 
     def test_log_and_batches(self, chain5, tmp_path):
         model, log = chain5
@@ -331,6 +333,30 @@ class TestRoundTrip:
                         assert again.outgoing() == m.outgoing()
         # at this writing: 1,854 models, 54 of them collapses, none refused
         assert counts["collapsed"] >= 40, counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_model_that_is_made_reads_back(self, data):
+        # a state past its hazard's mitigated phases, or a cost that is not
+        # an int, is refused when the model is made, not when it is read
+        model = random_structure(Random(data.draw(st.integers(0, 2**32))))
+        hazard = data.draw(st.sampled_from(model.hazards))
+        index = data.draw(st.integers(1, hazard.n_mitigations + 2))
+        state = all_inactive(model.hazards).with_phases({hazard.id: Phase.mitigated(index)})
+        cs = data.draw(st.sampled_from((None, 0, 3, True, 0.5)))
+        i = data.draw(st.integers(0, max(len(model.transitions) - 1, 0)))
+        try:
+            transitions = tuple(
+                dataclasses.replace(t, cs=cs, checked=False) if j == i else t
+                for j, t in enumerate(model.transitions)
+            )
+            made = dataclasses.replace(
+                model, states=model.states | {state}, transitions=transitions
+            )
+        except ValueError as exc:
+            assert type(exc) is ValueError and str(exc) and "\n" not in str(exc)
+            return
+        assert model_from_dict(json.loads(model_to_json(made)))[0] == _as_written(made)
 
 
 class TestBoundedMemory:
