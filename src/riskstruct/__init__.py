@@ -59,7 +59,6 @@ from .order import (
 from .construct import (
     Catalog,
     CatalogInvalid,
-    ConstructionError,
     ConstructionLog,
     EndangermentRule,
     MishapRule,

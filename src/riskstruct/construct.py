@@ -1,16 +1,17 @@
 """Catalog-driven incremental construction of risk structures.
 
 The engine alternates endangerment and mitigation sweeps.  Each sweep walks
-the non-mishap states it has not processed yet, in canonical order, and
-tries on each of them every enabled rule that moves at most
+the non-mishap states stored since the last sweep of its kind, in canonical
+order, and tries on each of them every enabled rule that moves at most
 ``max_subset_size`` hazards: by the number of hazards it moves, then by
 their declaration positions, then in declaration order.  A rule fires when
 its guard holds and every move is legal in the phase model; when two rules
-yield the same (source, action, target) transition, the first one wins.  A
-state is processed once by each kind of sweep, which makes termination a
-counting argument.  Every state but an initial one enters as the target of
-a transition from a state already built, so the result is reachable from
-the initial region by construction.
+yield the same (source, action, target) transition, the first one wins.
+Construction stops after an increment that stores no non-mishap state, so
+there is at most one increment per stored non-mishap state, plus one.
+Every state but an initial one enters as the target of a transition from a
+state already built, so the result is reachable from the initial region by
+construction.
 
 Rules act on canonical state names.  Each enabled rule is compiled once per
 construction into, per hazard it constrains, the set of ``id:phase`` tokens
@@ -44,7 +45,6 @@ from .core import (
     Transition,
     all_inactive,
     feature_defects,
-    full_state_space_size,
     is_mishap,
     legal_phase_step,
     parse_state,
@@ -59,10 +59,6 @@ class CatalogInvalid(RiskModelError):
     def __init__(self, errors: Sequence[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-class ConstructionError(RiskModelError):
-    """The construction loop exceeded its state-space bound."""
 
 
 @dataclass(frozen=True)
@@ -320,10 +316,6 @@ class _Builder:
         # each transition's key, mapped to the first rule that declares it
         self.transitions: dict[tuple[str, str, str], _Rule] = {}
         self.sv: dict[str, Severity] = {}  # by state name
-        self.records: list[SweepRecord] = []
-        # Each sweep applies every rule to every state it processes, so a
-        # state (by name) is either processed by a kind of sweep or not at all.
-        self.processed: dict[str, set[str]] = {kind: set() for kind in SWEEPS}
         # The enabled rules that move at most max_subset_size hazards, by the
         # number and then the declaration positions of the hazards they move,
         # ties in Catalog.rules order: the first declaring rule of a
@@ -395,38 +387,39 @@ class _Builder:
         )
 
     def run(self) -> tuple[RiskStructure, ConstructionLog]:
-        if self.ids:
-            bound = 2 * full_state_space_size(self.catalog.hazards) * (
-                2 ** len(self.ids)
-            )
-        else:
-            bound = 0
+        stored, transitions = self.states, self.transitions
+        # States are stored in order, so the states a kind of sweep has
+        # already taken are, mishap states aside, the first swept[kind] stored.
+        swept = dict.fromkeys(SWEEPS, 0)
+        records: list[SweepRecord] = []
         increment = 0
-        while self._has_uncovered():
+        # without hazards there is nothing to process
+        while self.ids and any(
+            MISHAP_MARK not in name
+            for name in itertools.islice(stored, swept["endangerment"], None)
+        ):
             increment += 1
-            if increment > bound:
-                raise ConstructionError(
-                    f"construction exceeded the state-space bound of {bound} sweeps"
-                )
             for kind in SWEEPS:
-                self._sweep(increment, kind)
-        return self._freeze(), ConstructionLog(tuple(self.records))
-
-    def _has_uncovered(self) -> bool:
-        if not self.ids:
-            return False  # no hazards, so nothing to process
-        done_e, done_m = (self.processed[kind] for kind in SWEEPS)
-        return any(MISHAP_MARK not in name for name in self.states.keys() - (done_e & done_m))
-
-    def _sweep(self, increment: int, kind: str) -> None:
-        done = self.processed[kind]
-        # states are selected by name, in set operations on the names
-        names = sorted(name for name in self.states.keys() - done if MISHAP_MARK not in name)
-        states_before = len(self.states)
-        transitions_before = len(self.transitions)
-        self._apply(kind, list(map(self.states.__getitem__, names)))
-        done.update(names)
-        self.records.append(self._record(increment, kind, states_before, transitions_before))
+                states_before, transitions_before = len(stored), len(transitions)
+                names = sorted(
+                    name
+                    for name in itertools.islice(stored, swept[kind], None)
+                    if MISHAP_MARK not in name
+                )
+                swept[kind] = states_before
+                self._apply(kind, list(map(stored.__getitem__, names)))
+                records.append(
+                    SweepRecord(
+                        increment=increment,
+                        sweep=kind,
+                        states_added=len(stored) - states_before,
+                        transitions_added=len(transitions) - transitions_before,
+                        states_total=len(stored),
+                        non_mishap_total=sum(MISHAP_MARK not in name for name in stored),
+                        transitions_total=len(transitions),
+                    )
+                )
+        return self._freeze(), ConstructionLog(tuple(records))
 
     def _apply(self, kind: str, states: Sequence[RiskState]) -> None:
         """Try every rule of one kind of sweep on each state, in order."""
@@ -457,20 +450,6 @@ class _Builder:
                     if sv is not None and target_name not in severities:
                         severities[target_name] = sv
 
-    def _record(
-        self, increment: int, sweep: str, states_before: int, transitions_before: int
-    ) -> SweepRecord:
-        non_mishap = sum(MISHAP_MARK not in name for name in self.states)
-        return SweepRecord(
-            increment=increment,
-            sweep=sweep,
-            states_added=len(self.states) - states_before,
-            transitions_added=len(self.transitions) - transitions_before,
-            states_total=len(self.states),
-            non_mishap_total=non_mishap,
-            transitions_total=len(self.transitions),
-        )
-
     def _freeze(self) -> RiskStructure:
         # every edge is made here, from its key and its rule's action and
         # weights; a compiled rule's moves are legal, so the edges are made
@@ -488,7 +467,7 @@ class _Builder:
             states=frozenset(self.states.values()),
             transitions=tuple(map(edge, rules)),
             initial=self.catalog.initial_states,
-            sv={state(name): severity for name, severity in sorted(self.sv.items())},
+            sv={state(name): severity for name, severity in self.sv.items()},
             situation=self.catalog.situation,
             features=self.catalog.features,
             options=self.catalog.options,

@@ -207,7 +207,8 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     A state is pass-through when its only outgoing transition is a single
     mitigation, it has exactly one (mitigation) predecessor, and it shares a
     region with both neighbours; the run becomes one composite transition
-    with the product of the probabilities and the sum of the costs.
+    with the product of the probabilities and the sum of the costs, made
+    with ``checked=False`` as :func:`quotient` and the loader make theirs.
     Applied to a fixed point, so collapsing twice changes nothing.  Raises
     :class:`RiskModelError` for a composite that no action can label (a
     quotient's edges can compose to a mitigation that moves a hazard to its
@@ -239,15 +240,12 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
         effect = tuple(end for begin, end in pairs if begin != end)
         name = f"{first.action.name};{second.action.name}"
         try:
-            composite = Transition(
-                source=source,
-                action=replace(second.action, name=name, effect=effect),
-                target=target,
-                pr=_combine(mul, first.pr, second.pr),
-                cs=_combine(add, first.cs, second.cs),
-            )
+            action = replace(second.action, name=name, effect=effect)
         except ValueError as exc:  # a quotient's edges can compose to no action
             raise RiskModelError(f"collapse: {exc}") from None
+        pr = _combine(mul, first.pr, second.pr)
+        cs = _combine(add, first.cs, second.cs)
+        composite = Transition(source, action, target, pr, cs, checked=False)
         if out_edge.get(source.name) is first:
             out_edge[source.name] = composite
         if in_edge.get(target.name) is second:

@@ -263,12 +263,13 @@ def brute_force_plans(model, start, allow_ordinary=False) -> list:
 def brute_force_collapse(model) -> RiskStructure:
     """``collapse_safe_chains`` by its definition: while the model has a
     pass-through state, collapse the label-least one, on the model as it
-    stands, with regions those of the given model; a composite that no
-    action can label is refused.  Then refuse a result that holds a key
-    twice, naming the first such key in key order, and else one with two
-    different actions of one name, naming the least such name.  The model
-    as it stands is kept as its states and edges, since it may hold an edge
-    twice, which no model can."""
+    stands, with regions those of the given model; a composite is made
+    without the phase-graph check, and one that no action can label is
+    refused.  Then refuse a result that holds a key twice, naming the first
+    such key in key order, and else one with two different actions of one
+    name, naming the least such name.  The model as it stands is kept as its
+    states and edges, since it may hold an edge twice, which no model
+    can."""
     regions = assign_regions(model)
     states, transitions = set(model.states), list(model.transitions)
     while True:
@@ -305,6 +306,7 @@ def brute_force_collapse(model) -> RiskStructure:
                 target,
                 pr=math.prod(weights) if weights else None,
                 cs=sum(costs) if costs else None,
+                checked=False,
             )
         except ValueError as exc:
             raise RiskModelError(f"collapse: {exc}") from None

@@ -132,6 +132,19 @@ class TestGoldenConstruction:
         assert len(r2_model.states) <= full_state_space_size(r2_model.hazards)
 
 
+def non_mishap_gains(catalog: Catalog, log) -> list[int]:
+    """The non-mishap states each increment of ``log`` stored, the catalog's
+    initial states counted before the first increment.
+
+    Construction terminates because each gain but the last is positive and
+    the last is 0: an increment follows only one that stored a non-mishap
+    state.
+    """
+    totals = [len(catalog.initial_states)]
+    totals += [r.non_mishap_total for r in log.records if r.sweep == SWEEPS[-1]]
+    return [after - before for before, after in zip(totals, totals[1:])]
+
+
 class TestConstructionContract:
     def test_deterministic(self, r2_catalog):
         a, la = construct_rs(r2_catalog)
@@ -219,6 +232,8 @@ class TestConstructionContract:
             )
             totals = [(r.states_total, r.transitions_total) for r in log.records]
             assert totals == sorted(totals)
+            gains = non_mishap_gains(catalog, log)
+            assert [min(gain, 1) for gain in gains] == [1] * (len(gains) - 1) + [0]
 
     def test_transitions_share_the_stored_state_objects(self, r2_catalog, r3_catalog):
         rng = Random(5)
@@ -405,6 +420,8 @@ class TestRandomCatalogs:
             model, log = construct_rs(catalog)
             bound = full_state_space_size(catalog.hazards)
             assert len(model.states) <= bound
+            gains = non_mishap_gains(catalog, log)
+            assert [min(gain, 1) for gain in gains] == [1] * (len(gains) - 1) + [0]
             assert verify_complete(model, catalog)
             # endangerments strictly descend, mitigations strictly ascend
             for t in model.transitions:

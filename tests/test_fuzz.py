@@ -20,7 +20,9 @@ from random import Random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from riskstruct import cli, construct_rs, load_catalog, model_to_json
+from riskstruct import (
+    RiskModelError, cli, construct_rs, load_catalog, model_from_dict, model_to_json
+)
 from riskstruct.core import DOMAINS
 from riskstruct.catalogs import catalog_path
 
@@ -124,6 +126,20 @@ class TestMutatedFiles:
             ):
                 _assert_one_line_unless_ok(*_run(argv))
             _assert_one_line_unless_ok(*_run(["diff", model, model]), ok=(0, 3))
+        # a file the loader accepts is a model, which saves, loads back equal
+        # and saves again to the same bytes
+        try:
+            value = json.loads(text)
+        except ValueError:  # the text was cut short
+            return
+        try:
+            loaded = model_from_dict(value)
+        except RiskModelError:
+            return
+        written = model_to_json(*loaded)
+        reread = model_from_dict(json.loads(written))
+        assert reread == loaded
+        assert model_to_json(*reread) == written
 
     @_FUZZ
     @given(st.data())

@@ -35,12 +35,13 @@ from riskstruct import (
     is_mishap,
     mishap_equiv,
     mitigation_equiv,
+    parse_state,
     quotient,
     risk_priority,
 )
 from riskstruct import reduce as reduce_module
 from riskstruct.catalogs import catalog_path
-from riskstruct.serialize import load_drop_rules
+from riskstruct.serialize import load_drop_rules, load_model, save_model
 
 from helpers import (
     brute_force_collapse,
@@ -472,6 +473,29 @@ class TestCollapseChains:
         assert rest.action.name == ";".join(f"m{i}" for i in range(2, n + 1))
         assert (rest.cs, rest.action.effect) == (n - 1, (("A", Phase.mitigated(n)),))
         assert elapsed < 1.0
+
+    def test_a_composite_is_made_as_a_loaded_edge_is(self, tmp_path):
+        # A:0,B:e -a-> A:m1,B:e -b-> A:m2,B:e: a model file that every
+        # command reads, since the loader does not check edges against the
+        # phase graph; nor does collapse check the composite A:0 -> A:m2
+        hazards = (HazardPhaseModel(HazardId("A"), 2), HazardPhaseModel(HazardId("B"), 1))
+        s = [parse_state(n, hazards) for n in ("A:0,B:e", "A:m1,B:e", "A:m2,B:e")]
+
+        def edge(i: int, name: str) -> Transition:
+            action = Action(name, ActionClass.MITIGATION, (("A", s[i + 1].phase("A")),))
+            return Transition(s[i], action, s[i + 1], 0.5, 1, checked=False)
+
+        path = tmp_path / "chain.json"
+        save_model(str(path), RiskStructure(
+            hazards=hazards, states=frozenset(s), transitions=(edge(0, "a"), edge(1, "b")),
+            initial=frozenset(s[:1]),
+        ))
+        model, _ = load_model(str(path))
+        collapsed = collapse_safe_chains(model)
+        assert collapsed == brute_force_collapse(model)
+        assert [(t.key(), t.pr, t.cs) for t in collapsed.transitions] == [
+            (("A:0,B:e", "a;b", "A:m2,B:e"), 0.25, 2)
+        ]
 
     def _parallel_model(self, declared: Action):
         # x -step1-> y -step2-> z, and an edge x -> z of the declared action
