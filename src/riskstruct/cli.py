@@ -28,7 +28,6 @@ from .plan import is_mitigation_monotonous, plan_mitigations
 from .reduce import collapse_safe_chains, drop_irrelevant, quotient, EQUIVALENCES
 from .serialize import (
     dot_chunks,
-    edge_text_key,
     fmt_prob,
     load_catalog,
     load_drop_rules,
@@ -227,36 +226,40 @@ def cmd_diff(args) -> int:
 
     def embedded_labels(model: RiskStructure) -> dict[str, str]:
         # a state's identity, by its name, is its display label with every
-        # member name embedded into the wider hazard set; an unlabelled state
-        # is its own only member, so it is embedded without re-parsing
+        # member name embedded into the wider hazard set, and every other
+        # part of the label as it is; an unlabelled state is its own only
+        # member, so it is embedded without re-parsing
         parse, mapping = state_parser(model.hazards), {}
+
+        def member(part: str) -> str:
+            try:
+                return embed_state(parse(part), model_b.hazards).name
+            except RiskModelError:  # the part names no state over the hazards
+                return part
+
         labels = {s.name: label for s, label in model.labels.items()}
         for s in model.states:
             label = labels.get(s.name)
             if label is None:
                 mapping[s.name] = embed_state(s, model_b.hazards).name
             else:
-                members = sorted(
-                    embed_state(parse(m), model_b.hazards).name
-                    for m in label.split("|")
-                )
-                mapping[s.name] = "|".join(members)
+                mapping[s.name] = "|".join(sorted(map(member, label.split("|"))))
         return mapping
 
     map_a, map_b = embedded_labels(model_a), embedded_labels(model_b)
     states_a = set(map_a.values())
     states_b = set(map_b.values())
 
-    # Each (action, pr, cs), by its edge_text_key, is rounded and written
-    # once: the edge that transitions compare by, and the text of their line
-    # around the source and target.
+    # Each (action, pr, cs) is rounded and written once: the edge that
+    # transitions compare by, and the text of their line around the source
+    # and target.
     edges: dict[tuple, tuple] = {}
 
     def transition_edges(model, mapping) -> dict[tuple, tuple]:
         # each transition's key, by embedded labels, mapped to its edge
         keyed = {}
         for t in model.transitions:
-            text_key = edge_text_key(t.action.name, t.pr, t.cs)
+            text_key = (t.action.name, t.pr, t.cs)
             edge = edges.get(text_key)
             if edge is None:
                 pr = None if t.pr is None else fmt_prob(t.pr)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import compress, islice
-from operator import attrgetter, eq, lt
+from operator import attrgetter, eq, itemgetter, lt
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -94,7 +94,10 @@ class Phase:
             return fixed
         m = re.fullmatch(r"m([1-9][0-9]*)", text)
         if m:
-            return cls.mitigated(int(m.group(1)))
+            try:
+                return cls.mitigated(int(m.group(1)))
+            except ValueError:  # more digits than int() converts
+                pass
         raise StateSyntaxError(f"not a phase: {text!r}")
 
     def __str__(self) -> str:  # pragma: no cover - convenience
@@ -457,7 +460,9 @@ class Action:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("action name must be non-empty")
-        object.__setattr__(self, "effect", tuple(sorted(self.effect)))
+        # by hazard id alone: phases have no order, and an id given twice
+        # is refused below
+        object.__setattr__(self, "effect", tuple(sorted(self.effect, key=itemgetter(0))))
         object.__setattr__(self, "domains", tuple(sorted(set(self.domains))))
         for d in self.domains:
             if d not in DOMAINS:

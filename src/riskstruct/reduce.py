@@ -130,14 +130,17 @@ def quotient(
     for s, severity in model.sv.items():
         rep = rep_of[s.name]
         sv[rep] = sv_max([severity, sv[rep]]) if rep in sv else severity
-    return replace(
-        model,
-        states=frozenset(representatives),
-        transitions=transitions,
-        initial=frozenset(rep_of[s.name] for s in model.initial),
-        sv=sv,
-        labels=labels,
-    )
+    try:
+        return replace(
+            model,
+            states=frozenset(representatives),
+            transitions=transitions,
+            initial=frozenset(rep_of[s.name] for s in model.initial),
+            sv=sv,
+            labels=labels,
+        )
+    except ValueError as exc:  # a joined label can be another state's label
+        raise RiskModelError(f"quotient: {exc}") from None
 
 
 def _combine(op: Callable, a: Any, b: Any) -> Any:

@@ -56,8 +56,9 @@ from .reduce import DropRule
 
 
 def fmt_prob(p: float) -> float:
-    """Clamp a probability to six significant digits for serialization."""
-    return float(f"{p:.6g}")
+    """Clamp a probability to six significant digits for serialization.  A
+    zero is ``0.0``, so weights that compare equal are written alike."""
+    return float(f"{p:.6g}") + 0.0
 
 
 # A decoded JSON string holds a surrogate, which UTF-8 cannot encode, only
@@ -88,8 +89,8 @@ def _unencodable(value: Any, anchor: str) -> Optional[str]:
 def _read_json(path: str) -> Any:
     """The JSON value in the UTF-8 file ``path``.  Raises
     :class:`RiskModelError` with one line, without the path, if the file is
-    not UTF-8 text or not JSON, or holds a string that UTF-8 cannot
-    encode."""
+    not UTF-8 text or not JSON, or holds a string that UTF-8 cannot encode
+    or an integer too long to convert."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -101,6 +102,8 @@ def _read_json(path: str) -> Any:
         raise RiskModelError(f"{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise RiskModelError("nested too deeply to be read") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise RiskModelError(str(exc)) from None
     if found:
         raise RiskModelError(found)
     return data
@@ -423,28 +426,20 @@ def _row_template(keys: tuple[str, ...]) -> str:
     return "{" + ",".join(fields) + _ROW_NEWLINE + "}"
 
 
-_STATE_FIELDS = ("name", "label")
-_TRANSITION_FIELDS = ("source", "action", "target", "pr", "cs")
-_STATE_ROW = _row_template(_STATE_FIELDS)
-_TRANSITION_ROW = _row_template(_TRANSITION_FIELDS)
+_STATE_ROW = _row_template(("name", "label"))
+_TRANSITION_ROW = _row_template(("source", "action", "target", "pr", "cs"))
 
 
 class _Rows(NamedTuple):
-    """A list of flat JSON objects, one per item, all with ``fields`` as keys:
-    the model's states and transitions."""
+    """A list of flat JSON objects, one per item: the model's states and
+    transitions."""
 
-    fields: tuple[str, ...]
-    values: Callable[[Any], tuple]  # item -> one scalar per field
     items: list
     texts: Callable[[list], list[str]]  # items -> their objects' JSON texts
 
-    def dicts(self) -> list[dict]:
-        return [dict(zip(self.fields, self.values(item))) for item in self.items]
-
     def chunks(self) -> Iterator[str]:
         """The list's JSON text as a value of the model file's top-level
-        object, ``json.dumps(self.dicts(), indent=2)`` re-indented, in
-        batches."""
+        object, as ``json.dumps(..., indent=2)`` writes it, in batches."""
         if not self.items:
             yield "[]"
             return
@@ -456,22 +451,15 @@ class _Rows(NamedTuple):
         yield "\n  ]"
 
 
-def edge_text_key(name: str, pr: Optional[float], cs: Optional[int]) -> tuple:
-    """A key under which every edge of action ``name`` with weights ``pr``
-    and ``cs`` is written alike.  ``-0.0 == 0.0``, yet each is written its
-    own way, so a zero ``pr`` stands as its ``repr``."""
-    return (name, pr or repr(pr), cs)
-
-
 def _transition_texts(
     quoted: dict[str, str], templates: dict[tuple, str], batch: list[Transition]
 ) -> list[str]:
     """The JSON texts of ``batch``'s transitions, from each label's JSON text
-    in ``quoted`` and a template per :func:`edge_text_key`, rendered once
+    in ``quoted`` and a template per action name and weights, rendered once
     into ``templates``."""
     texts = []
     for t in batch:
-        key = edge_text_key(t.action.name, t.pr, t.cs)
+        key = (t.action.name, t.pr, t.cs)
         template = templates.get(key)
         if template is None:
             pr = None if t.pr is None else fmt_prob(t.pr)
@@ -485,7 +473,7 @@ def _transition_texts(
 
 def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
     """The model file's top-level object, with its states and transitions
-    left as :class:`_Rows` for the caller to expand or render."""
+    left as :class:`_Rows` for :func:`model_chunks` to render."""
     label, states, transitions = _file_order(model)
     # each label's JSON text, rendered once for all the rows it appears in
     quoted = {name: encode_basestring(text) for name, text in label.items()}
@@ -499,8 +487,6 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
             for h in model.hazards
         ],
         "states": _Rows(
-            _STATE_FIELDS,
-            lambda s: (s.name, label[s.name]),
             states,
             lambda batch: [
                 _STATE_ROW % (encode_basestring(s.name), quoted[s.name]) for s in batch
@@ -516,18 +502,7 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
             }
             for a in model.actions
         ],
-        "transitions": _Rows(
-            _TRANSITION_FIELDS,
-            lambda t: (
-                label[t.source.name],
-                t.action.name,
-                label[t.target.name],
-                fmt_prob(t.pr) if t.pr is not None else None,
-                t.cs,
-            ),
-            transitions,
-            partial(_transition_texts, quoted, {}),
-        ),
+        "transitions": _Rows(transitions, partial(_transition_texts, quoted, {})),
         "sv": {
             label[s.name]: v.value
             for s, v in sorted(model.sv.items(), key=lambda kv: label[kv[0].name])
@@ -550,22 +525,13 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
     return d
 
 
-def model_to_dict(
-    model: RiskStructure, log: ConstructionLog = ConstructionLog()
-) -> dict:
-    """The model file as a JSON value."""
-    return {
-        key: value.dicts() if type(value) is _Rows else value
-        for key, value in _model_value(model, log).items()
-    }
-
-
 def model_chunks(
     model: RiskStructure, log: ConstructionLog = ConstructionLog()
 ) -> Iterator[str]:
     """The model file's text in chunks of at most ``_BATCH_ROWS`` states or
-    transitions; joined, they are ``json.dumps(model_to_dict(model, log),
-    indent=2, ensure_ascii=False) + "\\n"``."""
+    transitions; joined, they are the text that ``json.dumps(...,
+    indent=2, ensure_ascii=False)`` writes of the file's value, and a line
+    break."""
     sep = "{"
     for key, value in _model_value(model, log).items():
         head = f"{sep}\n  {encode_basestring(key)}: "
@@ -581,6 +547,13 @@ def model_chunks(
 
 def model_to_json(model: RiskStructure, log: ConstructionLog = ConstructionLog()) -> str:
     return "".join(model_chunks(model, log))
+
+
+def model_to_dict(
+    model: RiskStructure, log: ConstructionLog = ConstructionLog()
+) -> dict:
+    """The model file as a JSON value: its text, read back."""
+    return json.loads(model_to_json(model, log))
 
 
 def model_from_dict(data: Mapping[str, Any]) -> tuple[RiskStructure, ConstructionLog]:
@@ -774,7 +747,7 @@ def dot_chunks(model: RiskStructure) -> Iterator[str]:
     for batch in _batches(transitions):
         lines = []
         for t in batch:
-            key = edge_text_key(t.action.name, t.pr, t.cs)
+            key = (t.action.name, t.pr, t.cs)
             text = edge_labels.get(key)
             if text is None:
                 text = _dot_quote(t.action.name + weights_text(t.pr, t.cs))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from riskstruct import (
     Action,
     ActionClass,
     Catalog,
+    ConstructionLog,
     EndangermentRule,
     HazardId,
     HazardPhaseModel,
@@ -140,7 +142,7 @@ def brute_force_dot(model) -> str:
         key=lambda t: (model.label(t.source), t.action.name, model.label(t.target)),
     )
     for t in edges:
-        weights = [f"{float(f'{t.pr:.6g}'):.6g}"] if t.pr is not None else []
+        weights = [f"{float(f'{t.pr:.6g}') or 0.0:.6g}"] if t.pr is not None else []
         weights += [str(t.cs)] if t.cs is not None else []
         text = t.action.name + (f"({','.join(weights)})" if weights else "")
         lines.append(
@@ -149,6 +151,111 @@ def brute_force_dot(model) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _options_value(options: ModelOptions) -> dict:
+    """The JSON value of ``options`` in a catalog or model file."""
+    return {
+        "max_subset_size": options.max_subset_size,
+        "bands": {
+            "l_below": options.bands.l_below,
+            "h_at_least": options.bands.h_at_least,
+        },
+        "region_policy": options.region_policy,
+    }
+
+
+def brute_force_model_text(model, log=ConstructionLog()) -> str:
+    """The model file written as one ``json.dumps`` of plain dicts, without
+    the writer's row templates: states, ``initial`` and ``sv`` by label,
+    transitions by (source label, action, target label), actions by name,
+    and each probability to six significant digits, a zero as ``0.0``."""
+    label = model.label
+    actions = {t.action.name: t.action for t in model.transitions}
+    edges = sorted(
+        model.transitions,
+        key=lambda t: (label(t.source), t.action.name, label(t.target)),
+    )
+    value = {
+        "hazards": [
+            {
+                "id": h.id,
+                "description": h.hazard.description,
+                "n_mitigations": h.n_mitigations,
+            }
+            for h in model.hazards
+        ],
+        "states": [
+            {"name": s.name, "label": label(s)} for s in sorted(model.states, key=label)
+        ],
+        "initial": sorted(map(label, model.initial)),
+        "actions": [
+            {
+                "name": a.name,
+                "class": a.kind.value,
+                "domains": sorted(a.domains),
+                "effect": {h: p.render() for h, p in sorted(a.effect, key=lambda e: e[0])},
+            }
+            for _, a in sorted(actions.items())
+        ],
+        "transitions": [
+            {
+                "source": label(t.source),
+                "action": t.action.name,
+                "target": label(t.target),
+                "pr": None if t.pr is None else float(f"{t.pr:.6g}") or 0.0,
+                "cs": t.cs,
+            }
+            for t in edges
+        ],
+        "sv": {label(s): model.sv[s].value for s in sorted(model.sv, key=label)},
+        "log": [
+            {
+                "increment": r.increment,
+                "sweep": r.sweep,
+                "states_added": r.states_added,
+                "transitions_added": r.transitions_added,
+                "states_total": r.states_total,
+                "non_mishap_total": r.non_mishap_total,
+                "transitions_total": r.transitions_total,
+            }
+            for r in log.records
+        ],
+        "options": _options_value(model.options),
+    }
+    situation = model.situation
+    if situation is not None:
+        value["situation"] = {
+            "name": situation.name,
+            "initial": list(situation.initial) if situation.initial else None,
+            "invariant_predicates": list(situation.invariant_predicates),
+            "notes": situation.notes,
+        }
+    features = model.features
+    if features is not None:
+        value["features"] = {
+            "universe": [
+                {
+                    "name": f.name,
+                    "variant": f.variant.value,
+                    "status": f.status.value,
+                    "fallback": f.fallback,
+                }
+                for f in features.universe
+            ],
+            "effects": [
+                {
+                    "hazard": hid,
+                    "phase": phase.render(),
+                    "feature": e.feature,
+                    "variant": e.variant.value,
+                    "status": e.status.value,
+                }
+                for hid, phase, e in features.effects
+            ],
+            "priority": list(features.priority),
+        }
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
 
 def brute_force_reach(model, start, classes=None) -> frozenset:
@@ -1022,12 +1129,5 @@ def catalog_to_dict(catalog: Catalog) -> dict:
             "invariant_predicates": list(catalog.situation.invariant_predicates),
             "notes": catalog.situation.notes,
         },
-        "options": {
-            "max_subset_size": catalog.options.max_subset_size,
-            "bands": {
-                "l_below": catalog.options.bands.l_below,
-                "h_at_least": catalog.options.bands.h_at_least,
-            },
-            "region_policy": catalog.options.region_policy,
-        },
+        "options": _options_value(catalog.options),
     }

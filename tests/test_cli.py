@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 
 import pytest
 
@@ -20,6 +21,39 @@ from riskstruct.cli import main
 from riskstruct.serialize import save_model
 
 from helpers import chain_catalog
+
+
+#: An integer of one digit more than ``int()`` converts from text, and the
+#: line that its ``ValueError`` says; a mutation writes it where the marker is.
+_LONG_INTEGER = "9" * (sys.get_int_max_str_digits() + 1)
+_LONG_INTEGER_MARK = "<long integer>"
+try:
+    int(_LONG_INTEGER)
+except ValueError as exc:
+    _LONG_INTEGER_LINE = str(exc)
+
+
+def _dumps(data) -> str:
+    """``json.dumps(data)``, with ``_LONG_INTEGER`` where the marker is."""
+    return json.dumps(data).replace(f'"{_LONG_INTEGER_MARK}"', _LONG_INTEGER)
+
+
+def relabel(path: str, out, labels: dict[str, str]) -> str:
+    """The model file at ``path`` written to ``out`` with each state named in
+    ``labels`` labelled anew, wherever its label is written."""
+    data = json.loads(open(path).read())
+
+    def new(text: str) -> str:
+        return labels.get(text, text)
+
+    for row in data["states"]:
+        row["label"] = new(row["label"])
+    for row in data["transitions"]:
+        row["source"], row["target"] = new(row["source"]), new(row["target"])
+    data["initial"] = [new(text) for text in data["initial"]]
+    data["sv"] = {new(text): value for text, value in data["sv"].items()}
+    out.write_text(json.dumps(data))
+    return str(out)
 
 
 @pytest.fixture()
@@ -475,6 +509,21 @@ class TestReduceCommand:
         assert capsys.readouterr().err == f"riskstruct: {line}\n"
         assert not out.exists()
 
+    def test_quotient_refuses_a_label_that_names_another_state(
+        self, built_r2, tmp_path, capsys
+    ):
+        # the merged A:m2,L:0 and A:m3,L:0 would be labelled P|Q, as A:e,L:0 is
+        labels = {"A:m2,L:0": "P", "A:m3,L:0": "Q", "A:e,L:0": "P|Q"}
+        path = relabel(built_r2, tmp_path / "pq.json", labels)
+        assert main(["regions", path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "q.json"
+        assert main(["reduce", path, "--equiv", "m", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "riskstruct: quotient: label 'P|Q' already names another state\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_require_equal_rp_needs_an_equivalence(self, built_r2, capsys):
         # without --equiv there is no quotient to keep risk priorities in
         assert main(["reduce", built_r2, "--require-equal-rp"]) == 2
@@ -610,15 +659,20 @@ class TestOneAnchoredLine:
              "mitigations[0] ('m1_A'): cs -1 negative"),
             (lambda d: d["mitigations"][0].update(mitigates={}),
              "mitigations[0] ('m1_A'): moves no hazard"),
+            (lambda d: d["hazards"][0].update(n_mitigations=_LONG_INTEGER_MARK),
+             _LONG_INTEGER_LINE),
+            (lambda d: d["situation"].update(initial=[f"A:m{_LONG_INTEGER},L:0"]),
+             f"situation.initial: not a phase: 'm{_LONG_INTEGER}'"),
         ],
         ids=["no-n-mitigations", "features-list", "situation-str", "mitigates-pairs",
-             "description-null", "name-int", "no-hazards", "negative-cs", "no-move"],
+             "description-null", "name-int", "no-hazards", "negative-cs", "no-move",
+             "long-n-mitigations", "long-phase-index"],
     )
     def test_catalog(self, tmp_path, capsys, mutate, line):
         data = json.loads(catalog_path("tunnel-exit-r2").read_text())
         mutate(data)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(_dumps(data))
         assert main(["validate", str(bad)]) == 2
         assert capsys.readouterr().err == f"{bad}: {line}\n"
 
@@ -637,10 +691,11 @@ class TestOneAnchoredLine:
              "options: band thresholds must satisfy 0 < l <= h <= 1"),
             (lambda d: d["features"]["effects"].append({**d["features"]["effects"][0], "hazard": "Q"}),
              "malformed model: features.effects[14]: undeclared hazard 'Q'"),
+            (lambda d: d["transitions"][0].update(cs=_LONG_INTEGER_MARK), _LONG_INTEGER_LINE),
         ],
         ids=[
             "initial-str", "effect-list", "sv-list", "log-object", "sv-value", "no-hazards",
-            "bands", "feature-effect-hazard",
+            "bands", "feature-effect-hazard", "long-cs",
         ],
     )
     def test_model_file(self, built_r2, tmp_path, capsys, mutate, line):
@@ -696,7 +751,7 @@ class TestOneAnchoredLine:
         data = json.loads(open(built_r2).read())
         mutate(data)
         bad = tmp_path / "bad.model.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(_dumps(data))
         assert main([command[0], str(bad), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"riskstruct: invalid model {str(bad)!r}: {line}\n"
@@ -758,6 +813,19 @@ class TestDiff:
         assert "- state A:m2,L:0|A:m3,L:0" in out
         assert "+ state A:m2,L:0" in out
         assert "+ state A:m3,L:0" in out
+
+    def test_a_label_that_names_no_state_stands_for_itself(self, built_r2, tmp_path, capsys):
+        path = relabel(built_r2, tmp_path / "start.json", {"A:0,L:0": "start"})
+        assert main(["diff", path, path]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_a_label_that_names_no_state_differs_from_the_state(
+        self, built_r2, tmp_path, capsys
+    ):
+        path = relabel(built_r2, tmp_path / "start.json", {"A:0,L:0": "start"})
+        assert main(["diff", path, built_r2]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["- state start", "+ state A:0,L:0"]
 
     def test_incompatible_hazards_exit_2(self, built_r2, built_r3, capsys):
         assert main(["diff", built_r3, built_r2]) == 2

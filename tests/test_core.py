@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from riskstruct import (
     Action,
     ActionClass,
+    Catalog,
+    CatalogInvalid,
     HazardId,
     HazardPhaseModel,
     IllegalPhaseTransition,
+    MitigationRule,
     ModelOptions,
     Phase,
     PhaseKind,
@@ -343,6 +346,15 @@ class TestApplyAction:
         with pytest.raises(ValueError):
             Action("bad", ActionClass.MISHAP_ACTION, (("A", Phase.active()),))
 
+    def test_a_hazard_moved_twice_is_refused(self):
+        # phases have no order: the effect is sorted by hazard id alone
+        effect = (("A", Phase.mitigated(1)), ("A", Phase.mitigated(2)))
+        with pytest.raises(ValueError, match="^action 'a' moves hazard 'A' twice$"):
+            Action("a", ActionClass.MITIGATION, effect)
+        with pytest.raises(CatalogInvalid) as err:
+            Catalog(hazards=AB, mitigations=(MitigationRule("a", effect, 0.5, 1),))
+        assert err.value.errors == ["mitigations[0] ('a'): action 'a' moves hazard 'A' twice"]
+
 
 class TestTransition:
     def test_validates_per_hazard_legality(self):
@@ -607,12 +619,26 @@ class TestModelRefusals:
             ),
             (lambda m: _with_first_cost(m, True), "cs must be an integer, got bool"),
             (lambda m: _with_first_cost(m, 0.5), "cs must be an integer, got float"),
+            (
+                lambda m: {
+                    "transitions": (
+                        *m.transitions,
+                        dataclasses.replace(
+                            m.transitions[0],
+                            target=RiskState((("A", _ZERO), ("L", Phase.mitigated(4)))),
+                            checked=False,
+                        ),
+                    )
+                },
+                "transition endpoints outside state set: ('A:0,L:0', 'f_A', 'A:0,L:m4')",
+            ),
+            (lambda m: {"hazards": (*m.hazards, m.hazards[0])}, "hazard ids must be unique"),
         ],
         ids=[
             "one-label-twice", "label-is-another-name", "label-off-the-model", "two-actions",
             "hazards-out-of-order", "undeclared-hazard", "feature-effect-hazard",
             "feature-effect-phase", "feature-priority", "undeclared-phase", "bool-cost",
-            "float-cost",
+            "float-cost", "edge-off-the-model", "hazard-twice",
         ],
     )
     def test_refused_with_one_line(self, r2_model, change, line):

@@ -13,6 +13,7 @@ from riskstruct import (
     HazardId,
     HazardPhaseModel,
     Phase,
+    Plan,
     RiskStructure,
     Severity,
     Transition,
@@ -148,6 +149,15 @@ class TestPlanMitigations:
             for t in plan.path:
                 product *= t.pr if t.pr is not None else 1.0
             assert plan.attainment == pytest.approx(product)
+
+    @pytest.mark.parametrize("path, line", [
+        (lambda edges: (), "a plan needs at least one transition"),
+        (lambda edges: (edges[0], edges[0]), "plan transitions do not chain"),
+    ], ids=["empty", "no-chain"])
+    def test_refused_with_one_line(self, r2_model, path, line):
+        with pytest.raises(ValueError) as err:
+            Plan(path(r2_model.transitions), 0, Severity.MARGINAL, 1.0)
+        assert str(err.value) == line
 
     def test_ordered_by_target_label(self, r2_model):
         a = r2_model.state_named("A:e,L:0")

@@ -214,6 +214,21 @@ class TestQuotient:
         with pytest.raises(Exception, match="feature"):
             quotient(model, "f")
 
+    @pytest.mark.parametrize("labels, equivalence, line", [
+        ({}, "x", "unknown equivalence 'x'; pick one of ('h', 'hm', 'm', 'f', 'd')"),
+        # the merged A:m2,L:0 and A:m3,L:0 would be labelled P|Q, as A:e,L:0 is
+        (
+            {"A:m2,L:0": "P", "A:m3,L:0": "Q", "A:e,L:0": "P|Q"},
+            "m",
+            "quotient: label 'P|Q' already names another state",
+        ),
+    ], ids=["unknown-equivalence", "joined-label-taken"])
+    def test_refused_with_one_line(self, r2_model, labels, equivalence, line):
+        named = {r2_model.state_named(name): text for name, text in labels.items()}
+        with pytest.raises(RiskModelError) as err:
+            quotient(replace(r2_model, labels=named), equivalence)
+        assert str(err.value) == line
+
     def test_mishaps_never_lumped_with_near_mishaps(self, r2_model, monkeypatch):
         # even under an adversarial region assignment, the mishap-pattern
         # refinement keeps the near-mishap state apart from the mishap
