@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .core import BandThresholds, RiskModelError, RiskStructure, embed_state, state_parser
+from .core import BandThresholds, RiskModelError, RiskStructure, state_parser
 from .analysis import analysis_table, assign_regions
 from .construct import CatalogInvalid, construct_rs
 from .plan import is_mitigation_monotonous, plan_mitigations
@@ -210,12 +210,11 @@ def cmd_reduce(args) -> int:
 def cmd_diff(args) -> int:
     model_a, _ = _load_model(args.model_a)
     model_b, _ = _load_model(args.model_b)
-    ids_a = {h.id for h in model_a.hazards}
-    ids_b = {h.id for h in model_b.hazards}
-    if not ids_a <= ids_b:
+    order_a, order_b = [h.id for h in model_a.hazards], [h.id for h in model_b.hazards]
+    only_a = sorted(set(order_a) - set(order_b))
+    if only_a:
         return _fail(
-            EXIT_INVALID,
-            f"incompatible hazard sets: {sorted(ids_a - ids_b)} only in {args.model_a}",
+            EXIT_INVALID, f"incompatible hazard sets: {only_a} only in {args.model_a}"
         )
     for h in model_a.hazards:
         if model_b.hazard(h.id).n_mitigations != h.n_mitigations:
@@ -223,40 +222,37 @@ def cmd_diff(args) -> int:
                 EXIT_INVALID,
                 f"incompatible hazard {h.id!r}: different n_mitigations",
             )
+    parse = state_parser(model_a.hazards)
 
-    def embedded_labels(model: RiskStructure) -> dict[str, str]:
-        # a state's identity, by its name, is its display label with every
-        # member name embedded into the wider hazard set, and every other
-        # part of the label as it is; an unlabelled state is its own only
-        # member, so it is embedded without re-parsing
-        parse, mapping = state_parser(model.hazards), {}
-
-        def member(part: str) -> str:
-            try:
-                return embed_state(parse(part), model_b.hazards).name
-            except RiskModelError:  # the part names no state over the hazards
+    def renamed(part: str) -> str:
+        # a canonical name over the first model's hazards, renamed over the
+        # second's with each hazard it lacks inactive; other parts stay
+        try:
+            if parse(part).name != part:
                 return part
+        except RiskModelError:
+            return part
+        tokens = dict(zip(order_a, part.split(",")))
+        return ",".join(tokens.get(h, f"{h}:0") for h in order_b)
 
-        labels = {s.name: label for s, label in model.labels.items()}
-        for s in model.states:
-            label = labels.get(s.name)
-            if label is None:
-                mapping[s.name] = embed_state(s, model_b.hazards).name
-            else:
-                mapping[s.name] = "|".join(sorted(map(member, label.split("|"))))
-        return mapping
-
-    map_a, map_b = embedded_labels(model_a), embedded_labels(model_b)
-    states_a = set(map_a.values())
-    states_b = set(map_b.values())
-
-    # Each (action, pr, cs) is rounded and written once: the edge that
-    # transitions compare by, and the text of their line around the source
-    # and target.
+    # Each (action, pr, cs) is rounded and written once: the edge that keys
+    # compare by, and the line's text around the source and target.
     edges: dict[tuple, tuple] = {}
 
-    def transition_edges(model, mapping) -> dict[tuple, tuple]:
-        # each transition's key, by embedded labels, mapped to its edge
+    def content(model: RiskStructure, path: str, rewrite=None) -> tuple[set, dict]:
+        # a state's identity is its label's |-parts, sorted; met in label
+        # order, two states that read alike are named alike under every hash
+        # seed.  Each edge's key, by identities, maps to its line's text.
+        labels = {s.name: text for s, text in model.labels.items()}
+        identity, seen = {}, {}
+        for label, name in sorted((labels.get(s.name, s.name), s.name) for s in model.states):
+            parts = label.split("|")
+            identity[name] = "|".join(sorted(parts if rewrite is None else map(rewrite, parts)))
+            other = seen.setdefault(identity[name], label)
+            if other != label:
+                raise _CliError(
+                    EXIT_INVALID, f"labels {other!r} and {label!r} of {path!r} identify one state"
+                )
         keyed = {}
         for t in model.transitions:
             text_key = (t.action.name, t.pr, t.cs)
@@ -269,24 +265,19 @@ def cmd_diff(args) -> int:
                     f" -{t.action.name}-> ",
                     f" {weights}" if weights else "",
                 )
-            keyed[(mapping[t.source.name], edge[0], mapping[t.target.name])] = edge
-        return keyed
+            source, target = identity[t.source.name], identity[t.target.name]
+            keyed[source, edge[0], target] = f"{source}{edge[1]}{target}{edge[2]}"
+        return set(seen), keyed
 
-    trans_a, trans_b = transition_edges(model_a, map_a), transition_edges(model_b, map_b)
+    states_a, trans_a = content(model_a, args.model_a, None if order_a == order_b else renamed)
+    states_b, trans_b = content(model_b, args.model_b)
 
-    def fmt_key(key, keyed) -> str:
-        source, _, target = key
-        _, arrow, suffix = keyed[key]
-        return f"{source}{arrow}{target}{suffix}"
-
-    # Each key is formatted once; keys that format alike print the same line,
-    # so sorting the lines is sorting the keys by their text.  One writelines
-    # call replaces a print per line without also holding the whole text.
+    # Sorting the lines sorts the keys by their text.  One writelines call
+    # replaces a print per line without also holding the whole text.
     lines = [f"- state {name}" for name in sorted(states_a - states_b)]
     lines += [f"+ state {name}" for name in sorted(states_b - states_a)]
-    removed, added = trans_a.keys() - trans_b.keys(), trans_b.keys() - trans_a.keys()
-    lines += sorted(f"- transition {fmt_key(key, trans_a)}" for key in removed)
-    lines += sorted(f"+ transition {fmt_key(key, trans_b)}" for key in added)
+    lines += sorted(f"- transition {trans_a[key]}" for key in trans_a.keys() - trans_b.keys())
+    lines += sorted(f"+ transition {trans_b[key]}" for key in trans_b.keys() - trans_a.keys())
     sys.stdout.writelines(f"{line}\n" for line in lines)
     return EXIT_DIFFERENT if lines else EXIT_OK
 

@@ -166,6 +166,11 @@ class BandThresholds:
         return Band.MEDIUM
 
 
+def _one_line(text: str) -> bool:
+    """Whether ``text`` is one line without a tab, as a field of output is."""
+    return text.splitlines() == [text] and "\t" not in text
+
+
 @dataclass(frozen=True)
 class HazardId:
     """Symbolic hazard identifier, unique within a catalog."""
@@ -460,6 +465,8 @@ class Action:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("action name must be non-empty")
+        if not _one_line(self.name):
+            raise ValueError(f"action name {self.name!r} is not one line without a tab")
         # by hazard id alone: phases have no order, and an id given twice
         # is refused below
         object.__setattr__(self, "effect", tuple(sorted(self.effect, key=itemgetter(0))))
@@ -694,6 +701,8 @@ class RiskStructure:
                 raise ValueError(f"label {text!r} is on {s.name!r}, which is not a state")
             if text in names or text in texts:
                 raise ValueError(f"label {text!r} already names another state")
+            if not _one_line(text):
+                raise ValueError(f"label {text!r} is not one line without a tab")
             texts.add(text)
         # the edges in key order, one per key, so that a model equals every
         # model with the same edges; edges given in key order take one pass

@@ -439,6 +439,74 @@ def brute_force_collapse(model) -> RiskStructure:
     )
 
 
+@dataclass(frozen=True)
+class DiffRefusal:
+    """``diff`` refuses its models: two states of the first (``model`` 0) or
+    the second (1) read alike; ``labels`` are theirs, in label order."""
+
+    model: int
+    labels: tuple[str, str]
+
+
+def brute_force_diff(model_a, model_b):
+    """The lines of ``riskstruct diff`` of two models, the first over a
+    subset of the second's hazards with the same phases, by the README's
+    rule: a state is its label's ``|``-parts, sorted, where a part of the
+    first model that is the canonical name of a state over its hazards
+    stands for that state with each hazard of the second model it lacks
+    inactive, named over the second model's hazards.  A transition is its
+    ends, its action's name and its weights as ``weights_text`` writes them.
+    Two states of one model that read alike give a :class:`DiffRefusal` of
+    the pair, among all such pairs, whose greater label is least."""
+
+    def member(part: str) -> str:
+        try:
+            state = brute_force_parse_state(part, model_a.hazards)
+        except RiskModelError:
+            return part
+        if state.name != part:
+            return part
+        phases = dict(state.entries)
+        return ",".join(
+            f"{h.id}:{phases.get(h.id, Phase.inactive()).render()}" for h in model_b.hazards
+        )
+
+    def identities(model, rewrite):
+        read = {s: "|".join(sorted(map(rewrite, model.label(s).split("|")))) for s in model.states}
+        groups: dict[str, list[str]] = {}
+        for s, text in read.items():
+            groups.setdefault(text, []).append(model.label(s))
+        pairs = [sorted(labels)[:2] for labels in groups.values() if len(labels) > 1]
+        return read, min(pairs, key=lambda pair: pair[1], default=None)
+
+    def rounded(pr) -> str:
+        # six significant digits, and a zero given as -0.0 is 0
+        text = f"{pr:.6g}"
+        return "0" if text == "-0" else text
+
+    sides = []
+    for i, (model, rewrite) in enumerate(((model_a, member), (model_b, str))):
+        read, pair = identities(model, rewrite)
+        if pair is not None:
+            return DiffRefusal(i, tuple(pair))
+        edges = {}
+        for t in model.transitions:
+            pr = None if t.pr is None else rounded(t.pr)
+            weights = ",".join(w for w in (pr, None if t.cs is None else str(t.cs)) if w is not None)
+            line = f"{read[t.source]} -{t.action.name}-> {read[t.target]}"
+            edges[read[t.source], t.action.name, pr, t.cs, read[t.target]] = (
+                f"{line} ({weights})" if weights else line
+            )
+        sides.append((set(read.values()), edges))
+    (states_a, edges_a), (states_b, edges_b) = sides
+    return (
+        [f"- state {text}" for text in sorted(states_a - states_b)]
+        + [f"+ state {text}" for text in sorted(states_b - states_a)]
+        + sorted(f"- transition {edges_a[key]}" for key in edges_a.keys() - edges_b.keys())
+        + sorted(f"+ transition {edges_b[key]}" for key in edges_b.keys() - edges_a.keys())
+    )
+
+
 def random_structure(rng: Random, max_states: int = 12) -> RiskStructure:
     """A small hand-built structure with legal single-hazard transitions."""
     n_h = rng.randint(1, 3)

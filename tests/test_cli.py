@@ -1,26 +1,42 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import gc
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskstruct import (
     Action,
     ActionClass,
     HazardId,
     HazardPhaseModel,
+    RiskModelError,
     RiskStructure,
     Transition,
     cli,
+    embed_state,
+    quotient,
     state_parser,
 )
 from riskstruct.catalogs import catalog_path
 from riskstruct.cli import main
 from riskstruct.serialize import save_model
 
-from helpers import chain_catalog
+from helpers import (
+    DiffRefusal,
+    brute_force_diff,
+    chain_catalog,
+    enumerate_tuple_space,
+    random_structure,
+)
 
 
 #: An integer of one digit more than ``int()`` converts from text, and the
@@ -38,10 +54,9 @@ def _dumps(data) -> str:
     return json.dumps(data).replace(f'"{_LONG_INTEGER_MARK}"', _LONG_INTEGER)
 
 
-def relabel(path: str, out, labels: dict[str, str]) -> str:
-    """The model file at ``path`` written to ``out`` with each state named in
-    ``labels`` labelled anew, wherever its label is written."""
-    data = json.loads(open(path).read())
+def relabelled(data: dict, labels: dict[str, str]) -> None:
+    """Label each state named in ``labels`` anew in the JSON value ``data``
+    of a model file, wherever its label is written."""
 
     def new(text: str) -> str:
         return labels.get(text, text)
@@ -52,6 +67,13 @@ def relabel(path: str, out, labels: dict[str, str]) -> str:
         row["source"], row["target"] = new(row["source"]), new(row["target"])
     data["initial"] = [new(text) for text in data["initial"]]
     data["sv"] = {new(text): value for text, value in data["sv"].items()}
+
+
+def relabel(path: str, out, labels: dict[str, str]) -> str:
+    """The model file at ``path`` written to ``out`` with each state named in
+    ``labels`` labelled anew, wherever its label is written."""
+    data = json.loads(open(path).read())
+    relabelled(data, labels)
     out.write_text(json.dumps(data))
     return str(out)
 
@@ -197,6 +219,15 @@ class TestValidate:
                 "phase 'em' of hazard 'A'",
             ),
             ("endangerments", 0, "name", "", "endangerments[0] (''): action name must be non-empty"),
+            # plan and diff would print the name as two fields
+            (
+                "mitigations",
+                0,
+                "name",
+                "m1_A\tX",
+                "mitigations[0] ('m1_A\\tX'): action name 'm1_A\\tX' is not one line "
+                "without a tab",
+            ),
             (
                 "endangerments",
                 0,
@@ -692,10 +723,15 @@ class TestOneAnchoredLine:
             (lambda d: d["features"]["effects"].append({**d["features"]["effects"][0], "hazard": "Q"}),
              "malformed model: features.effects[14]: undeclared hazard 'Q'"),
             (lambda d: d["transitions"][0].update(cs=_LONG_INTEGER_MARK), _LONG_INTEGER_LINE),
+            # regions would print a second line of its own
+            (lambda d: relabelled(d, {"A:e,L:0": "A:m1,L:0\tsafe\nX"}),
+             "malformed model: label 'A:m1,L:0\\tsafe\\nX' is not one line without a tab"),
+            (lambda d: d["actions"][1].update(name="f_A\tX"),
+             "actions[1]: action name 'f_A\\tX' is not one line without a tab"),
         ],
         ids=[
             "initial-str", "effect-list", "sv-list", "log-object", "sv-value", "no-hazards",
-            "bands", "feature-effect-hazard", "long-cs",
+            "bands", "feature-effect-hazard", "long-cs", "label-lines", "action-name-tab",
         ],
     )
     def test_model_file(self, built_r2, tmp_path, capsys, mutate, line):
@@ -827,6 +863,57 @@ class TestDiff:
         out = capsys.readouterr().out.splitlines()
         assert out[:2] == ["- state start", "+ state A:0,L:0"]
 
+    def test_a_label_in_another_hazard_order_is_its_own_text(self, built_r2, tmp_path, capsys):
+        # L:0,A:0 is not the canonical name of A:0,L:0, so it does not stand
+        # for that state, and no edge of A:0,L:0 is made up
+        path = relabel(built_r2, tmp_path / "found.json", {"A:e,L:0": "L:0,A:0"})
+        assert main(["diff", path, built_r2]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "- state L:0,A:0",
+            "+ state A:e,L:0",
+            "- transition A:0,L:0 -f_A-> L:0,A:0 (0.01)",
+            "- transition L:0,A:0 -f_L-> A:e,L:e (0.02)",
+            "- transition L:0,A:0 -m1_A-> A:m1,L:0 (0.99,10)",
+            "- transition L:0,A:0 -m3_A-> A:m3,L:0 (0.5,3)",
+            "+ transition A:0,L:0 -f_A-> A:e,L:0 (0.01)",
+            "+ transition A:e,L:0 -f_L-> A:e,L:e (0.02)",
+            "+ transition A:e,L:0 -m1_A-> A:m1,L:0 (0.99,10)",
+            "+ transition A:e,L:0 -m3_A-> A:m3,L:0 (0.5,3)",
+        ]
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_two_labels_that_read_alike_exit_2(self, built_r2, tmp_path, capsys, first):
+        path = relabel(built_r2, tmp_path / "xy.json", {"A:e,L:0": "X|Y", "A:m1,L:0": "Y|X"})
+        assert main(["diff", path, built_r2] if first else ["diff", built_r2, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"riskstruct: labels 'X|Y' and 'Y|X' of {path!r} identify one state\n"
+        )
+        assert captured.out == ""
+
+    def test_a_label_that_spells_a_rewritten_name_exits_2(
+        self, built_r2, built_r3, tmp_path, capsys
+    ):
+        # over r3's hazards the unlabelled A:0,L:0 reads A:0,L:0,R:0 too
+        path = relabel(built_r2, tmp_path / "spelt.json", {"A:e,L:0": "A:0,L:0,R:0"})
+        assert main(["diff", path, built_r3]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"riskstruct: labels 'A:0,L:0' and 'A:0,L:0,R:0' of {path!r} identify one state\n"
+        )
+        assert captured.out == ""
+
+    def test_hazards_declared_in_another_order(self, built_r2, r2_path, tmp_path, capsys):
+        data = json.loads(open(r2_path).read())
+        data["hazards"].reverse()
+        catalog, reversed_r2 = tmp_path / "reversed.json", tmp_path / "reversed.model.json"
+        catalog.write_text(json.dumps(data))
+        assert main(["build", str(catalog), "-o", str(reversed_r2)]) == 0
+        capsys.readouterr()
+        assert main(["diff", built_r2, str(reversed_r2)]) == 0
+        assert main(["diff", str(reversed_r2), built_r2]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_incompatible_hazards_exit_2(self, built_r2, built_r3, capsys):
         assert main(["diff", built_r3, built_r2]) == 2
         assert "R" in capsys.readouterr().err
@@ -840,6 +927,125 @@ class TestDiff:
         assert capsys.readouterr().err == (
             "riskstruct: incompatible hazard 'A': different n_mitigations\n"
         )
+
+
+#: Label texts that name no state, so each stands for itself.
+_LITERALS = ("X", "Y", "start")
+
+
+def _names(hazards) -> list[str]:
+    return [s.name for s in enumerate_tuple_space(hazards)]
+
+
+def _reversed(name: str) -> str:
+    """``name`` with its tokens in reverse order: a non-canonical spelling of
+    the same state when it has two hazards or more."""
+    return ",".join(reversed(name.split(",")))
+
+
+@st.composite
+def _relabelled(draw, model, texts):
+    """``model`` with some states labelled anew by a text drawn from a small
+    pool of ``texts``, or two of them joined by ``|`` in either order; a
+    label that the model would refuse is left out."""
+    pool = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    names = {s.name for s in model.states}
+    labels = dict(model.labels)
+    for s in sorted(model.states, key=lambda s: s.name):
+        if draw(st.booleans()):
+            continue
+        text = "|".join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
+        if text not in names and text not in labels.values():
+            labels[s] = text
+    return dataclasses.replace(model, labels=labels)
+
+
+def _wider(model, hazards):
+    """``model`` over ``hazards``, which declare its own and more, each
+    state's added hazards inactive."""
+    wide = {s.name: embed_state(s, hazards) for s in model.states}
+    return RiskStructure(
+        hazards=tuple(hazards),
+        states=frozenset(wide.values()),
+        transitions=tuple(
+            Transition(wide[t.source.name], t.action, wide[t.target.name], t.pr, t.cs, checked=False)
+            for t in model.transitions
+        ),
+        initial=frozenset(wide[s.name] for s in model.initial),
+        sv={wide[s.name]: v for s, v in model.sv.items()},
+        labels={wide[s.name]: text for s, text in model.labels.items()},
+    )
+
+
+@st.composite
+def _diff_pairs(draw):
+    """Two models that ``diff`` compares: relabellings of one random model,
+    one of them and its ``m`` or ``h`` quotient in either order, or one of
+    them and a relabelling of the model over one added hazard, the hazards
+    declared in any order."""
+    base = random_structure(Random(draw(st.integers(0, 2**32))))
+    kind = draw(st.sampled_from(("relabelled", "quotient", "wider")))
+    wide = base
+    if kind == "wider":
+        added = HazardPhaseModel(HazardId("H9"), draw(st.integers(1, 2)))
+        wide = _wider(base, draw(st.permutations((*base.hazards, added))))
+    names = _names(base.hazards) + _names(wide.hazards)
+    texts = st.one_of(
+        st.sampled_from(_LITERALS),
+        st.sampled_from([_reversed(s.name) for s in base.states]),
+        st.sampled_from(names + [_reversed(name) for name in names]),
+    )
+    first = draw(_relabelled(base, texts))
+    if kind == "quotient":
+        try:
+            other = quotient(first, draw(st.sampled_from(("m", "h"))))
+        except RiskModelError:  # a joined label names another state
+            other = draw(_relabelled(base, texts))
+        return (first, other) if draw(st.booleans()) else (other, first)
+    return first, draw(_relabelled(wide, texts))
+
+
+def _diff(path_a: str, path_b: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["diff", path_a, path_b])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _signs_swapped(lines: list[str]) -> list[str]:
+    """``lines`` of a diff as the diff of its models in the other order
+    prints them: each sign swapped, states before transitions, and removals
+    before additions."""
+    swapped = [{"-": "+", "+": "-"}[line[0]] + line[1:] for line in lines]
+    return sorted(swapped, key=lambda line: (line.split(" ")[1] == "transition", line[0] == "+"))
+
+
+class TestDiffOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_diff_pairs())
+    def test_matches_the_oracle(self, pair):
+        model_a, model_b = pair
+        expected = brute_force_diff(model_a, model_b)
+        with tempfile.TemporaryDirectory() as work:
+            paths = [str(Path(work) / name) for name in ("a.json", "b.json")]
+            for path, model in zip(paths, pair):
+                save_model(path, model)
+            code, out, err = _diff(*paths)
+            if isinstance(expected, DiffRefusal):
+                first, second = expected.labels
+                assert (code, out, err) == (
+                    2,
+                    "",
+                    f"riskstruct: labels {first!r} and {second!r} of "
+                    f"{paths[expected.model]!r} identify one state\n",
+                )
+            else:
+                assert (code, err) == (3 if expected else 0, "")
+                assert out.splitlines() == expected
+            if model_a.hazards == model_b.hazards:
+                code_ba, out_ba, _ = _diff(*reversed(paths))
+                assert code_ba == code
+                assert out_ba.splitlines() == _signs_swapped(out.splitlines())
 
 
 class TestExportDot:

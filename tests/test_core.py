@@ -355,6 +355,13 @@ class TestApplyAction:
             Catalog(hazards=AB, mitigations=(MitigationRule("a", effect, 0.5, 1),))
         assert err.value.errors == ["mitigations[0] ('a'): action 'a' moves hazard 'A' twice"]
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\r", "a\x1eb", "a\u2028b"])
+    def test_a_name_of_more_than_one_field_is_refused(self, name):
+        # a line of plan or diff output holds the name as one field
+        with pytest.raises(ValueError) as err:
+            Action(name, ActionClass.ORDINARY)
+        assert str(err.value) == f"action name {name!r} is not one line without a tab"
+
 
 class TestTransition:
     def test_validates_per_hazard_legality(self):
@@ -633,12 +640,26 @@ class TestModelRefusals:
                 "transition endpoints outside state set: ('A:0,L:0', 'f_A', 'A:0,L:m4')",
             ),
             (lambda m: {"hazards": (*m.hazards, m.hazards[0])}, "hazard ids must be unique"),
+            # a line of output holds a label as one field
+            (
+                lambda m: {"labels": {m.state_named("A:e,L:0"): "A:m1,L:0\tsafe\nX"}},
+                "label 'A:m1,L:0\\tsafe\\nX' is not one line without a tab",
+            ),
+            (
+                lambda m: {"labels": {m.state_named("A:e,L:0"): "X\u2028Y"}},
+                "label 'X\\u2028Y' is not one line without a tab",
+            ),
+            (
+                lambda m: {"labels": {m.state_named("A:e,L:0"): ""}},
+                "label '' is not one line without a tab",
+            ),
         ],
         ids=[
             "one-label-twice", "label-is-another-name", "label-off-the-model", "two-actions",
             "hazards-out-of-order", "undeclared-hazard", "feature-effect-hazard",
             "feature-effect-phase", "feature-priority", "undeclared-phase", "bool-cost",
-            "float-cost", "edge-off-the-model", "hazard-twice",
+            "float-cost", "edge-off-the-model", "hazard-twice", "label-tab-and-newline",
+            "label-line-separator", "empty-label",
         ],
     )
     def test_refused_with_one_line(self, r2_model, change, line):

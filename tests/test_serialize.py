@@ -87,6 +87,9 @@ def assert_writers_agree(model, work: Path) -> None:
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+#: ``_TEXT`` without line breaks and tabs (categories Cc, Zl, Zp), which a
+#: label, one field of a line of output, may not hold.
+_LABEL_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=5)
 
 #: Action-name endings that the row templates (``%``), the JSON strings and
 #: the DOT labels must each carry through; none starts with a digit, so an
@@ -103,7 +106,7 @@ def _writer_models(draw):
     states = sorted(model.states, key=lambda s: s.name)
     # unique labels that no state name equals: names start with "H"
     labels = {
-        s: f"é{i}·{draw(_TEXT)}" for i, s in enumerate(states) if draw(st.booleans())
+        s: f"é{i}·{draw(_LABEL_TEXT)}" for i, s in enumerate(states) if draw(st.booleans())
     }
     renamed = {
         a: dataclasses.replace(a, name=a.name + draw(st.sampled_from(_NAME_ENDINGS)))
