@@ -59,6 +59,8 @@ def _parse_bands(text: str) -> BandThresholds:
             raise argparse.ArgumentTypeError(
                 f"bands must look like l=0.01,h=0.1, got {text!r}"
             )
+        if key in values:
+            raise argparse.ArgumentTypeError(f"bands give {key}= twice, got {text!r}")
         try:
             values[key] = float(val)
         except ValueError:
@@ -243,12 +245,12 @@ def cmd_diff(args) -> int:
         # a state's identity is its label's |-parts, sorted; met in label
         # order, two states that read alike are named alike under every hash
         # seed.  Each edge's key, by identities, maps to its line's text.
-        labels = {s.name: text for s, text in model.labels.items()}
         identity, seen = {}, {}
-        for label, name in sorted((labels.get(s.name, s.name), s.name) for s in model.states):
+        for s in model.sorted_states():
+            label = model.label(s)
             parts = label.split("|")
-            identity[name] = "|".join(sorted(parts if rewrite is None else map(rewrite, parts)))
-            other = seen.setdefault(identity[name], label)
+            identity[s.name] = "|".join(sorted(parts if rewrite is None else map(rewrite, parts)))
+            other = seen.setdefault(identity[s.name], label)
             if other != label:
                 raise _CliError(
                     EXIT_INVALID, f"labels {other!r} and {label!r} of {path!r} identify one state"

@@ -576,9 +576,6 @@ class Transition:
 #: of the time that ``object.__setattr__`` takes; many edges are made at once.
 _EDGE_SLOTS = tuple(getattr(Transition, f.name).__set__ for f in fields(Transition))
 
-#: :meth:`Transition.key` as one C-level call, for sorting many edges.
-transition_key = attrgetter("source.name", "action.name", "target.name")
-
 
 @dataclass(frozen=True)
 class OperationalSituation:
@@ -653,9 +650,10 @@ class RiskStructure:
     addressed by canonical name.  A model is a value: its fields are never
     reassigned, and ``sv`` and ``labels`` are read-only, so a changed model
     is a new instance made by :func:`dataclasses.replace`.  It keeps its
-    transitions in :func:`transition_key` order, one per key, whatever order
-    they are given in.  Its actions and its adjacency and analysis tables
-    are derived from its fields, once.
+    transitions in label order (source label, action name, target label),
+    one per key, whatever order they are given in.  Its actions, its states
+    in label order and its adjacency and analysis tables are derived from
+    its fields, once.
     """
 
     hazards: tuple[HazardPhaseModel, ...]
@@ -704,19 +702,8 @@ class RiskStructure:
             if not _one_line(text):
                 raise ValueError(f"label {text!r} is not one line without a tab")
             texts.add(text)
-        # the edges in key order, one per key, so that a model equals every
-        # model with the same edges; edges given in key order take one pass
-        edges = tuple(self.transitions)
-        keys = list(map(transition_key, edges))
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            edges = tuple(map(edges.__getitem__, order))
-            keys = list(map(keys.__getitem__, order))
-            for t in compress(edges, map(eq, keys, islice(keys, 1, None))):
-                edge = f"{self.label(t.source)} -{t.action.name}-> {self.label(t.target)}"
-                raise ValueError(f"transition {edge} is given twice")
-        object.__setattr__(self, "transitions", edges)
         mishaps = {name for name in names if MISHAP_MARK in name}
+        edges = tuple(self.transitions)
         for t in edges:
             source = t.source.name
             if source not in names or t.target.name not in names:
@@ -725,6 +712,18 @@ class RiskStructure:
                 raise ValueError(
                     f"mishap state {self.label(t.source)!r} must be final"
                 )
+        # the edges in label order, one per key, so that a model equals every
+        # model with the same edges; edges given in that order take one pass
+        label = dict(zip(names, names))
+        label.update((s.name, text) for s, text in self.labels.items())
+        keys = [(label[t.source.name], t.action.name, label[t.target.name]) for t in edges]
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            edges = tuple(map(edges.__getitem__, order))
+            keys = list(map(keys.__getitem__, order))
+            for key in compress(keys, map(eq, keys, islice(keys, 1, None))):
+                raise ValueError("transition {} -{}-> {} is given twice".format(*key))
+        object.__setattr__(self, "transitions", edges)
         if {s.name for s in self.sv} != mishaps:
             raise ValueError("severity must be assigned exactly on mishap states")
         # an action is hashed once per object, not once per edge; sorted by
@@ -753,8 +752,9 @@ class RiskStructure:
     def label(self, state: RiskState) -> str:
         return self.labels.get(state, state.name)
 
-    def sorted_states(self) -> list[RiskState]:
-        return sorted(self.states, key=self.label)
+    def sorted_states(self) -> tuple[RiskState, ...]:
+        """The states sorted by label, computed once."""
+        return self._memo("sorted_states", lambda: tuple(sorted(self.states, key=self.label)))
 
     def mishap_states(self) -> frozenset[RiskState]:
         return frozenset(s for s in self.states if is_mishap(s))
@@ -770,20 +770,20 @@ class RiskStructure:
             raise UnknownState(f"state {state.name!r} is not in the model")
 
     def outgoing(self) -> Mapping[RiskState, tuple[Transition, ...]]:
-        """Transitions leaving each state, sorted by key.
+        """Transitions leaving each state, in the model's order.
 
         Built once per instance and shared by every caller, so read-only.
         """
         return self._memo("adjacency", self._adjacency)[0]
 
     def incoming(self) -> Mapping[RiskState, tuple[Transition, ...]]:
-        """Transitions entering each state, sorted by key; built and shared
-        with :meth:`outgoing`."""
+        """Transitions entering each state, in the model's order; built and
+        shared with :meth:`outgoing`."""
         return self._memo("adjacency", self._adjacency)[1]
 
     def _adjacency(self) -> tuple[Mapping, Mapping]:
         # edges are grouped by state name, whose hash is cached, in the
-        # model's key order, and each state is hashed once, when its group
+        # model's order, and each state is hashed once, when its group
         # is stored under it
         out: dict[str, list[Transition]] = {s.name: [] for s in self.states}
         inc: dict[str, list[Transition]] = {s.name: [] for s in self.states}

@@ -88,8 +88,8 @@ def quotient(
             parts += (rps[state].value,)
         return parts
 
-    classes: dict[tuple, list[RiskState]] = {}
-    for s in sorted(model.states, key=model.label):
+    classes: dict[tuple, list[RiskState]] = {}  # members in label order
+    for s in model.sorted_states():
         classes.setdefault(class_key(s), []).append(s)
 
     # maps are keyed by state names, whose hashes are cached, not by states
@@ -102,9 +102,7 @@ def quotient(
         for s in members:
             rep_of[s.name] = representative
         if len(members) > 1:
-            labels[representative] = "|".join(
-                sorted(model.label(s) for s in members)
-            )
+            labels[representative] = "|".join(map(model.label, members))
         elif representative in model.labels:
             labels[representative] = model.labels[representative]
 
@@ -216,7 +214,7 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     :class:`RiskModelError` for a composite that no action can label (a
     quotient's edges can compose to a mitigation that moves a hazard to its
     active phase), and, as ``collapse:`` and the model's line, for a result
-    that is no model: the first edge in key order given twice, else two
+    that is no model: the first edge in label order given twice, else two
     actions of one name.
     """
     regions = assign_regions(model)
@@ -227,7 +225,7 @@ def collapse_safe_chains(model: RiskStructure) -> RiskStructure:
     collapsed: set[str] = set()
     replaced: set[int] = set()  # the ids of the edges that composites replaced
     composites: list[Transition] = []
-    for mid in sorted(model.states, key=model.label):
+    for mid in model.sorted_states():
         first, second = in_edge.get(mid.name), out_edge.get(mid.name)
         if first is None or second is None or mid in model.initial:
             continue

@@ -15,7 +15,7 @@ import re
 from dataclasses import asdict, replace
 from functools import partial
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     Action,
@@ -150,6 +150,8 @@ class _Reader:
 
     def __init__(self) -> None:
         self.errors: list[str] = []
+        # per object read by get: its path, the object and the keys read
+        self.read: dict[int, tuple[str, Any, set[str]]] = {}
 
     def fail(self, anchor: str, message: str) -> Any:
         self.errors.append(f"{anchor}: {message}")
@@ -162,6 +164,7 @@ class _Reader:
         with ``_ABSENT`` takes its record's default."""
         if obj is _BAD:
             return _BAD
+        self.read.setdefault(id(obj), (path, obj, set()))[2].add(key)
         value = obj.get(key, default)
         anchor = f"{path}.{key}" if path else key
         if value is _BAD:
@@ -169,6 +172,14 @@ class _Reader:
         if value is default:
             return value
         return self.check(value, anchor, kind)
+
+    def unknown(self) -> None:
+        """Report each key, of an object that :meth:`get` read, that it did
+        not read."""
+        for path, obj, keys in self.read.values():
+            for key in obj:
+                if key not in keys:
+                    self.fail(f"{path}.{key}" if path else key, "unknown field")
 
     def check(self, value: Any, anchor: str, kind: Any) -> Any:
         """``value`` read as ``kind``, or ``_BAD``, reported at ``anchor``."""
@@ -351,6 +362,7 @@ def catalog_from_dict(data: Mapping[str, Any]) -> Catalog:
         )
         for path, rule in r.each(data, "", "mitigations")
     )
+    r.unknown()
     if r.errors:
         raise CatalogInvalid(r.errors)
     return Catalog(hazards, endangerments, mishaps, mitigations, features, situation, options)
@@ -389,26 +401,12 @@ def _features_to_dict(features: FeatureModel) -> dict:
     }
 
 
-def _file_order(model: RiskStructure) -> tuple[dict, list, list]:
-    """Each state's label by state name, the states sorted by label, and the
-    transitions sorted by source label, action name and target label: the
-    order of the model file and of the DOT export."""
-    label = {s.name: s.name for s in model.states}
-    label.update((s.name, text) for s, text in model.labels.items())
-    states = sorted(model.states, key=lambda s: label[s.name])
-    transitions = sorted(
-        model.transitions,
-        key=lambda t: (label[t.source.name], t.action.name, label[t.target.name]),
-    )
-    return label, states, transitions
-
-
 #: Rows rendered per chunk of a model or DOT file: a chunk of a chain model
 #: file is about 25 KB, so a save holds the encoded file and little more.
 _BATCH_ROWS = 128
 
 
-def _batches(items: list) -> Iterator[list]:
+def _batches(items: Sequence) -> Iterator[Sequence]:
     for start in range(0, len(items), _BATCH_ROWS):
         yield items[start : start + _BATCH_ROWS]
 
@@ -434,8 +432,8 @@ class _Rows(NamedTuple):
     """A list of flat JSON objects, one per item: the model's states and
     transitions."""
 
-    items: list
-    texts: Callable[[list], list[str]]  # items -> their objects' JSON texts
+    items: Sequence
+    texts: Callable[[Sequence], list[str]]  # items -> their objects' JSON texts
 
     def chunks(self) -> Iterator[str]:
         """The list's JSON text as a value of the model file's top-level
@@ -452,7 +450,7 @@ class _Rows(NamedTuple):
 
 
 def _transition_texts(
-    quoted: dict[str, str], templates: dict[tuple, str], batch: list[Transition]
+    quoted: dict[str, str], templates: dict[tuple, str], batch: Sequence[Transition]
 ) -> list[str]:
     """The JSON texts of ``batch``'s transitions, from each label's JSON text
     in ``quoted`` and a template per action name and weights, rendered once
@@ -474,9 +472,10 @@ def _transition_texts(
 def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
     """The model file's top-level object, with its states and transitions
     left as :class:`_Rows` for :func:`model_chunks` to render."""
-    label, states, transitions = _file_order(model)
-    # each label's JSON text, rendered once for all the rows it appears in
-    quoted = {name: encode_basestring(text) for name, text in label.items()}
+    label, states = model.label, model.sorted_states()
+    # each label's JSON text, by state name, rendered once for all the rows
+    # it appears in
+    quoted = {s.name: encode_basestring(label(s)) for s in states}
     d: dict[str, Any] = {
         "hazards": [
             {
@@ -492,7 +491,7 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
                 _STATE_ROW % (encode_basestring(s.name), quoted[s.name]) for s in batch
             ],
         ),
-        "initial": sorted(label[s.name] for s in model.initial),
+        "initial": sorted(map(label, model.initial)),
         "actions": [
             {
                 "name": a.name,
@@ -502,11 +501,8 @@ def _model_value(model: RiskStructure, log: ConstructionLog) -> dict:
             }
             for a in model.actions
         ],
-        "transitions": _Rows(transitions, partial(_transition_texts, quoted, {})),
-        "sv": {
-            label[s.name]: v.value
-            for s, v in sorted(model.sv.items(), key=lambda kv: label[kv[0].name])
-        },
+        "transitions": _Rows(model.transitions, partial(_transition_texts, quoted, {})),
+        "sv": dict(sorted((label(s), v.value) for s, v in model.sv.items())),
         # plain records are written from their fields, in field order
         "log": [asdict(r) for r in log.records],
         "options": asdict(model.options),
@@ -713,6 +709,7 @@ def load_drop_rules(path: str) -> tuple[DropRule, ...]:
         )
         for anchor, rule in r.each(r.check(_read_json(path), "top level", dict), "", "drop")
     )
+    r.unknown()
     if r.errors:
         raise RiskModelError("; ".join(r.errors))
     return rules
@@ -733,18 +730,20 @@ def dot_chunks(model: RiskStructure) -> Iterator[str]:
     """The DOT text of :func:`to_dot` in chunks of at most ``_BATCH_ROWS``
     lines."""
     regions = assign_regions(model)
-    label, states, transitions = _file_order(model)
+    states = model.sorted_states()
+    # each label's DOT text, by state name, quoted once for all its lines
+    quoted = {s.name: _dot_quote(model.label(s)) for s in states}
     yield "digraph risk_structure {\n  rankdir=LR;\n  node [shape=ellipse];\n"
     for batch in _batches(states):
         yield "".join(
             [
-                f"  {_dot_quote(label[s.name])} [style={_REGION_STYLE[regions[s]]}"
+                f"  {quoted[s.name]} [style={_REGION_STYLE[regions[s]]}"
                 + (", peripheries=2];\n" if s in model.initial else "];\n")
                 for s in batch
             ]
         )
     edge_labels: dict[tuple, str] = {}
-    for batch in _batches(transitions):
+    for batch in _batches(model.transitions):
         lines = []
         for t in batch:
             key = (t.action.name, t.pr, t.cs)
@@ -753,8 +752,7 @@ def dot_chunks(model: RiskStructure) -> Iterator[str]:
                 text = _dot_quote(t.action.name + weights_text(t.pr, t.cs))
                 edge_labels[key] = text
             lines.append(
-                f"  {_dot_quote(label[t.source.name])} -> "
-                f"{_dot_quote(label[t.target.name])} [label={text}];\n"
+                f"  {quoted[t.source.name]} -> {quoted[t.target.name]} [label={text}];\n"
             )
         yield "".join(lines)
     yield "}\n"

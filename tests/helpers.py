@@ -373,10 +373,10 @@ def brute_force_collapse(model) -> RiskStructure:
     stands, with regions those of the given model; a composite is made
     without the phase-graph check, and one that no action can label is
     refused.  Then refuse a result that holds a key twice, naming the first
-    such key in key order, and else one with two different actions of one
-    name, naming the least such name.  The model as it stands is kept as its
-    states and edges, since it may hold an edge twice, which no model
-    can."""
+    such edge by (source label, action name, target label), and else one
+    with two different actions of one name, naming the least such name.  The
+    model as it stands is kept as its states and edges, since it may hold an
+    edge twice, which no model can."""
     regions = assign_regions(model)
     states, transitions = set(model.states), list(model.transitions)
     while True:
@@ -422,7 +422,8 @@ def brute_force_collapse(model) -> RiskStructure:
             [t for t in transitions if t is not first and t is not second] + [composite],
             key=lambda t: t.key(),
         )
-    for t in sorted(transitions, key=lambda t: t.key()):
+    label = model.label
+    for t in sorted(transitions, key=lambda t: (label(t.source), t.action.name, label(t.target))):
         if sum(u.key() == t.key() for u in transitions) > 1:
             edge = f"{model.label(t.source)} -{t.action.name}-> {model.label(t.target)}"
             raise RiskModelError(f"collapse: transition {edge} is given twice")
@@ -715,7 +716,7 @@ class LoadedModel:
     labels: dict  # RiskState -> label, where it differs from the name
     initial: frozenset
     sv: dict  # RiskState -> Severity
-    transitions: tuple  # sorted by key
+    transitions: tuple  # by source label, action name and target label
 
 
 def brute_force_model_from_dict(data) -> LoadedModel:
@@ -810,7 +811,16 @@ def _brute_force_load(data) -> LoadedModel:
         labels=labels,
         initial=initial,
         sv=sv,
-        transitions=tuple(sorted(transitions, key=lambda t: t.key())),
+        transitions=tuple(
+            sorted(
+                transitions,
+                key=lambda t: (
+                    labels.get(t.source, t.source.name),
+                    t.action.name,
+                    labels.get(t.target, t.target.name),
+                ),
+            )
+        ),
     )
 
 

@@ -638,7 +638,11 @@ class TestFlagRanges:
 
     @pytest.mark.parametrize(
         "bands, message",
-        [("l=x,h=0.1", "not a probability: 'x'"), ("l=0.1", "bands need both l= and h=")],
+        [
+            ("l=x,h=0.1", "not a probability: 'x'"),
+            ("l=0.1", "bands need both l= and h="),
+            ("l=0.5,h=0.9,l=0.01", "bands give l= twice, got 'l=0.5,h=0.9,l=0.01'"),
+        ],
     )
     def test_malformed_bands(self, bands, message, built_r2, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -694,10 +698,17 @@ class TestOneAnchoredLine:
              _LONG_INTEGER_LINE),
             (lambda d: d["situation"].update(initial=[f"A:m{_LONG_INTEGER},L:0"]),
              f"situation.initial: not a phase: 'm{_LONG_INTEGER}'"),
+            # a misspelled field was ignored: no mitigation, or an unguarded rule
+            (lambda d: d.update(mitigatons=d.pop("mitigations")), "mitigatons: unknown field"),
+            (lambda d: d["endangerments"][0].update(gaurd=d["endangerments"][0].pop("guard")),
+             "endangerments[0].gaurd: unknown field"),
+            (lambda d: d["options"]["bands"].update(h_atleast=0.2),
+             "options.bands.h_atleast: unknown field"),
         ],
         ids=["no-n-mitigations", "features-list", "situation-str", "mitigates-pairs",
              "description-null", "name-int", "no-hazards", "negative-cs", "no-move",
-             "long-n-mitigations", "long-phase-index"],
+             "long-n-mitigations", "long-phase-index", "unknown-top-level",
+             "unknown-rule-field", "unknown-band"],
     )
     def test_catalog(self, tmp_path, capsys, mutate, line):
         data = json.loads(catalog_path("tunnel-exit-r2").read_text())
@@ -804,8 +815,13 @@ class TestOneAnchoredLine:
             ('{"drop": [', "1:11: Expecting value"),
             # the decoder raises RecursionError, not a ValueError
             ('{"drop": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply to be read"),
+            # a misspelled self_loop dropped every f_L edge, not only the self-loops
+            ('{"drop": [{"action": "f_L", "self-loop": true}]}',
+             "drop[0].self-loop: unknown field"),
+            ('{"drop": [], "drops": []}', "drops: unknown field"),
         ],
-        ids=["drop-int", "top-level-list", "region", "no-action", "truncated", "deep"],
+        ids=["drop-int", "top-level-list", "region", "no-action", "truncated", "deep",
+             "unknown-rule-field", "unknown-top-level"],
     )
     def test_drop_rule_file(self, built_r2, tmp_path, capsys, text, line):
         rulefile = tmp_path / "drops.json"

@@ -17,6 +17,7 @@ from riskstruct import (
     HazardId,
     HazardPhaseModel,
     IllegalPhaseTransition,
+    MishapRule,
     MitigationRule,
     ModelOptions,
     OperationalSituation,
@@ -32,6 +33,7 @@ from riskstruct import (
     full_state_space_size,
     legal_phase_step,
     mitigation_equiv,
+    model_to_json,
     verify_complete,
 )
 from riskstruct.catalogs import catalog_path
@@ -447,6 +449,50 @@ class TestRandomCatalogs:
         for _ in range(10):
             catalog = random_catalog(rng)
             assert construct_rs(catalog) == construct_rs(catalog)
+
+
+def with_inert_rules(catalog: Catalog, rng: Random) -> Catalog:
+    """``catalog`` with a disabled copy of a random rule of each kind, or of
+    a made-up rule where the kind has none, under a new name and at a random
+    place in its list."""
+    h = catalog.hazards[0].id
+    made_up = {
+        "endangerments": EndangermentRule("x", (h,), pr=0.5),
+        "mishaps": MishapRule("x", (h,), (h,), pr=0.5, sv=Severity.MARGINAL),
+        "mitigations": MitigationRule("x", ((h, Phase.mitigated(1)),), pr=0.5, cs=1),
+    }
+    changes = {}
+    for section, default in made_up.items():
+        rules = list(getattr(catalog, section))
+        rule = rng.choice(rules) if rules else default
+        rules.insert(
+            rng.randint(0, len(rules)), replace(rule, name=f"inert_{section}", enabled=False)
+        )
+        changes[section] = tuple(rules)
+    return replace(catalog, **changes)
+
+
+class TestInertRules:
+    """A disabled rule, of any kind and at any place, changes neither the
+    model file nor the build log."""
+
+    @staticmethod
+    def _assert_inert(catalog: Catalog, rng: Random) -> None:
+        model, log = construct_rs(catalog)
+        other, other_log = construct_rs(with_inert_rules(catalog, rng))
+        assert other_log == log
+        assert model_to_json(other, other_log) == model_to_json(model, log)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bundled_catalogs(self, r2_catalog, r3_catalog, seed):
+        for catalog in (r2_catalog, r3_catalog):
+            self._assert_inert(catalog, Random(seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_rule_catalogs(self, seed):
+        rng = Random(seed)
+        self._assert_inert(random_rule_catalog(rng), rng)
 
 
 class TestConstructionOracle:

@@ -30,6 +30,7 @@ from riskstruct import (
     is_mishap,
     legal_phase_step,
     parse_state,
+    quotient,
     risk_priority,
     state_from_phases,
     state_parser,
@@ -541,14 +542,38 @@ def _with_features(model, **changes) -> dict:
 _ZERO, _ACTIVE = Phase.inactive(), Phase.active()
 
 
+def _label_keys(model) -> list[tuple[str, str, str]]:
+    """Each edge's (source label, action name, target label), in model order."""
+    return [(model.label(t.source), t.action.name, model.label(t.target)) for t in model.transitions]
+
+
 class TestEdgeOrder:
-    """A model keeps its edges in key order, one per key, so it equals any
-    model with the same edges."""
+    """A model keeps its edges in label order (source label, action name,
+    target label), one per key, so it equals any model with the same edges;
+    it sorts its states by label once."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_label_order_where_it_is_not_name_order(self, r2_model, seed):
+        # the h quotient labels A:m1,L:0 'A:e,L:0|A:m1,L:0', and so on
+        model = quotient(r2_model, "h")
+        keys = _label_keys(model)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        names = [t.key() for t in model.transitions]
+        assert names != sorted(names)
+        edges = list(model.transitions)
+        Random(seed).shuffle(edges)
+        other = dataclasses.replace(model, transitions=edges)
+        assert other == model
+        assert other.transitions == model.transitions
+        assert other.outgoing() == model.outgoing()
+        states = model.sorted_states()
+        assert type(states) is tuple and model.sorted_states() is states
+        assert list(states) == sorted(model.states, key=model.label)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_any_order_makes_one_model(self, r2_reduced, seed):
         model = r2_reduced
-        assert [t.key() for t in model.transitions] == sorted(t.key() for t in model.transitions)
+        assert _label_keys(model) == sorted(_label_keys(model))
         edges = list(model.transitions)
         Random(seed).shuffle(edges)
         for given in (edges, model.transitions[::-1]):

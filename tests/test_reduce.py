@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import replace
@@ -25,6 +26,7 @@ from riskstruct import (
     RiskStructure,
     Severity,
     Transition,
+    analysis_table,
     assign_regions,
     collapse_safe_chains,
     construct_rs,
@@ -453,6 +455,27 @@ class TestCollapseChains:
                 assert collapsed.actions == expected.actions
                 counts[len(collapsed.states) < len(case.states)] += 1
         assert counts[True] >= 50 and counts["refused"] >= 3, counts
+
+    # few collapses put a composite on a state's most probable path to a
+    # mishap, so many examples are drawn
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_kept_states_keep_pr_and_rp(self, seed):
+        # a composite carries the product of its run's probabilities, and
+        # reachability through the run is unchanged, so no kept state's
+        # mishap probability or risk priority moves.  The composite
+        # multiplies its run first, so a longer path's product can differ
+        # in its last bit: random_structure(Random(1879), 20) is one
+        model = random_structure(Random(seed), 20)
+        for case in (model, quotient(model, "m")):
+            try:
+                collapsed = collapse_safe_chains(case)
+            except RiskModelError:  # a composite that no model can hold
+                continue
+            before, after = analysis_table(case), analysis_table(collapsed)
+            for s in collapsed.states:
+                assert math.isclose(after.pr[s], before.pr[s], rel_tol=1e-12), s.name
+                assert after.rp[s] is before.rp[s], s.name
 
     def test_a_long_chain_collapses_in_one_pass(self):
         # each collapse leaves every other state as it was, so one pass in
